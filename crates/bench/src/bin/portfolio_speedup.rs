@@ -10,8 +10,9 @@
 
 use cbls_bench::figures::{costas_portfolio, portfolio_figure};
 use cbls_bench::ExperimentConfig;
+use cbls_parallel::{SimulatedMultiWalk, ThreadsExecutor};
 use cbls_perfmodel::report::{default_figure_dir, fmt_f64, Table};
-use cbls_portfolio::{AdaptiveScheduler, SimulatedPortfolio};
+use cbls_portfolio::AdaptiveScheduler;
 use cbls_problems::CostasArray;
 
 fn main() {
@@ -68,8 +69,12 @@ fn main() {
     for round in 0..rounds {
         let allocation = scheduler.allocation(round_walks);
         let portfolio = scheduler.next_portfolio(round_walks);
-        let sim = SimulatedPortfolio::replay_parallel(&|| CostasArray::new(order), &portfolio);
-        scheduler.record_simulated(&sim);
+        let sim = SimulatedMultiWalk::replay(
+            &|| CostasArray::new(order),
+            &portfolio.batch(),
+            &ThreadsExecutor,
+        );
+        scheduler.record(sim.records());
         let best_tail = scheduler
             .records()
             .iter()

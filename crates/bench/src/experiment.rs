@@ -1,12 +1,8 @@
 //! Collection of sequential runtime distributions and engine throughput.
 
-use std::time::Instant;
-
-use cbls_core::{AdaptiveSearch, SearchConfig, StopControl};
-use cbls_parallel::WalkSeeds;
+use cbls_parallel::{SequentialExecutor, WalkBatch, WalkExecutor};
 use cbls_perfmodel::EmpiricalDistribution;
 use cbls_problems::Benchmark;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration shared by the figure experiments.
@@ -69,29 +65,36 @@ pub struct SequentialSample {
 /// Collect `samples` independent sequential runs of `benchmark`, each with
 /// its own derived seed (run `i` of a benchmark is always the same walk, no
 /// matter how many samples are collected).
+///
+/// The runs are one run-to-completion batch on [`SequentialExecutor`]: one
+/// walk at a time, so each walk's elapsed time — and with it the throughput
+/// the figures scale by — is not inflated by sharing cores with its
+/// siblings.
 #[must_use]
 pub fn collect_sequential_samples(
     benchmark: &Benchmark,
     config: &ExperimentConfig,
 ) -> Vec<SequentialSample> {
-    let search: SearchConfig = benchmark.tuned_config();
-    let engine = AdaptiveSearch::new(search);
-    let seeds = WalkSeeds::new(config.master_seed ^ fxhash(benchmark.id().as_bytes()));
-    (0..config.samples)
-        .into_par_iter()
-        .map(|run| {
-            let mut evaluator = benchmark.build();
-            let mut rng = seeds.rng_of(run);
-            let started = Instant::now();
-            let outcome = engine.solve_with_stop(&mut evaluator, &mut rng, &StopControl::new());
-            let elapsed = started.elapsed().as_secs_f64();
+    let batch = WalkBatch::uniform(
+        config.master_seed ^ fxhash(benchmark.id().as_bytes()),
+        &benchmark.tuned_config(),
+        config.samples,
+    )
+    .run_to_completion();
+    SequentialExecutor
+        .execute(&|| benchmark.build(), &batch)
+        .records
+        .into_iter()
+        .map(|record| {
+            let outcome = record.outcome;
+            let elapsed = outcome.elapsed.as_secs_f64();
             let iterations_per_second = if elapsed > 0.0 {
                 outcome.stats.iterations as f64 / elapsed
             } else {
                 0.0
             };
             SequentialSample {
-                run,
+                run: record.walk_id,
                 solved: outcome.solved(),
                 iterations: outcome.stats.iterations,
                 iterations_per_second,

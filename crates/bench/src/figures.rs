@@ -16,13 +16,13 @@
 //! distribution is mapped onto the paper's time scale: the reference
 //! throughput is chosen so that the mean sequential run lasts
 //! [`paper_scale_seconds`] seconds, mirroring the magnitudes reported in the
-//! paper and its companion study.  EXPERIMENTS.md records paper-vs-measured
-//! values produced under this mapping.
+//! paper and its companion study.
 
 use cbls_parallel::speedup::{mean_speedup_by_cores, SpeedupCurve};
+use cbls_parallel::{SimulatedMultiWalk, SpeedupComparison, ThreadsExecutor};
 use cbls_perfmodel::report::{fmt_f64, Table};
 use cbls_perfmodel::{EmpiricalDistribution, Platform, SpeedupModel, SpeedupPrediction};
-use cbls_portfolio::{Portfolio, PortfolioMember, Schedule, SimulatedPortfolio, SpeedupComparison};
+use cbls_portfolio::{Portfolio, PortfolioMember, Schedule};
 use cbls_problems::{Benchmark, CostasArray};
 use cbls_propagation::{BacktrackingSolver, CostasConstraint};
 use std::time::Instant;
@@ -475,7 +475,7 @@ pub struct PortfolioExperiment {
     /// The portfolio that was replayed.
     pub portfolio: Portfolio,
     /// The deterministic replay of every walk.
-    pub simulation: SimulatedPortfolio,
+    pub simulation: SimulatedMultiWalk,
     /// Predicted-vs-observed speedup, one row per walk count.
     pub comparisons: Vec<SpeedupComparison>,
 }
@@ -494,7 +494,11 @@ pub fn portfolio_figure(
     config: &ExperimentConfig,
 ) -> Option<(Table, PortfolioExperiment)> {
     let portfolio = costas_portfolio(order, walks, config.master_seed);
-    let simulation = SimulatedPortfolio::replay_parallel(&|| CostasArray::new(order), &portfolio);
+    let simulation = SimulatedMultiWalk::replay(
+        &|| CostasArray::new(order),
+        &portfolio.batch(),
+        &ThreadsExecutor,
+    );
     let walk_counts: Vec<usize> = (0..)
         .map(|k| 1usize << k)
         .take_while(|&p| p <= walks)
@@ -606,9 +610,9 @@ mod tests {
         // three distinct strategies ran
         let labels: std::collections::HashSet<&str> = experiment
             .simulation
-            .runs()
+            .records()
             .iter()
-            .map(|r| r.member_label.as_str())
+            .map(|r| r.label.as_str())
             .collect();
         assert_eq!(labels.len(), 3);
     }

@@ -13,7 +13,7 @@
 
 use cbls_parallel::{SequentialExecutor, WalkExecutor};
 use cbls_problems::Benchmark;
-use cbls_service::{ServiceConfig, SolveRequest, SolveService};
+use cbls_service::{CompletedJob, JobHandle, ServiceConfig, SolveRequest, SolveService};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -78,20 +78,19 @@ pub fn measure_service_throughput(config: &ThroughputConfig) -> ServiceThroughpu
                 .expect("burst fits the queue")
         })
         .collect();
-    let completions: Vec<_> = handles
-        .into_iter()
-        .filter_map(cbls_service::JobHandle::wait)
-        .collect();
+    // One entry per request, `None` where the handle returned nothing: the
+    // pairing is fixed by submission order, never by which jobs completed.
+    let completions: Vec<Option<CompletedJob>> = handles.into_iter().map(JobHandle::wait).collect();
     let elapsed = started.elapsed();
 
-    let mut winners_match_direct = true;
-    for (request, completed) in requests.iter().zip(&completions) {
+    let winners_match_direct = audit(requests.iter().zip(&completions), |request, completed| {
         let batch = service.batch_for(request).expect("known benchmark");
         let bench = Benchmark::from_id(&request.benchmark).expect("known benchmark");
         let direct = SequentialExecutor.execute(&|| bench.build(), &batch);
-        let direct_winner = direct.winning_record();
-        let service_winner = completed.execution.execution.winning_record();
-        let matched = match (service_winner, direct_winner) {
+        match (
+            completed.execution.execution.winning_record(),
+            direct.winning_record(),
+        ) {
             (Some(s), Some(d)) => {
                 s.walk_id == d.walk_id
                     && s.seed == d.seed
@@ -99,10 +98,10 @@ pub fn measure_service_throughput(config: &ThroughputConfig) -> ServiceThroughpu
             }
             (None, None) => completed.result.winner == direct.winner,
             _ => false,
-        };
-        winners_match_direct &= matched;
-    }
+        }
+    });
 
+    let completions: Vec<CompletedJob> = completions.into_iter().flatten().collect();
     let completed = completions.len();
     let solved = completions.iter().filter(|c| c.result.solved).count();
     service.shutdown();
@@ -117,9 +116,36 @@ pub fn measure_service_throughput(config: &ThroughputConfig) -> ServiceThroughpu
     }
 }
 
+/// Whether every request matched its own completion: a request whose handle
+/// returned no completion (`None`) is a mismatch, never skipped.
+fn audit<'a, R: 'a, C: 'a>(
+    pairs: impl IntoIterator<Item = (R, &'a Option<C>)>,
+    mut matches: impl FnMut(R, &C) -> bool,
+) -> bool {
+    pairs
+        .into_iter()
+        .all(|(request, completion)| completion.as_ref().is_some_and(|c| matches(request, c)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_missing_completion_fails_the_audit() {
+        // The last job's handle returned nothing.  Dropping the missing
+        // completion and zipping requests with the rest would audit only the
+        // first two pairs and report a match.
+        let requests = [0, 1, 2];
+        let completions = [Some(0), Some(1), None];
+        assert!(!audit(requests.into_iter().zip(&completions), |r, &c| r == c));
+        // A gap in the middle must not shift later requests onto the wrong
+        // completion either.
+        let completions = [Some(0), None, Some(2)];
+        assert!(!audit(requests.into_iter().zip(&completions), |r, &c| r == c));
+        let completions = [Some(0), Some(1), Some(2)];
+        assert!(audit(requests.into_iter().zip(&completions), |r, &c| r == c));
+    }
 
     #[test]
     fn a_quick_burst_completes_everything_and_matches_direct_runs() {

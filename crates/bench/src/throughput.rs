@@ -17,7 +17,8 @@ use as_rng::default_rng;
 use cbls_core::{AdaptiveSearch, Evaluator, IncrementalProfile, SearchConfig, StopControl};
 use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta};
 use cbls_parallel::{
-    CountingSink, SequentialExecutor, Supervision, WalkBatch, WalkExecutor, WalkJob, WalkSeeds,
+    BatchExecution, CountingSink, SequentialExecutor, Supervision, WalkBatch, WalkExecutor,
+    WalkJob, WalkSeeds,
 };
 use cbls_problems::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -412,18 +413,28 @@ fn measure_with(
     }
 }
 
-/// Measure the telemetry cost of the walk-executor layer on one benchmark:
-/// run the same fixed iteration budget through [`SequentialExecutor`] with
-/// and without an event sink attached, and report both throughputs.
+/// The protocol shared by the three overhead measurements: the same
+/// fixed-budget single-walk batch through [`SequentialExecutor`], plain and
+/// through `instrumented` (which returns its execution and the number of
+/// events its instrumentation saw), in paired off/on repetitions that keep
+/// the best rate of each side.  Both sides must produce the same trajectory:
+/// every instrumentation is passive by contract.
 ///
-/// The acceptance bar for the executor refactor is that the events-on run
-/// loses at most a few percent of iterations/sec — the stream only touches
-/// the engine's cold edges (restarts, strict best-cost improvements), never
-/// the per-iteration hot path.
-#[must_use]
-pub fn measure_executor_overhead(
+/// `settle_within` selects the repetition policy.  `None` runs exactly the
+/// configured repetitions.  With `Some(budget)`: scheduler noise is one-sided
+/// — a run can only ever be slowed down, never sped up — so the best rate
+/// over repetitions converges to the true throughput from below on both
+/// sides of the comparison.  A short fixed budget of reps occasionally
+/// leaves one side unlucky (spurious ±5-8% "overhead" readings on a loaded
+/// machine, in either direction), so after the configured repetitions this
+/// keeps adding paired reps, up to four times as many, until the overhead
+/// estimate settles inside 80% of `budget`; the full-mode assertion then
+/// fails only on a reproducible slowdown.
+fn measure_overhead(
     benchmark: &Benchmark,
     config: &ThroughputConfig,
+    settle_within: Option<f64>,
+    instrumented: impl Fn(&WalkBatch) -> (BatchExecution, u64),
 ) -> ExecutorOverheadResult {
     let mut tuned = benchmark.tuned_config();
     tuned.target_cost = -1;
@@ -440,32 +451,42 @@ pub fn measure_executor_overhead(
         .with_label(benchmark.id())
         .with_budget(budget);
     let batch = WalkBatch::new(WalkSeeds::new(THROUGHPUT_SEED), vec![job]).run_to_completion();
-    let factory = || benchmark.build();
+    let rate = |execution: &BatchExecution| {
+        execution.total_iterations() as f64
+            / execution.wall_time.as_secs_f64().max(f64::MIN_POSITIVE)
+    };
 
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    let mut iterations = 0;
-    let mut events = 0;
-    for _ in 0..config.repetitions.max(1) {
-        let off = SequentialExecutor.execute(&factory, &batch);
-        let off_iters = off.records[0].outcome.stats.iterations;
-        let off_rate = off_iters as f64 / off.wall_time.as_secs_f64().max(f64::MIN_POSITIVE);
-        if off_rate > best_off {
-            best_off = off_rate;
-            iterations = off_iters;
+    let base_reps = config.repetitions.max(1);
+    let max_reps = if settle_within.is_some() {
+        base_reps * 4
+    } else {
+        base_reps
+    };
+    let (mut best_off, mut best_on) = (0.0f64, 0.0f64);
+    let (mut iterations, mut events) = (0, 0);
+    for rep in 1..=max_reps {
+        let off = SequentialExecutor.execute(&|| benchmark.build(), &batch);
+        if rate(&off) > best_off {
+            best_off = rate(&off);
+            iterations = off.total_iterations();
         }
-
-        let sink = CountingSink::new();
-        let on = SequentialExecutor.execute_with_telemetry(&factory, &batch, &sink);
-        let on_iters = on.records[0].outcome.stats.iterations;
+        let (on, on_events) = instrumented(&batch);
         assert_eq!(
-            off_iters, on_iters,
-            "telemetry must not perturb the trajectory"
+            off.total_iterations(),
+            on.total_iterations(),
+            "instrumentation must not perturb the trajectory"
         );
-        let on_rate = on_iters as f64 / on.wall_time.as_secs_f64().max(f64::MIN_POSITIVE);
-        if on_rate > best_on {
-            best_on = on_rate;
-            events = sink.count();
+        if rate(&on) > best_on {
+            best_on = rate(&on);
+            events = on_events;
+        }
+        // Converged well inside the budget: stop burning wall-clock.  Keep
+        // the 20% margin so a borderline pass is backed by extra reps.
+        let settled = settle_within.is_some_and(|budget| {
+            rep >= base_reps && best_off > 0.0 && 1.0 - best_on / best_off <= budget * 0.8
+        });
+        if settled {
+            break;
         }
     }
 
@@ -483,60 +504,37 @@ pub fn measure_executor_overhead(
     }
 }
 
+/// Measure the telemetry cost of the walk-executor layer on one benchmark:
+/// the fixed-budget run with and without a [`CountingSink`] attached, over
+/// the configured repetitions.
+///
+/// The acceptance bar for the executor refactor is that the events-on run
+/// loses at most a few percent of iterations/sec — the stream only touches
+/// the engine's cold edges (restarts, strict best-cost improvements), never
+/// the per-iteration hot path.
+#[must_use]
+pub fn measure_executor_overhead(
+    benchmark: &Benchmark,
+    config: &ThroughputConfig,
+) -> ExecutorOverheadResult {
+    measure_overhead(benchmark, config, None, |batch| {
+        let sink = CountingSink::new();
+        let on = SequentialExecutor.execute_with_telemetry(&|| benchmark.build(), batch, &sink);
+        (on, sink.count())
+    })
+}
+
 /// Measure the cost of attaching a [`FlightRecorder`] (default
 /// configuration: lifecycle + downsampled trajectory, phase profiling off)
-/// to one benchmark: the same fixed-budget run through
-/// [`SequentialExecutor`] with no sink and with the recorder as the sink.
-///
-/// Like [`measure_executor_overhead`], both passes must produce the same
-/// trajectory — the recorder is passive by contract — and the `events` field
-/// reports the recorder's own `recorder.events` counter.
-///
-/// Scheduler noise is one-sided — a run can only ever be slowed down, never
-/// sped up — so the best rate over repetitions converges to the true
-/// throughput from below on both sides of the comparison.  A short fixed
-/// budget of reps occasionally leaves one side unlucky (spurious ±5-8%
-/// "overhead" readings on a loaded machine, in either direction), so after
-/// the configured repetitions this keeps adding paired off/on reps until the
-/// overhead estimate settles inside the budget or a hard cap is reached; the
-/// full-mode assertion then fails only on a reproducible slowdown.
+/// to one benchmark; `events` reports the recorder's own `recorder.events`
+/// counter.  Repetitions continue until the estimate settles inside
+/// [`RECORDER_OVERHEAD_BUDGET`] (see `measure_overhead`).
 #[must_use]
 pub fn measure_recorder_overhead(
     benchmark: &Benchmark,
     config: &ThroughputConfig,
 ) -> ExecutorOverheadResult {
-    let mut tuned = benchmark.tuned_config();
-    tuned.target_cost = -1;
-    let per_restart = tuned.max_iterations_per_restart;
-    let total = config.budget;
-    // Same pure budget-of-restart-index closure as the executor measurement.
-    let budget = move |restart: u64| {
-        let used = restart.saturating_mul(per_restart);
-        (used < total).then(|| per_restart.min(total - used))
-    };
-    let job = WalkJob::new(tuned)
-        .with_label(benchmark.id())
-        .with_budget(budget);
-    let batch = WalkBatch::new(WalkSeeds::new(THROUGHPUT_SEED), vec![job]).run_to_completion();
-    let factory = || benchmark.build();
-
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    let mut iterations = 0;
-    let mut events = 0;
-    let base_reps = config.repetitions.max(1);
-    let max_reps = base_reps * 4;
-    let mut rep = 0;
-    while rep < max_reps {
-        rep += 1;
-        let off = SequentialExecutor.execute(&factory, &batch);
-        let off_iters = off.records[0].outcome.stats.iterations;
-        let off_rate = off_iters as f64 / off.wall_time.as_secs_f64().max(f64::MIN_POSITIVE);
-        if off_rate > best_off {
-            best_off = off_rate;
-            iterations = off_iters;
-        }
-
+    measure_overhead(benchmark, config, Some(RECORDER_OVERHEAD_BUDGET), |batch| {
         let recorder = FlightRecorder::new(
             TraceMeta {
                 benchmark: benchmark.id(),
@@ -546,127 +544,43 @@ pub fn measure_recorder_overhead(
             },
             RecorderConfig::default(),
         );
-        let on = SequentialExecutor.execute_with_telemetry(&factory, &batch, &recorder);
-        let on_iters = on.records[0].outcome.stats.iterations;
-        assert_eq!(
-            off_iters, on_iters,
-            "the flight recorder must not perturb the trajectory"
-        );
-        let on_rate = on_iters as f64 / on.wall_time.as_secs_f64().max(f64::MIN_POSITIVE);
-        if on_rate > best_on {
-            best_on = on_rate;
-            events = recorder
-                .registry()
-                .snapshot()
-                .counter("recorder.events")
-                .unwrap_or(0);
-        }
-
-        // Converged well inside the budget: stop burning wall-clock.  Keep
-        // the 20% margin so a borderline pass is backed by extra reps.
-        if rep >= base_reps
-            && best_off > 0.0
-            && 1.0 - best_on / best_off <= RECORDER_OVERHEAD_BUDGET * 0.8
-        {
-            break;
-        }
-    }
-
-    ExecutorOverheadResult {
-        id: benchmark.id(),
-        iterations,
-        iters_per_sec_events_off: best_off,
-        iters_per_sec_events_on: best_on,
-        overhead_fraction: if best_off > 0.0 {
-            1.0 - best_on / best_off
-        } else {
-            0.0
-        },
-        events,
-    }
+        let on = SequentialExecutor.execute_with_telemetry(&|| benchmark.build(), batch, &recorder);
+        let events = recorder
+            .registry()
+            .snapshot()
+            .counter("recorder.events")
+            .unwrap_or(0);
+        (on, events)
+    })
 }
 
-/// Measure the cost of the supervision layer on one benchmark: the same
-/// fixed-budget run through [`SequentialExecutor`] plain and through
-/// `execute_supervised` with a fresh [`Supervision`] table (heartbeat
-/// publication at every stop-poll, best-so-far slots, kill-flag polling) —
-/// the fault-free steady state a long campaign pays for all the time.
-///
-/// Both passes must produce the same trajectory — supervision is passive by
-/// contract — and the `events` field reports the heartbeats the supervised
-/// run published.  The repetition strategy (best rate, adaptive extra paired
-/// reps until the estimate settles inside 80% of the budget) mirrors
-/// [`measure_recorder_overhead`]; see there for why.
+/// Measure the cost of the supervision layer on one benchmark: the plain run
+/// against `execute_supervised` with a fresh [`Supervision`] table
+/// (heartbeat publication at every stop-poll, best-so-far slots, kill-flag
+/// polling) — the fault-free steady state a long campaign pays for all the
+/// time.  `events` reports the heartbeats the supervised run published, and
+/// repetitions continue until the estimate settles inside
+/// [`SUPERVISION_OVERHEAD_BUDGET`] (see `measure_overhead`).
 #[must_use]
 pub fn measure_supervision_overhead(
     benchmark: &Benchmark,
     config: &ThroughputConfig,
 ) -> ExecutorOverheadResult {
-    let mut tuned = benchmark.tuned_config();
-    tuned.target_cost = -1;
-    let per_restart = tuned.max_iterations_per_restart;
-    let total = config.budget;
-    // Same pure budget-of-restart-index closure as the executor measurement.
-    let budget = move |restart: u64| {
-        let used = restart.saturating_mul(per_restart);
-        (used < total).then(|| per_restart.min(total - used))
-    };
-    let job = WalkJob::new(tuned)
-        .with_label(benchmark.id())
-        .with_budget(budget);
-    let batch = WalkBatch::new(WalkSeeds::new(THROUGHPUT_SEED), vec![job]).run_to_completion();
-    let factory = || benchmark.build();
-
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    let mut iterations = 0;
-    let mut events = 0;
-    let base_reps = config.repetitions.max(1);
-    let max_reps = base_reps * 4;
-    let mut rep = 0;
-    while rep < max_reps {
-        rep += 1;
-        let off = SequentialExecutor.execute(&factory, &batch);
-        let off_iters = off.records[0].outcome.stats.iterations;
-        let off_rate = off_iters as f64 / off.wall_time.as_secs_f64().max(f64::MIN_POSITIVE);
-        if off_rate > best_off {
-            best_off = off_rate;
-            iterations = off_iters;
-        }
-
-        let supervision = Supervision::new(batch.walks());
-        let on = SequentialExecutor.execute_supervised(&factory, &batch, None, &supervision);
-        let on_iters = on.records[0].outcome.stats.iterations;
-        assert_eq!(
-            off_iters, on_iters,
-            "supervision must not perturb the trajectory"
-        );
-        let on_rate = on_iters as f64 / on.wall_time.as_secs_f64().max(f64::MIN_POSITIVE);
-        if on_rate > best_on {
-            best_on = on_rate;
-            events = supervision.heartbeat_of(0);
-        }
-
-        if rep >= base_reps
-            && best_off > 0.0
-            && 1.0 - best_on / best_off <= SUPERVISION_OVERHEAD_BUDGET * 0.8
-        {
-            break;
-        }
-    }
-
-    ExecutorOverheadResult {
-        id: benchmark.id(),
-        iterations,
-        iters_per_sec_events_off: best_off,
-        iters_per_sec_events_on: best_on,
-        overhead_fraction: if best_off > 0.0 {
-            1.0 - best_on / best_off
-        } else {
-            0.0
+    measure_overhead(
+        benchmark,
+        config,
+        Some(SUPERVISION_OVERHEAD_BUDGET),
+        |batch| {
+            let supervision = Supervision::new(batch.walks());
+            let on = SequentialExecutor.execute_supervised(
+                &|| benchmark.build(),
+                batch,
+                None,
+                &supervision,
+            );
+            (on, supervision.heartbeat_of(0))
         },
-        events,
-    }
+    )
 }
 
 /// Measure the whole suite and assemble the report.

@@ -203,7 +203,7 @@ fn unwrap_in_supervisor_is_scoped_to_supervision_paths() {
         ("crates/parallel/src/executor.rs", true),
         ("crates/parallel/src/supervision.rs", true),
         ("crates/resilience/src/retry.rs", true),
-        ("crates/parallel/src/multiwalk.rs", false),
+        ("crates/parallel/src/simulate.rs", false),
         ("crates/core/src/engine.rs", false),
     ] {
         assert_eq!(rules::supervisor_scope(rel), covered, "{rel}");

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cbls-trace record --bench costas-14 [--walks N] [--seed S]
-//!                   [--backend sequential|threads|rayon] [--quick]
+//!                   [--backend sequential|threads] [--quick]
 //!                   [--no-phases] [--capacity N] [--complete]
 //!                   [--timeout-ms T] [--out FILE] [--chrome FILE]
 //!                   [--jsonl FILE]
@@ -24,12 +24,12 @@ use cbls_obs::{
     chrome_trace_json, render_diff, render_summary, validate_chrome_trace, FlightRecorder,
     RecorderConfig, TraceMeta, TraceRecording,
 };
-use cbls_parallel::{RayonExecutor, SequentialExecutor, ThreadsExecutor, WalkBatch, WalkExecutor};
+use cbls_parallel::{SequentialExecutor, ThreadsExecutor, WalkBatch, WalkExecutor};
 use cbls_problems::Benchmark;
 
 const USAGE: &str = "usage:
   cbls-trace record --bench <id> [--walks N] [--seed S]
-                    [--backend sequential|threads|rayon] [--quick]
+                    [--backend sequential|threads] [--quick]
                     [--no-phases] [--capacity N] [--complete]
                     [--timeout-ms T] [--out FILE] [--chrome FILE] [--jsonl FILE]
   cbls-trace summary <recording.json>
@@ -129,7 +129,7 @@ fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
         i += 1;
     }
     let bench = bench.ok_or_else(|| "record needs --bench <id>".to_string())?;
-    if !matches!(backend.as_str(), "sequential" | "threads" | "rayon") {
+    if !matches!(backend.as_str(), "sequential" | "threads") {
         return Err(format!("unknown backend {backend:?}"));
     }
     Ok(RecordArgs {
@@ -174,7 +174,6 @@ fn record(args: &RecordArgs) -> Result<TraceRecording, String> {
     let execution = match args.backend.as_str() {
         "sequential" => SequentialExecutor.execute_with_telemetry(&factory, &batch, &recorder),
         "threads" => ThreadsExecutor.execute_with_telemetry(&factory, &batch, &recorder),
-        "rayon" => RayonExecutor.execute_with_telemetry(&factory, &batch, &recorder),
         other => return Err(format!("unknown backend {other:?}")),
     };
     let recording = recorder.finish(&execution);

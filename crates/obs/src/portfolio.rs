@@ -1,13 +1,14 @@
 //! Metrics for portfolio runs: register a standard set of portfolio-level
-//! instruments in a [`MetricsRegistry`] and feed them from
-//! [`PortfolioResult`]s as runs complete.
+//! instruments in a [`MetricsRegistry`] and feed them from each executed
+//! portfolio batch ([`BatchExecution`]) as runs complete.
 //!
 //! The portfolio layer already aggregates per-member statistics
-//! ([`PortfolioResult::member_stats`]); this module lifts those into the
-//! same registry the flight recorder uses, so a long-running experiment
-//! (many portfolio runs) accumulates one coherent snapshot.
+//! (`cbls_portfolio::member_stats`); this module lifts the
+//! run-level totals into the same registry the flight recorder uses, so a
+//! long-running experiment (many portfolio runs) accumulates one coherent
+//! snapshot.
 
-use cbls_portfolio::PortfolioResult;
+use cbls_parallel::BatchExecution;
 
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -15,8 +16,8 @@ use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 ///
 /// ```
 /// use cbls_obs::{MetricsRegistry, PortfolioMetrics};
-/// use cbls_portfolio::{run_portfolio, Portfolio, PortfolioMember, Schedule};
-/// use cbls_parallel::SequentialExecutor;
+/// use cbls_portfolio::{Portfolio, PortfolioMember, Schedule};
+/// use cbls_parallel::{SequentialExecutor, WalkExecutor};
 /// use cbls_core::SearchConfig;
 /// use cbls_problems::Benchmark;
 ///
@@ -26,7 +27,7 @@ use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 ///
 /// let mut registry = MetricsRegistry::new();
 /// let metrics = PortfolioMetrics::register(&mut registry);
-/// let result = run_portfolio(&|| bench.build(), &portfolio, &SequentialExecutor, None);
+/// let result = SequentialExecutor.execute(&|| bench.build(), &portfolio.batch());
 /// metrics.observe(&result);
 ///
 /// let snapshot = registry.snapshot();
@@ -73,19 +74,19 @@ impl PortfolioMetrics {
     }
 
     /// Fold one completed portfolio run into the instruments.
-    pub fn observe(&self, result: &PortfolioResult) {
+    pub fn observe(&self, result: &BatchExecution) {
         self.runs.inc();
-        if result.solved() {
+        if result.winner.is_some() {
             self.solved_runs.inc();
         }
-        self.walks.add(result.reports.len() as u64);
+        self.walks.add(result.records.len() as u64);
         self.iterations.add(result.total_iterations());
-        for report in &result.reports {
-            if report.outcome.solved() {
+        for record in &result.records {
+            if record.outcome.solved() {
                 self.solved_walks.inc();
             }
-            self.restarts.add(report.outcome.stats.restarts);
-            self.best_cost.record_min(report.outcome.best_cost);
+            self.restarts.add(record.outcome.stats.restarts);
+            self.best_cost.record_min(record.outcome.best_cost);
         }
         if let Some(iterations) = result.winning_iterations() {
             self.winner_iterations.record(iterations);
@@ -97,18 +98,18 @@ impl PortfolioMetrics {
 mod tests {
     use super::*;
     use cbls_core::SearchConfig;
-    use cbls_parallel::SequentialExecutor;
-    use cbls_portfolio::{run_portfolio, Portfolio, PortfolioMember, Schedule};
+    use cbls_parallel::{SequentialExecutor, WalkExecutor};
+    use cbls_portfolio::{member_stats, Portfolio, PortfolioMember, Schedule};
     use cbls_problems::Benchmark;
 
-    fn run_once(seed: u64) -> PortfolioResult {
+    fn run_once(seed: u64) -> BatchExecution {
         let bench = Benchmark::NQueens(10);
         let protos = vec![
             PortfolioMember::new("fixed", SearchConfig::default(), Schedule::fixed(10_000, 3)),
             PortfolioMember::new("luby", SearchConfig::default(), Schedule::luby(2_000, 15)),
         ];
         let portfolio = Portfolio::cycled(&protos, 2).with_master_seed(seed);
-        run_portfolio(&|| bench.build(), &portfolio, &SequentialExecutor, None)
+        SequentialExecutor.execute(&|| bench.build(), &portfolio.batch())
     }
 
     #[test]
@@ -128,7 +129,7 @@ mod tests {
         );
         let solved = [&a, &b]
             .iter()
-            .flat_map(|r| r.reports.iter())
+            .flat_map(|r| r.records.iter())
             .filter(|r| r.outcome.solved())
             .count() as u64;
         assert_eq!(snapshot.counter("portfolio.solved_walks"), Some(solved));
@@ -143,7 +144,7 @@ mod tests {
     #[test]
     fn member_stats_group_walks_by_label() {
         let result = run_once(42);
-        let stats = result.member_stats();
+        let stats = member_stats(&result);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].label, "fixed");
         assert_eq!(stats[1].label, "luby");
@@ -152,7 +153,7 @@ mod tests {
         assert_eq!(total, result.total_iterations());
         assert_eq!(
             stats.iter().filter(|s| s.won).count(),
-            usize::from(result.solved())
+            usize::from(result.winner.is_some())
         );
     }
 }

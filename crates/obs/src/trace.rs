@@ -92,7 +92,7 @@ pub struct TraceMeta {
     /// Benchmark id (a [`Benchmark::id`](cbls_problems::Benchmark::id)
     /// string) or a free-form label for non-catalog runs.
     pub benchmark: String,
-    /// Executor back-end name (`threads` / `rayon` / `sequential`).
+    /// Executor back-end name (`threads` / `sequential`).
     pub backend: String,
     /// Master seed of the batch's walk-seed family.
     pub master_seed: u64,

@@ -34,7 +34,7 @@ use cbls_core::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::executor::{RayonExecutor, WalkExecutor};
+use crate::executor::{ThreadsExecutor, WalkExecutor};
 use crate::seeds::WalkSeeds;
 
 /// Parameters of a dependent multi-walk run.
@@ -138,7 +138,7 @@ struct WalkState {
     best_perm: Option<Vec<usize>>,
 }
 
-/// Run the dependent multi-walk scheme on the rayon pool.
+/// Run the dependent multi-walk scheme with one OS thread per walk.
 ///
 /// The result is a deterministic function of `(factory, config)`: walks read
 /// the elite as of the segment start and publish through a sequential merge,
@@ -151,7 +151,7 @@ pub fn run_dependent<F>(factory: &F, config: &DependentWalkConfig) -> DependentW
 where
     F: EvaluatorFactory,
 {
-    run_dependent_on(factory, config, &RayonExecutor)
+    run_dependent_on(factory, config, &ThreadsExecutor)
 }
 
 /// Run the dependent multi-walk scheme on any [`WalkExecutor`] back-end.

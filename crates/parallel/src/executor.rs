@@ -10,8 +10,6 @@
 //!
 //! * [`ThreadsExecutor`] — one OS thread per walk (the paper's
 //!   one-engine-per-core deployment);
-//! * [`RayonExecutor`] — the rayon pool (hundreds of logical walks on a few
-//!   physical cores);
 //! * [`SequentialExecutor`] — one walk after another on the calling thread
 //!   (the deterministic replay used by the figure harness).
 //!
@@ -22,9 +20,10 @@
 //! *monotonic deadline* computed once per batch so every walk self-cancels at
 //! the same instant, and the winner is resolved by [`select_winner`] —
 //! smallest recorded elapsed time, ties broken by walk id — so the choice is
-//! deterministic across schedulers.  The multi-walk, dependent-walk and
-//! portfolio entry points of this workspace are all thin adapters over this
-//! module.
+//! deterministic across schedulers.  Flat multi-walk runs, portfolios
+//! ([`WalkJob`]s with per-walk configurations and labels) and replays
+//! ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk)) are all batches
+//! executed here.
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -35,7 +34,6 @@ use cbls_core::{
     monotonic_now, AdaptiveSearch, EvaluatorFactory, Incumbent, SearchConfig, SearchOutcome,
     SearchStats, StopControl, TerminationReason,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::seeds::WalkSeeds;
@@ -310,6 +308,22 @@ impl BatchExecution {
         self.winner.map(|w| &self.records[w])
     }
 
+    /// Iterations performed by the winning walk (the parallel scheme's
+    /// machine-independent cost), if any walk solved.
+    #[must_use]
+    pub fn winning_iterations(&self) -> Option<u64> {
+        self.winning_record().map(|r| r.outcome.stats.iterations)
+    }
+
+    /// Total iterations across all walks (the batch's total work).
+    #[must_use]
+    pub fn total_iterations(&self) -> u64 {
+        self.records
+            .iter()
+            .map(|r| r.outcome.stats.iterations)
+            .sum()
+    }
+
     /// Whether this is a partial (anytime) result: the batch degraded
     /// because its deadline expired without a winner and/or walks faulted.
     /// The best incumbent is still available in
@@ -323,25 +337,6 @@ impl BatchExecution {
     #[must_use]
     pub fn faulted_records(&self) -> Vec<&WalkRecord> {
         self.records.iter().filter(|r| r.fault.is_some()).collect()
-    }
-}
-
-/// Anything that pairs a walk id with a [`SearchOutcome`] — the minimal view
-/// [`select_winner`] needs, implemented by the walk-report types of both the
-/// parallel and the portfolio crate.
-pub trait WalkOutcome {
-    /// The walk's index within its run.
-    fn walk_id(&self) -> usize;
-    /// The walk's search outcome.
-    fn outcome(&self) -> &SearchOutcome;
-}
-
-impl WalkOutcome for WalkRecord {
-    fn walk_id(&self) -> usize {
-        self.walk_id
-    }
-    fn outcome(&self) -> &SearchOutcome {
-        &self.outcome
     }
 }
 
@@ -368,21 +363,21 @@ pub enum WinnerRule {
 /// Using the recorded elapsed time (rather than wall-clock arrival order)
 /// keeps the choice deterministic across schedulers; the tie-break makes it
 /// total.  Returns `None` when no walk solved.
-pub fn select_winner<R: WalkOutcome>(reports: &[R]) -> Option<usize> {
-    select_winner_by(reports, WinnerRule::WallClockFirst)
+pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
+    select_winner_by(records, WinnerRule::WallClockFirst)
 }
 
 /// Resolve the winner of a multi-walk run under `rule`; returns `None` when
 /// no walk solved.
-pub fn select_winner_by<R: WalkOutcome>(reports: &[R], rule: WinnerRule) -> Option<usize> {
-    let solved = reports.iter().filter(|r| r.outcome().solved());
+pub fn select_winner_by(records: &[WalkRecord], rule: WinnerRule) -> Option<usize> {
+    let solved = records.iter().filter(|r| r.outcome.solved());
     match rule {
         WinnerRule::WallClockFirst => solved
-            .min_by_key(|r| (r.outcome().elapsed, r.walk_id()))
-            .map(WalkOutcome::walk_id),
+            .min_by_key(|r| (r.outcome.elapsed, r.walk_id))
+            .map(|r| r.walk_id),
         WinnerRule::IterationsFirst => solved
-            .min_by_key(|r| (r.outcome().stats.iterations, r.walk_id()))
-            .map(WalkOutcome::walk_id),
+            .min_by_key(|r| (r.outcome.stats.iterations, r.walk_id))
+            .map(|r| r.walk_id),
     }
 }
 
@@ -528,31 +523,6 @@ impl WalkExecutor for ThreadsExecutor {
                 })
                 .collect()
         })
-    }
-}
-
-/// The rayon pool — for running more logical walks than physical cores.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RayonExecutor;
-
-impl WalkExecutor for RayonExecutor {
-    fn name(&self) -> &'static str {
-        "rayon"
-    }
-
-    fn run_batch<I, T, W>(&self, items: Vec<I>, work: &W) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        W: Fn(usize, I) -> T + Sync,
-    {
-        items
-            .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(i, item)| work(i, item))
-            .collect()
     }
 }
 
@@ -934,7 +904,7 @@ mod tests {
     fn select_winner_of_no_solved_walk_is_none() {
         let reports = vec![outcome_with(0, false, 5), outcome_with(1, false, 6)];
         assert_eq!(select_winner(&reports), None);
-        assert_eq!(select_winner::<WalkRecord>(&[]), None);
+        assert_eq!(select_winner(&[]), None);
     }
 
     #[test]
@@ -946,10 +916,8 @@ mod tests {
         };
         let expected: Vec<usize> = (0..37).map(|i| i * 2).collect();
         assert_eq!(ThreadsExecutor.run_batch(items.clone(), &work), expected);
-        assert_eq!(RayonExecutor.run_batch(items.clone(), &work), expected);
         assert_eq!(SequentialExecutor.run_batch(items, &work), expected);
         assert_eq!(ThreadsExecutor.name(), "threads");
-        assert_eq!(RayonExecutor.name(), "rayon");
         assert_eq!(SequentialExecutor.name(), "sequential");
     }
 
@@ -959,20 +927,18 @@ mod tests {
         let factory = || Sort(20);
         let seq = SequentialExecutor.execute(&factory, &batch);
         let thr = ThreadsExecutor.execute(&factory, &batch);
-        let ray = RayonExecutor.execute(&factory, &batch);
         // Per-walk trajectories are bit-identical across back-ends.  (The
         // elapsed-based winner is only meaningful under first-finisher
         // semantics: in a replay every walk runs to completion and the
         // fastest wall-clock finisher depends on the scheduler.)
-        for other in [&thr, &ray] {
-            for (a, b) in seq.records.iter().zip(other.records.iter()) {
-                assert_eq!(a.walk_id, b.walk_id);
-                assert_eq!(a.seed, b.seed);
-                assert_eq!(a.outcome.stats, b.outcome.stats);
-                assert_eq!(a.outcome.solution, b.outcome.solution);
-            }
+        for (a, b) in seq.records.iter().zip(thr.records.iter()) {
+            assert_eq!(a.walk_id, b.walk_id);
+            assert_eq!(a.seed, b.seed);
+            assert_eq!(a.outcome.stats, b.outcome.stats);
+            assert_eq!(a.outcome.solution, b.outcome.solution);
         }
         assert!(seq.winning_record().unwrap().outcome.solved());
+        assert!(seq.total_iterations() >= seq.winning_iterations().unwrap());
     }
 
     #[test]
@@ -1032,7 +998,6 @@ mod tests {
         let factory = || Hopeless(8);
         for (name, exec) in [
             ("threads", ThreadsExecutor.execute(&factory, &batch)),
-            ("rayon", RayonExecutor.execute(&factory, &batch)),
             ("sequential", SequentialExecutor.execute(&factory, &batch)),
         ] {
             assert_eq!(exec.winner, None, "{name}: timed-out run has no winner");

@@ -14,20 +14,49 @@
 //! * [`ThreadsExecutor`] — one OS thread per walk with a shared atomic stop
 //!   flag, the closest analogue of the paper's one-MPI-process-per-core
 //!   setup;
-//! * [`RayonExecutor`] — the same semantics on a bounded rayon pool, for
-//!   running hundreds of logical walks on a handful of physical cores;
 //! * [`SequentialExecutor`] — the deterministic replay back-end (one walk
 //!   after another on the calling thread).
 //!
-//! The public entry points are thin adapters over that layer: [`run_threads`]
-//! / [`run_rayon`] for the paper's flat scheme, [`SimulatedMultiWalk`] for
-//! the replay that reports the *iteration count* a parallel run would have
-//! needed (the minimum over walks — exact for independent walks, reproducible
-//! and 256-core-free, which is why the figure harness uses it), and the
-//! heterogeneous portfolio runners of `cbls-portfolio`.  Every batch can emit
-//! a [`WalkEvent`] telemetry stream ([`telemetry`]) consumed online, e.g. by
-//! a [`DistributionSink`] feeding `cbls-perfmodel`'s order-statistics
-//! machinery.
+//! Executing a batch yields a [`BatchExecution`]: one [`WalkRecord`] per
+//! walk, the winner, the anytime incumbent and any degradation.  The paper's
+//! flat scheme is [`WalkBatch::uniform`]; a heterogeneous portfolio
+//! (`cbls-portfolio`) is a batch whose jobs carry per-walk configurations,
+//! restart schedules and labels.  [`SimulatedMultiWalk`] replays any batch
+//! to completion and reports the *iteration count* a parallel run would have
+//! needed (the minimum over walks — exact for independent walks,
+//! reproducible and 256-core-free, which is why the figure harness uses it),
+//! together with the order-statistics predicted-vs-observed comparison.
+//! Every batch can emit a [`WalkEvent`] telemetry stream ([`telemetry`])
+//! consumed online, e.g. by a [`DistributionSink`] feeding `cbls-perfmodel`'s
+//! order-statistics machinery.
+//!
+//! ```
+//! use cbls_core::{Evaluator, SearchConfig};
+//! use cbls_parallel::{SimulatedMultiWalk, ThreadsExecutor, WalkBatch, WalkExecutor};
+//!
+//! // Cost = number of misplaced values; solved when sorted.
+//! #[derive(Clone)]
+//! struct Sort(usize);
+//! impl Evaluator for Sort {
+//!     fn size(&self) -> usize { self.0 }
+//!     fn init(&mut self, perm: &[usize]) -> i64 { self.cost(perm) }
+//!     fn cost(&self, perm: &[usize]) -> i64 {
+//!         perm.iter().enumerate().filter(|&(i, &v)| i != v).count() as i64
+//!     }
+//!     fn cost_on_variable(&self, perm: &[usize], i: usize) -> i64 {
+//!         i64::from(perm[i] != i)
+//!     }
+//! }
+//!
+//! // Four walks, first finisher wins.
+//! let batch = WalkBatch::uniform(42, &SearchConfig::default(), 4);
+//! let run = ThreadsExecutor.execute(&|| Sort(16), &batch);
+//! assert!(run.winning_iterations().is_some());
+//!
+//! // The same batch replayed to completion: what would p walks have cost?
+//! let sim = SimulatedMultiWalk::replay(&|| Sort(16), &batch, &ThreadsExecutor);
+//! assert!(sim.parallel_iterations(4) <= sim.parallel_iterations(1));
+//! ```
 //!
 //! The crate also contains the paper's "future work" — a *dependent*
 //! multi-walk scheme with periodic exchange of elite configurations
@@ -38,7 +67,6 @@
 
 pub mod dependent;
 pub mod executor;
-mod multiwalk;
 mod seeds;
 mod simulate;
 pub mod speedup;
@@ -46,14 +74,10 @@ pub mod supervision;
 pub mod telemetry;
 
 pub use executor::{
-    select_winner, select_winner_by, BatchExecution, RayonExecutor, SequentialExecutor,
-    ThreadsExecutor, WalkBatch, WalkBudget, WalkExecutor, WalkJob, WalkOutcome, WalkRecord,
-    WalkStream, WinnerRule,
-};
-pub use multiwalk::{
-    run_multiwalk, run_rayon, run_threads, MultiWalkConfig, MultiWalkResult, WalkReport,
+    select_winner, select_winner_by, BatchExecution, SequentialExecutor, ThreadsExecutor,
+    WalkBatch, WalkBudget, WalkExecutor, WalkJob, WalkRecord, WalkStream, WinnerRule,
 };
 pub use seeds::WalkSeeds;
-pub use simulate::{SimulatedMultiWalk, SimulatedRun};
+pub use simulate::{SimulatedMultiWalk, SpeedupComparison};
 pub use supervision::{DegradationReason, FaultKind, Supervision, WalkFault};
 pub use telemetry::{CountingSink, DistributionSink, EventLog, EventSink, WalkEvent};

@@ -6,8 +6,9 @@
 //! * the same master seed reproduces the same `p`-walk experiment exactly,
 //! * walk `i`'s trajectory does not depend on how many walks run beside it,
 //! * sequential replay ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk))
-//!   and true parallel execution ([`run_threads`](crate::run_threads)) see
-//!   identical streams and therefore identical iteration counts.
+//!   and true parallel execution
+//!   ([`ThreadsExecutor`](crate::ThreadsExecutor)) see identical streams and
+//!   therefore identical iteration counts.
 
 use as_rng::{DefaultRng, SeedSequence, Xoshiro256PlusPlus};
 use serde::{Deserialize, Serialize};
@@ -19,6 +20,12 @@ pub struct WalkSeeds {
 }
 
 impl WalkSeeds {
+    /// The master seed used when none is given: every run that does not
+    /// override the seed (portfolios, for one) derives its per-walk streams
+    /// from this value, so results are comparable across entry points by
+    /// default.
+    pub const DEFAULT_MASTER_SEED: u64 = 0xC0DE_CAFE;
+
     /// Create a seed family rooted at `master`.
     #[must_use]
     pub fn new(master: u64) -> Self {

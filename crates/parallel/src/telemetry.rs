@@ -209,8 +209,7 @@ impl EventSink for EventLog {
 
 /// A sink that feeds every solved walk's iterations-to-solution into a
 /// [`DistributionAccumulator`] as `Finished` events arrive — the online
-/// replacement for the post-hoc `record_iterations` pass over a result's
-/// reports.
+/// counterpart of a post-hoc pass over a batch's records.
 #[derive(Debug, Default)]
 pub struct DistributionSink {
     acc: Mutex<DistributionAccumulator>,

@@ -20,12 +20,11 @@
 //! results yields the same sequence of portfolios.
 
 use as_rng::SeedSequence;
+use cbls_parallel::WalkRecord;
 use cbls_perfmodel::DistributionAccumulator;
 use serde::{Deserialize, Serialize};
 
 use crate::portfolio::{Portfolio, PortfolioMember};
-use crate::runner::{PortfolioResult, PortfolioWalkReport};
-use crate::simulate::SimulatedPortfolio;
 
 /// The quantile of iterations-to-solution used as a strategy's tail
 /// statistic (low = the strategy produces fast wins).
@@ -216,42 +215,29 @@ impl AdaptiveScheduler {
         Portfolio::new(members).with_master_seed(seed)
     }
 
-    /// Fold the per-walk reports of a finished run into the per-strategy
-    /// records (reports whose label matches no strategy are ignored).
-    pub fn record_reports(&mut self, reports: &[PortfolioWalkReport]) {
-        for report in reports {
-            let Some(idx) = self
-                .strategies
-                .iter()
-                .position(|s| s.label == report.member_label)
-            else {
+    /// Fold the per-walk records of a finished run into the per-strategy
+    /// records, matching walks to strategies by label (records whose label
+    /// matches no strategy are ignored).
+    ///
+    /// The richest signal is a run-to-completion replay
+    /// ([`SimulatedMultiWalk::records`](cbls_parallel::SimulatedMultiWalk::records)),
+    /// one observation per solved walk.  In a first-finisher run every
+    /// non-winning walk is stopped early, so mostly the winner contributes an
+    /// observation.
+    pub fn record(&mut self, records: &[WalkRecord]) {
+        for walk in records {
+            let Some(idx) = self.strategies.iter().position(|s| s.label == walk.label) else {
                 continue;
             };
             let record = &mut self.records[idx];
             record.attempts += 1;
-            if report.outcome.solved() {
+            if walk.outcome.solved() {
                 record.solves += 1;
                 record
                     .observations
-                    .record_count(report.outcome.stats.iterations);
+                    .record_count(walk.outcome.stats.iterations);
             }
         }
-    }
-
-    /// Record a true parallel run.
-    ///
-    /// Note that in a first-finisher run every non-winning walk is stopped
-    /// early, so mostly the winner contributes an observation; prefer
-    /// [`record_simulated`](Self::record_simulated) when full per-walk
-    /// trajectories are available.
-    pub fn record(&mut self, result: &PortfolioResult) {
-        self.record_reports(&result.reports);
-    }
-
-    /// Record a simulated (run-to-completion) replay — the richest signal,
-    /// one observation per solved walk.
-    pub fn record_simulated(&mut self, sim: &SimulatedPortfolio) {
-        self.record_reports(sim.runs());
     }
 }
 
@@ -260,6 +246,7 @@ mod tests {
     use super::*;
     use crate::schedule::Schedule;
     use cbls_core::{Evaluator, SearchConfig, SearchOutcome, SearchStats, TerminationReason};
+    use cbls_parallel::{SequentialExecutor, SimulatedMultiWalk};
     use std::time::Duration;
 
     fn strategies(labels: &[&str]) -> Vec<PortfolioMember> {
@@ -269,10 +256,10 @@ mod tests {
             .collect()
     }
 
-    fn solved_report(label: &str, iterations: u64) -> PortfolioWalkReport {
-        PortfolioWalkReport {
+    fn solved_report(label: &str, iterations: u64) -> WalkRecord {
+        WalkRecord {
             walk_id: 0,
-            member_label: label.to_string(),
+            label: label.to_string(),
             seed: 0,
             outcome: SearchOutcome {
                 reason: TerminationReason::Solved,
@@ -285,6 +272,7 @@ mod tests {
                 elapsed: Duration::ZERO,
             },
             fault: None,
+            attempt: 0,
         }
     }
 
@@ -301,8 +289,8 @@ mod tests {
     fn allocation_shifts_towards_the_better_tail() {
         let mut s = AdaptiveScheduler::new(strategies(&["fast", "slow"]), 1);
         for _ in 0..8 {
-            s.record_reports(&[solved_report("fast", 100)]);
-            s.record_reports(&[solved_report("slow", 10_000)]);
+            s.record(&[solved_report("fast", 100)]);
+            s.record(&[solved_report("slow", 10_000)]);
         }
         let alloc = s.allocation(12);
         assert_eq!(alloc.iter().sum::<usize>(), 12);
@@ -318,7 +306,7 @@ mod tests {
     #[test]
     fn unobserved_strategies_borrow_the_best_score() {
         let mut s = AdaptiveScheduler::new(strategies(&["seen", "unseen"]), 1);
-        s.record_reports(&[solved_report("seen", 500)]);
+        s.record(&[solved_report("seen", 500)]);
         let alloc = s.allocation(10);
         // optimism: the unseen strategy is treated as good as the seen one
         assert_eq!(alloc, vec![5, 5]);
@@ -347,7 +335,7 @@ mod tests {
         let mut s = AdaptiveScheduler::new(strategies(&["a"]), 1);
         let mut unsolved = solved_report("a", 42);
         unsolved.outcome.reason = TerminationReason::IterationBudgetExhausted;
-        s.record_reports(&[
+        s.record(&[
             solved_report("a", 42),
             unsolved,
             solved_report("not-a-strategy", 1),
@@ -389,8 +377,9 @@ mod tests {
         let mut scheduler = AdaptiveScheduler::new(protos, 5);
         for _ in 0..3 {
             let portfolio = scheduler.next_portfolio(6);
-            let sim = SimulatedPortfolio::replay(&|| Sort(20), &portfolio);
-            scheduler.record_simulated(&sim);
+            let sim =
+                SimulatedMultiWalk::replay(&|| Sort(20), &portfolio.batch(), &SequentialExecutor);
+            scheduler.record(sim.records());
         }
         assert_eq!(scheduler.round(), 3);
         let alloc = scheduler.allocation(8);

@@ -11,30 +11,29 @@
 //!   restart loop through
 //!   [`AdaptiveSearch::solve_scheduled`](cbls_core::AdaptiveSearch::solve_scheduled);
 //! * [`Portfolio`] — heterogeneous multi-walk runs (walk index →
-//!   `(SearchConfig, Schedule)`), executed by [`run_portfolio_threads`],
-//!   [`run_portfolio_rayon`] (or [`run_portfolio`] on any
-//!   [`WalkExecutor`](cbls_parallel::WalkExecutor) back-end, with optional
-//!   [`WalkEvent`](cbls_parallel::WalkEvent) telemetry) or replayed
-//!   deterministically by [`SimulatedPortfolio`] — all thin adapters over
-//!   the executor layer of `cbls-parallel`, so first-finisher stop-flag
-//!   semantics are preserved and seeds derive through the same
-//!   [`WalkSeeds`](cbls_parallel::WalkSeeds) family as the flat runners;
+//!   `(SearchConfig, Schedule)`).  A portfolio is a
+//!   [`WalkBatch`](cbls_parallel::WalkBatch) ([`Portfolio::batch`]) whose
+//!   jobs carry per-member configurations, schedules and labels, so it runs
+//!   on any [`WalkExecutor`](cbls_parallel::WalkExecutor) back-end with the
+//!   flat multi-walk's first-finisher semantics and seeds, replays through
+//!   [`SimulatedMultiWalk`](cbls_parallel::SimulatedMultiWalk), and reads
+//!   back per member through [`member_stats`];
 //! * [`AdaptiveScheduler`] — a bandit-style allocator that shifts walk
 //!   budget towards the strategies with the best observed tails across
 //!   successive solve requests.
 //!
-//! Every portfolio run can record its per-walk iteration counts into a
-//! [`DistributionAccumulator`](cbls_perfmodel::DistributionAccumulator), so
-//! the order-statistics speedup predictor of `cbls-perfmodel` runs against
-//! *empirical* distributions and
-//! [`SimulatedPortfolio::predicted_vs_observed`] compares the model with the
-//! replayed reality in one pipeline.
+//! A replay pools its solved walks' iteration counts into an empirical
+//! distribution, so the order-statistics speedup predictor of
+//! `cbls-perfmodel` runs against *empirical* distributions and
+//! [`SimulatedMultiWalk::predicted_vs_observed`](cbls_parallel::SimulatedMultiWalk::predicted_vs_observed)
+//! compares the model with the replayed reality in one pipeline.
 //!
 //! ## Quick start
 //!
 //! ```
 //! use cbls_core::{Evaluator, SearchConfig};
-//! use cbls_portfolio::{Portfolio, PortfolioMember, Schedule, SimulatedPortfolio};
+//! use cbls_parallel::{SimulatedMultiWalk, ThreadsExecutor};
+//! use cbls_portfolio::{Portfolio, PortfolioMember, Schedule};
 //!
 //! // A toy model: sort a permutation (cost = number of misplaced values).
 //! #[derive(Clone)]
@@ -55,7 +54,7 @@
 //!     PortfolioMember::new("luby", SearchConfig::default(), Schedule::luby(1_000, 20)),
 //! ];
 //! let portfolio = Portfolio::cycled(&strategies, 4).with_master_seed(42);
-//! let sim = SimulatedPortfolio::replay(&|| Sort(16), &portfolio);
+//! let sim = SimulatedMultiWalk::replay(&|| Sort(16), &portfolio.batch(), &ThreadsExecutor);
 //! assert!(sim.success_rate() > 0.0);
 //! let table = sim.predicted_vs_observed(&[1, 2, 4]).unwrap();
 //! assert_eq!(table.len(), 3);
@@ -68,13 +67,8 @@ pub mod adaptive;
 mod portfolio;
 mod runner;
 pub mod schedule;
-mod simulate;
 
 pub use adaptive::{AdaptiveScheduler, StrategyStats};
 pub use portfolio::{Portfolio, PortfolioMember};
-pub use runner::{
-    run_portfolio, run_portfolio_rayon, run_portfolio_threads, MemberStats, PortfolioResult,
-    PortfolioWalkReport,
-};
+pub use runner::{member_stats, MemberStats};
 pub use schedule::{luby, RestartSchedule, Schedule};
-pub use simulate::{SimulatedPortfolio, SpeedupComparison};

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use cbls_core::SearchConfig;
-use cbls_parallel::{MultiWalkConfig, WalkSeeds};
+use cbls_parallel::WalkSeeds;
 use serde::{Deserialize, Serialize};
 
 use crate::schedule::{RestartSchedule, Schedule};
@@ -71,7 +71,7 @@ pub struct Portfolio {
 
 impl Portfolio {
     /// A portfolio running `members[i]` on walk `i`, with the
-    /// [default master seed](MultiWalkConfig::DEFAULT_MASTER_SEED).
+    /// [default master seed](WalkSeeds::DEFAULT_MASTER_SEED).
     ///
     /// # Panics
     ///
@@ -86,7 +86,7 @@ impl Portfolio {
         }
         Self {
             members,
-            master_seed: MultiWalkConfig::DEFAULT_MASTER_SEED,
+            master_seed: WalkSeeds::DEFAULT_MASTER_SEED,
             timeout: None,
         }
     }
@@ -125,7 +125,7 @@ impl Portfolio {
         self
     }
 
-    /// Attach a wall-clock timeout to every backend run of this portfolio.
+    /// Attach a wall-clock timeout to the portfolio's [batch](Self::batch).
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -198,12 +198,9 @@ mod tests {
     #[test]
     fn default_master_seed_is_shared_with_multiwalk() {
         let p = Portfolio::uniform(SearchConfig::default(), Schedule::fixed(10, 0), 2);
-        assert_eq!(p.master_seed(), MultiWalkConfig::DEFAULT_MASTER_SEED);
+        assert_eq!(p.master_seed(), WalkSeeds::DEFAULT_MASTER_SEED);
         // and the derived per-walk seeds are the multi-walk seeds
-        assert_eq!(
-            p.seeds().seed_of(1),
-            WalkSeeds::new(MultiWalkConfig::DEFAULT_MASTER_SEED).seed_of(1)
-        );
+        assert_eq!(p.seeds(), WalkSeeds::new(WalkSeeds::DEFAULT_MASTER_SEED));
     }
 
     #[test]

@@ -1,149 +1,48 @@
-//! True parallel execution of a heterogeneous portfolio.
+//! A portfolio is a walk batch.
 //!
-//! [`run_portfolio_threads`] and [`run_portfolio_rayon`] mirror the flat
-//! multi-walk back-ends of `cbls-parallel` (`run_threads` / `run_rayon`):
-//! walks share nothing but a stop flag, the first walk to reach its target
-//! cost raises the flag, and every other walk stops at its next poll —
-//! first-finisher semantics preserved, strategies heterogeneous.
-//!
-//! Like the flat runners, both functions (and [`run_portfolio`], the generic
-//! entry point taking any [`WalkExecutor`] and an optional telemetry sink)
-//! are thin adapters over the executor layer of `cbls-parallel`: a portfolio
-//! is exactly a [`WalkBatch`] whose jobs carry per-member engine
-//! configurations and restart schedules.
+//! [`Portfolio::batch`] turns the portfolio into a
+//! [`WalkBatch`] whose jobs carry per-member engine configurations, restart
+//! schedules and labels; any [`WalkExecutor`](cbls_parallel::WalkExecutor)
+//! back-end runs it with the flat multi-walk's first-finisher semantics, and
+//! [`SimulatedMultiWalk`](cbls_parallel::SimulatedMultiWalk) replays it.
+//! [`member_stats`] reads the resulting
+//! [`BatchExecution`] back per member.
 
-use std::time::Duration;
-
-use cbls_core::{EvaluatorFactory, Incumbent, SearchOutcome};
-use cbls_parallel::{
-    select_winner, DegradationReason, EventSink, RayonExecutor, ThreadsExecutor, WalkBatch,
-    WalkExecutor, WalkFault, WalkJob, WalkOutcome,
-};
-use cbls_perfmodel::DistributionAccumulator;
+use cbls_parallel::{BatchExecution, WalkBatch, WalkJob};
 use serde::{Deserialize, Serialize};
 
 use crate::portfolio::Portfolio;
 use crate::schedule::RestartSchedule;
 
-/// The outcome of one walk of a portfolio run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PortfolioWalkReport {
-    /// Walk index (`0..portfolio.walks()`).
-    pub walk_id: usize,
-    /// Label of the member the walk ran.
-    pub member_label: String,
-    /// The 64-bit seed the walk's stream was derived from.
-    pub seed: u64,
-    /// The walk's search outcome.
-    pub outcome: SearchOutcome,
-    /// The walk's structured fault, if it panicked or stalled.
-    pub fault: Option<WalkFault>,
-}
-
-/// The aggregate result of a portfolio run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PortfolioResult {
-    /// Index of the winning walk (solved with the smallest elapsed time).
-    pub winner: Option<usize>,
-    /// Per-walk reports, ordered by walk index.
-    pub reports: Vec<PortfolioWalkReport>,
-    /// The best assignment the run holds, winner or not (anytime result).
-    pub incumbent: Option<Incumbent>,
-    /// Why the run returned a partial result, when it did.
-    pub degradation: Option<DegradationReason>,
-    /// Wall-clock time of the whole run.
-    pub wall_time: Duration,
-}
-
-impl PortfolioResult {
-    /// Whether any walk found a solution.
+impl Portfolio {
+    /// The walk batch this portfolio describes: one job per member, carrying
+    /// the member's engine configuration, restart schedule and label, under
+    /// first-finisher stop semantics and the portfolio's timeout.  Seeds come
+    /// from the portfolio's [`WalkSeeds`](cbls_parallel::WalkSeeds) family,
+    /// so walk `i` draws exactly the stream a flat multi-walk run with the
+    /// same master seed would draw.
     #[must_use]
-    pub fn solved(&self) -> bool {
-        self.winner.is_some()
-    }
-
-    /// The winning walk's report, if any walk solved the problem.
-    #[must_use]
-    pub fn winning_report(&self) -> Option<&PortfolioWalkReport> {
-        self.winner.map(|w| &self.reports[w])
-    }
-
-    /// The winning walk's outcome, if any.
-    #[must_use]
-    pub fn winning_outcome(&self) -> Option<&SearchOutcome> {
-        self.winning_report().map(|r| &r.outcome)
-    }
-
-    /// Iterations performed by the winning walk, if solved.
-    #[must_use]
-    pub fn winning_iterations(&self) -> Option<u64> {
-        self.winning_outcome().map(|o| o.stats.iterations)
-    }
-
-    /// Total iterations across all walks (the run's total work).
-    #[must_use]
-    pub fn total_iterations(&self) -> u64 {
-        self.reports
+    pub fn batch(&self) -> WalkBatch {
+        let jobs = self
+            .members()
             .iter()
-            .map(|r| r.outcome.stats.iterations)
-            .sum()
-    }
-
-    /// Record every solved walk's iterations-to-solution into `acc` (the
-    /// online distribution the order-statistics speedup predictor consumes).
-    pub fn record_iterations(&self, acc: &mut DistributionAccumulator) {
-        for report in &self.reports {
-            if report.outcome.solved() {
-                acc.record_count(report.outcome.stats.iterations);
-            }
+            .map(|member| {
+                let schedule = member.schedule;
+                WalkJob::new(member.search.clone())
+                    .with_label(member.label.clone())
+                    .with_budget(move |restart| schedule.budget(restart))
+            })
+            .collect();
+        let batch = WalkBatch::new(self.seeds(), jobs);
+        match self.timeout() {
+            Some(timeout) => batch.with_timeout(timeout),
+            None => batch,
         }
-    }
-
-    /// Record every walk's restart count into `acc`.
-    pub fn record_restarts(&self, acc: &mut DistributionAccumulator) {
-        for report in &self.reports {
-            acc.record_count(report.outcome.stats.restarts);
-        }
-    }
-
-    /// Aggregate per-member statistics (walks sharing a label), ordered by
-    /// first appearance in the report list.  This is the grouping the
-    /// observability layer's portfolio metrics and the `cbls-trace` summary
-    /// render: it answers "which restart strategy did the work / won?".
-    #[must_use]
-    pub fn member_stats(&self) -> Vec<MemberStats> {
-        let mut stats: Vec<MemberStats> = Vec::new();
-        for report in &self.reports {
-            let entry = match stats.iter_mut().find(|s| s.label == report.member_label) {
-                Some(entry) => entry,
-                None => {
-                    stats.push(MemberStats {
-                        label: report.member_label.clone(),
-                        walks: 0,
-                        solved: 0,
-                        faulted: 0,
-                        won: false,
-                        iterations: 0,
-                        restarts: 0,
-                        best_cost: i64::MAX,
-                    });
-                    stats.last_mut().expect("just pushed")
-                }
-            };
-            entry.walks += 1;
-            entry.solved += usize::from(report.outcome.solved());
-            entry.faulted += usize::from(report.fault.is_some());
-            entry.won |= self.winner == Some(report.walk_id);
-            entry.iterations += report.outcome.stats.iterations;
-            entry.restarts += report.outcome.stats.restarts;
-            entry.best_cost = entry.best_cost.min(report.outcome.best_cost);
-        }
-        stats
     }
 }
 
 /// Aggregate statistics for all walks of one portfolio member (one label),
-/// as computed by [`PortfolioResult::member_stats`].
+/// as computed by [`member_stats`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemberStats {
     /// The member's label.
@@ -164,92 +63,40 @@ pub struct MemberStats {
     pub best_cost: i64,
 }
 
-impl WalkOutcome for PortfolioWalkReport {
-    fn walk_id(&self) -> usize {
-        self.walk_id
+/// Aggregate per-member statistics of an executed portfolio batch (walks
+/// sharing a [`WalkRecord::label`](cbls_parallel::WalkRecord::label)),
+/// ordered by first appearance.  This is the grouping the observability
+/// layer's portfolio metrics render: it answers "which restart strategy did
+/// the work / won?".
+#[must_use]
+pub fn member_stats(execution: &BatchExecution) -> Vec<MemberStats> {
+    let mut stats: Vec<MemberStats> = Vec::new();
+    for record in &execution.records {
+        let entry = match stats.iter_mut().position(|s| s.label == record.label) {
+            Some(i) => &mut stats[i],
+            None => {
+                stats.push(MemberStats {
+                    label: record.label.clone(),
+                    walks: 0,
+                    solved: 0,
+                    faulted: 0,
+                    won: false,
+                    iterations: 0,
+                    restarts: 0,
+                    best_cost: i64::MAX,
+                });
+                stats.last_mut().expect("just pushed")
+            }
+        };
+        entry.walks += 1;
+        entry.solved += usize::from(record.outcome.solved());
+        entry.faulted += usize::from(record.fault.is_some());
+        entry.won |= execution.winner == Some(record.walk_id);
+        entry.iterations += record.outcome.stats.iterations;
+        entry.restarts += record.outcome.stats.restarts;
+        entry.best_cost = entry.best_cost.min(record.outcome.best_cost);
     }
-    fn outcome(&self) -> &SearchOutcome {
-        &self.outcome
-    }
-}
-
-/// The walk batch a [`Portfolio`] describes: one job per member, carrying
-/// the member's engine configuration, restart schedule and label, under
-/// first-finisher stop semantics.  Seeds come from the portfolio's
-/// [`WalkSeeds`](cbls_parallel::WalkSeeds) family, so walk `i` draws exactly
-/// the stream a flat multi-walk run with the same master seed would draw.
-pub(crate) fn batch_of(portfolio: &Portfolio) -> WalkBatch {
-    let jobs = portfolio
-        .members()
-        .iter()
-        .map(|member| {
-            let schedule = member.schedule;
-            WalkJob::new(member.search.clone())
-                .with_label(member.label.clone())
-                .with_budget(move |restart| schedule.budget(restart))
-        })
-        .collect();
-    let batch = WalkBatch::new(portfolio.seeds(), jobs);
-    match portfolio.timeout() {
-        Some(timeout) => batch.with_timeout(timeout),
-        None => batch,
-    }
-}
-
-/// Run the portfolio on any [`WalkExecutor`] back-end, optionally emitting
-/// [`WalkEvent`](cbls_parallel::WalkEvent) telemetry to `sink` (e.g. a
-/// [`DistributionSink`](cbls_parallel::DistributionSink) feeding the
-/// order-statistics predictor online, as walks finish).
-pub fn run_portfolio<X, F>(
-    factory: &F,
-    portfolio: &Portfolio,
-    executor: &X,
-    sink: Option<&dyn EventSink>,
-) -> PortfolioResult
-where
-    X: WalkExecutor,
-    F: EvaluatorFactory,
-{
-    let batch = batch_of(portfolio);
-    let execution = match sink {
-        Some(sink) => executor.execute_with_telemetry(factory, &batch, sink),
-        None => executor.execute(factory, &batch),
-    };
-    let reports: Vec<PortfolioWalkReport> = execution
-        .records
-        .into_iter()
-        .map(|r| PortfolioWalkReport {
-            walk_id: r.walk_id,
-            member_label: r.label,
-            seed: r.seed,
-            outcome: r.outcome,
-            fault: r.fault,
-        })
-        .collect();
-    PortfolioResult {
-        winner: select_winner(&reports),
-        reports,
-        incumbent: execution.incumbent,
-        degradation: execution.degradation,
-        wall_time: execution.wall_time,
-    }
-}
-
-/// Run the portfolio with one OS thread per walk.
-pub fn run_portfolio_threads<F>(factory: &F, portfolio: &Portfolio) -> PortfolioResult
-where
-    F: EvaluatorFactory,
-{
-    run_portfolio(factory, portfolio, &ThreadsExecutor, None)
-}
-
-/// Run the portfolio on the global rayon pool (for walk counts above the
-/// physical core count).
-pub fn run_portfolio_rayon<F>(factory: &F, portfolio: &Portfolio) -> PortfolioResult
-where
-    F: EvaluatorFactory,
-{
-    run_portfolio(factory, portfolio, &RayonExecutor, None)
+    stats
 }
 
 #[cfg(test)]
@@ -258,7 +105,8 @@ mod tests {
     use crate::portfolio::PortfolioMember;
     use crate::schedule::Schedule;
     use cbls_core::{monotonic_now, Evaluator, SearchConfig};
-    use cbls_parallel::{DistributionSink, SequentialExecutor};
+    use cbls_parallel::{DistributionSink, SequentialExecutor, ThreadsExecutor, WalkExecutor};
+    use std::time::Duration;
 
     #[derive(Clone)]
     struct Sort(usize);
@@ -307,33 +155,21 @@ mod tests {
     #[test]
     fn threads_backend_solves_and_labels_every_walk() {
         let portfolio = mixed_portfolio(4);
-        let result = run_portfolio_threads(&|| Sort(24), &portfolio);
-        assert!(result.solved());
-        assert_eq!(result.reports.len(), 4);
-        let winner = result.winner.unwrap();
-        assert!(result.reports[winner].outcome.solved());
-        for (i, r) in result.reports.iter().enumerate() {
+        let result = ThreadsExecutor.execute(&|| Sort(24), &portfolio.batch());
+        let winner = result.winning_record().expect("sort is solvable");
+        assert!(winner.outcome.solved());
+        assert_eq!(result.records.len(), 4);
+        for (i, r) in result.records.iter().enumerate() {
             assert_eq!(r.walk_id, i);
-            assert_eq!(r.member_label, portfolio.member_of(i).label);
+            assert_eq!(r.label, portfolio.member_of(i).label);
             assert_eq!(r.seed, portfolio.seeds().seed_of(i));
         }
         assert!(result.total_iterations() >= result.winning_iterations().unwrap());
-    }
-
-    #[test]
-    fn rayon_backend_matches_thread_backend_semantics() {
-        let portfolio = mixed_portfolio(3);
-        let a = run_portfolio_threads(&|| Sort(16), &portfolio);
-        let b = run_portfolio_rayon(&|| Sort(16), &portfolio);
-        assert!(a.solved() && b.solved());
-        assert_eq!(a.reports.len(), b.reports.len());
-        // walks are deterministic given (member, seed): walks that ran to
-        // completion in both backends agree exactly
-        for (ra, rb) in a.reports.iter().zip(b.reports.iter()) {
-            if ra.outcome.solved() && rb.outcome.solved() {
-                assert_eq!(ra.outcome.stats.iterations, rb.outcome.stats.iterations);
-            }
-        }
+        let stats = member_stats(&result);
+        let labels: Vec<&str> = stats.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, vec!["fixed", "luby", "geom"]);
+        assert_eq!(stats.iter().map(|s| s.walks).sum::<usize>(), 4);
+        assert_eq!(stats.iter().filter(|s| s.won).count(), 1);
     }
 
     #[test]
@@ -344,13 +180,12 @@ mod tests {
             PortfolioMember::new("luby", search, Schedule::luby(50, 5)),
         ];
         let portfolio = Portfolio::cycled(&protos, 2).with_master_seed(7);
-        let result = run_portfolio_threads(&|| Hopeless(8), &portfolio);
-        assert!(!result.solved());
-        assert!(result.winning_report().is_none());
+        let result = ThreadsExecutor.execute(&|| Hopeless(8), &portfolio.batch());
+        assert!(result.winning_record().is_none());
         // each walk consumed exactly its schedule's total budget
-        assert_eq!(result.reports[0].outcome.stats.iterations, 200);
+        assert_eq!(result.records[0].outcome.stats.iterations, 200);
         assert_eq!(
-            result.reports[1].outcome.stats.iterations,
+            result.records[1].outcome.stats.iterations,
             Schedule::luby(50, 5).total_budget()
         );
     }
@@ -362,41 +197,28 @@ mod tests {
         let portfolio = Portfolio::cycled(std::slice::from_ref(&member), 2)
             .with_timeout(Duration::from_millis(50));
         let started = monotonic_now();
-        let result = run_portfolio_threads(&|| Hopeless(8), &portfolio);
-        assert!(!result.solved());
+        let result = ThreadsExecutor.execute(&|| Hopeless(8), &portfolio.batch());
+        assert!(result.winner.is_none());
         assert!(started.elapsed() < Duration::from_secs(10));
     }
 
     #[test]
-    fn generic_entry_point_records_online_as_walks_finish() {
+    fn telemetry_records_solved_walks_online() {
         let portfolio = mixed_portfolio(4);
         let sink = DistributionSink::new();
-        let result = run_portfolio(&|| Sort(20), &portfolio, &SequentialExecutor, Some(&sink));
-        let solved = result.reports.iter().filter(|r| r.outcome.solved()).count();
-        assert!(result.solved());
-        // the online stream saw exactly what the post-hoc pass would record
-        let mut posthoc = DistributionAccumulator::new();
-        result.record_iterations(&mut posthoc);
-        let online = sink.into_accumulator();
-        assert_eq!(online.len(), solved);
-        let mut a = online.observations().to_vec();
-        let mut b = posthoc.observations().to_vec();
-        a.sort_by(f64::total_cmp);
-        b.sort_by(f64::total_cmp);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn recorded_distributions_cover_solved_walks() {
-        let portfolio = mixed_portfolio(4);
-        let result = run_portfolio_rayon(&|| Sort(20), &portfolio);
-        let mut iters = DistributionAccumulator::new();
-        let mut restarts = DistributionAccumulator::new();
-        result.record_iterations(&mut iters);
-        result.record_restarts(&mut restarts);
-        let solved = result.reports.iter().filter(|r| r.outcome.solved()).count();
-        assert_eq!(iters.len(), solved);
-        assert_eq!(restarts.len(), 4);
-        assert!(iters.distribution().is_some());
+        let result =
+            SequentialExecutor.execute_with_telemetry(&|| Sort(20), &portfolio.batch(), &sink);
+        assert!(result.winner.is_some());
+        // the online stream saw exactly the solved records' iteration counts
+        let mut posthoc: Vec<f64> = result
+            .records
+            .iter()
+            .filter(|r| r.outcome.solved())
+            .map(|r| r.outcome.stats.iterations as f64)
+            .collect();
+        let mut online = sink.into_accumulator().observations().to_vec();
+        posthoc.sort_by(f64::total_cmp);
+        online.sort_by(f64::total_cmp);
+        assert_eq!(online, posthoc);
     }
 }

@@ -5,7 +5,7 @@
 //! calls the walk's evaluator has answered.  The probe count is a pure
 //! function of the walk's seed and configuration — the engine's neighbourhood
 //! exploration is deterministic — so "panic at probe 40 of walk 1" fires at
-//! the same search state on the sequential, threads and rayon back-ends, and
+//! the same search state on the sequential and threads back-ends, and
 //! a retry of the same `(walk, attempt)` reproduces the same fault.
 //!
 //! [`ChaosFactory`] wraps any [`EvaluatorFactory`] and arms the fault (if

@@ -20,7 +20,7 @@
 //! * [`FaultPlan`] / [`ChaosFactory`] — a seeded fault-injection harness
 //!   that makes a wrapped evaluator panic or stall at the `k`-th cost probe
 //!   of a chosen `(walk, attempt)`, deterministically across the
-//!   sequential, threads and rayon back-ends — the chaos suite's foundation.
+//!   sequential and threads back-ends — the chaos suite's foundation.
 //!
 //! The stall model is *cooperative*: a stalled walk is one whose evaluator
 //! transiently hangs (a long blocking call, a pathological neighbourhood),

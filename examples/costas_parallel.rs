@@ -23,14 +23,12 @@ fn main() {
     let search = Benchmark::CostasArray(order).tuned_config();
     let mut walks = 1;
     while walks <= max_walks {
-        let config = MultiWalkConfig::new(walks)
-            .with_master_seed(2012)
-            .with_search(search.clone());
-        let result = run_threads(&|| CostasArray::new(order), &config);
+        let batch = WalkBatch::uniform(2012, &search, walks);
+        let result = ThreadsExecutor.execute(&|| CostasArray::new(order), &batch);
         println!(
             "{:>6} {:>10} {:>16} {:>16} {:>12.2?}",
             walks,
-            result.solved(),
+            result.winner.is_some(),
             result
                 .winning_iterations()
                 .map_or_else(|| "-".to_string(), |i| i.to_string()),
@@ -44,7 +42,8 @@ fn main() {
     // what the figure harness uses: identical per-walk trajectories, but every
     // walk runs to completion so one replay covers all walk counts.
     println!("\nSimulated multi-walk (iteration counts, machine-independent):");
-    let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(order), &search, 2012, max_walks);
+    let batch = WalkBatch::uniform(2012, &search, max_walks);
+    let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(order), &batch, &SequentialExecutor);
     println!("{:>6} {:>16} {:>10}", "walks", "winner-iters", "speedup");
     let mut walks = 1;
     while walks <= max_walks {

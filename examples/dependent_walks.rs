@@ -19,19 +19,13 @@ fn main() {
 
     // Independent multi-walk (the paper's scheme), run through the walk
     // executor's threads back-end with the telemetry stream attached.
-    let independent_config = MultiWalkConfig::new(walks)
-        .with_master_seed(99)
-        .with_search(search.clone());
+    let batch = WalkBatch::uniform(99, &search, walks);
     let log = EventLog::new();
-    let independent = run_multiwalk(
-        &|| CostasArray::new(order),
-        &independent_config,
-        &ThreadsExecutor,
-        Some(&log),
-    );
+    let independent =
+        ThreadsExecutor.execute_with_telemetry(&|| CostasArray::new(order), &batch, &log);
     println!(
         "independent: solved {} | winner iterations {} | total iterations {} | wall {:?} | {} telemetry events",
-        independent.solved(),
+        independent.winner.is_some(),
         independent
             .winning_iterations()
             .map_or_else(|| "-".to_string(), |i| i.to_string()),
@@ -42,8 +36,8 @@ fn main() {
 
     // Dependent multi-walk (the paper's future work, implemented in
     // cbls-parallel::dependent).  The scheme is deterministic whatever the
-    // back-end, so the rayon pool here gives the same result as
-    // ThreadsExecutor or SequentialExecutor would.
+    // back-end, so the sequential executor here gives the same result as
+    // ThreadsExecutor would.
     let dependent_config = DependentWalkConfig::new(walks)
         .with_master_seed(99)
         .with_search(search)
@@ -52,7 +46,7 @@ fn main() {
     let dependent = run_dependent_on(
         &|| CostasArray::new(order),
         &dependent_config,
-        &RayonExecutor,
+        &SequentialExecutor,
     );
     println!(
         "dependent:   solved {} | best cost {} | segments {} | elite adoptions {} | total iterations {}",

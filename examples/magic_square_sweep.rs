@@ -68,6 +68,6 @@ fn main() {
     println!(
         "The coefficient of variation (CoV) column is the paper's story in one number:\n\
          values near 1 behave like exponential runtimes and parallelize linearly,\n\
-         values well below 1 saturate early (see EXPERIMENTS.md)."
+         values well below 1 saturate early."
     );
 }

@@ -32,20 +32,19 @@ fn main() {
     // the order-statistics accumulator online, as the walks finish.
     let portfolio = costas_portfolio(order, walks, 2012);
     let sink = DistributionSink::new();
-    let result = run_portfolio(
+    let result = ThreadsExecutor.execute_with_telemetry(
         &|| CostasArray::new(order),
-        &portfolio,
-        &ThreadsExecutor,
-        Some(&sink),
+        &portfolio.batch(),
+        &sink,
     );
     println!("Costas Array Problem, order {order} — {walks}-walk heterogeneous portfolio\n");
-    match result.winning_report() {
-        Some(report) => println!(
+    match result.winning_record() {
+        Some(record) => println!(
             "solved by walk {} ({}) after {} iterations in {:.2?} \
              ({} solved walks recorded online)\n",
-            report.walk_id,
-            report.member_label,
-            report.outcome.stats.iterations,
+            record.walk_id,
+            record.label,
+            record.outcome.stats.iterations,
             result.wall_time,
             sink.len(),
         ),
@@ -53,7 +52,11 @@ fn main() {
     }
 
     // --- 2. predicted vs observed speedup over the replayed portfolio ------
-    let sim = SimulatedPortfolio::replay_parallel(&|| CostasArray::new(order), &portfolio);
+    let sim = SimulatedMultiWalk::replay(
+        &|| CostasArray::new(order),
+        &portfolio.batch(),
+        &ThreadsExecutor,
+    );
     let walk_counts: Vec<usize> = (0..)
         .map(|k| 1usize << k)
         .take_while(|&p| p <= walks)
@@ -94,7 +97,11 @@ fn main() {
             .collect();
         println!("  round {round}: {}", labels.join("  "));
         let next = scheduler.next_portfolio(round_walks);
-        let round_sim = SimulatedPortfolio::replay_parallel(&|| CostasArray::new(order), &next);
-        scheduler.record_simulated(&round_sim);
+        let round_sim = SimulatedMultiWalk::replay(
+            &|| CostasArray::new(order),
+            &next.batch(),
+            &ThreadsExecutor,
+        );
+        scheduler.record(round_sim.records());
     }
 }

@@ -6,7 +6,7 @@
 //! The measurement runs through the executor layer with a
 //! [`DistributionSink`] attached: solved walks stream their
 //! iterations-to-solution into the accumulator online, as they finish —
-//! the same telemetry path `run_portfolio` uses — instead of a hand-rolled
+//! the same telemetry path every batch uses — instead of a hand-rolled
 //! solve loop with post-hoc collection.  Walk `i` of the batch draws the
 //! stream `WalkSeeds::new(42).rng_of(i)`, so the measured distribution is
 //! identical to what the loop form would record.

@@ -17,10 +17,10 @@
 //! assert!(outcome.solved());
 //!
 //! // Run 4 independent walks on the Costas Array Problem and keep the winner.
-//! let config = MultiWalkConfig::new(4)
-//!     .with_search(Benchmark::CostasArray(9).tuned_config());
-//! let result = run_threads(&|| CostasArray::new(9), &config);
-//! assert!(result.solved());
+//! let search = Benchmark::CostasArray(9).tuned_config();
+//! let batch = WalkBatch::uniform(WalkSeeds::DEFAULT_MASTER_SEED, &search, 4);
+//! let result = ThreadsExecutor.execute(&|| CostasArray::new(9), &batch);
+//! assert!(result.winning_record().is_some());
 //! ```
 //!
 //! See the individual crates for the full APIs:
@@ -31,7 +31,8 @@
 //! * [`problems`] (`cbls-problems`) — benchmark models and the registry;
 //! * [`obs`] (`cbls-obs`) — metrics, flight-recorder tracing and phase
 //!   profiling, with Chrome-trace export and the `cbls-trace` CLI;
-//! * [`parallel`] (`cbls-parallel`) — multi-walk runners and speedup helpers;
+//! * [`parallel`] (`cbls-parallel`) — walk batches, the threads and
+//!   sequential executors, replay and speedup helpers;
 //! * [`portfolio`] (`cbls-portfolio`) — restart schedules, heterogeneous
 //!   strategy portfolios and the adaptive walk scheduler;
 //! * [`resilience`] (`cbls-resilience`) — supervised execution: stall
@@ -72,17 +73,16 @@ pub mod prelude {
     };
     pub use cbls_parallel::{
         dependent::{run_dependent, run_dependent_on, DependentWalkConfig},
-        run_multiwalk, run_rayon, run_threads, select_winner, select_winner_by, DegradationReason,
-        DistributionSink, EventLog, EventSink, FaultKind, MultiWalkConfig, MultiWalkResult,
-        RayonExecutor, SequentialExecutor, SimulatedMultiWalk, Supervision, ThreadsExecutor,
-        WalkBatch, WalkEvent, WalkExecutor, WalkFault, WalkJob, WalkOutcome, WalkSeeds, WinnerRule,
+        select_winner, select_winner_by, BatchExecution, DegradationReason, DistributionSink,
+        EventLog, EventSink, FaultKind, SequentialExecutor, SimulatedMultiWalk, Supervision,
+        ThreadsExecutor, WalkBatch, WalkEvent, WalkExecutor, WalkFault, WalkJob, WalkSeeds,
+        WinnerRule,
     };
     pub use cbls_perfmodel::{
         DistributionAccumulator, EmpiricalDistribution, Platform, SpeedupModel,
     };
     pub use cbls_portfolio::{
-        run_portfolio, run_portfolio_rayon, run_portfolio_threads, AdaptiveScheduler, Portfolio,
-        PortfolioMember, PortfolioResult, RestartSchedule, Schedule, SimulatedPortfolio,
+        member_stats, AdaptiveScheduler, Portfolio, PortfolioMember, RestartSchedule, Schedule,
     };
     pub use cbls_problems::{
         AllInterval, AlphaCipher, Benchmark, CostasArray, Langford, MagicSquare, NQueens,

@@ -78,7 +78,8 @@ fn simulated_walks_and_order_statistics_tell_the_same_story() {
 
     let mut observed = Vec::new();
     for master in 0..5u64 {
-        let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(9), &search, 1000 + master, p);
+        let batch = WalkBatch::uniform(1000 + master, &search, p);
+        let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(9), &batch, &SequentialExecutor);
         if let Some(iters) = sim.parallel_iterations(p) {
             observed.push(iters as f64);
         }

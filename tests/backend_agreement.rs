@@ -1,10 +1,10 @@
-//! Regression: every execution back-end (`ThreadsExecutor`, `RayonExecutor`,
-//! `SequentialExecutor` — reached through `run_threads` / `run_rayon` /
-//! `SimulatedMultiWalk`, the portfolio runners and the dependent-walk
-//! runner) must agree on the winning walk's identity, seed and iteration
-//! count for a fixed `(master_seed, walks)` pair.
+//! Regression: both execution back-ends (`ThreadsExecutor` and
+//! `SequentialExecutor` — running flat batches, portfolio batches,
+//! `SimulatedMultiWalk` replays and the dependent-walk runner) must agree on
+//! the winning walk's identity, seed and iteration count for a fixed
+//! `(master_seed, walks)` pair.
 //!
-//! The thread back-ends resolve their winner by wall-clock arrival, which is
+//! First-finisher runs resolve their winner by wall-clock arrival, which is
 //! only comparable to the simulation's iteration-minimum when a unique walk
 //! can finish at all.  Each flat multi-walk scenario therefore caps the
 //! iteration budget *between* the fastest walk's iterations-to-solution and
@@ -12,7 +12,7 @@
 //! exactly one walk can solve and scheduling noise cannot change the winner.
 //! The heterogeneous portfolio scenarios calibrate that budget in-test from
 //! a probe replay; the dependent-walk scheme is deterministic by design, so
-//! its three back-ends must agree on *everything*.
+//! its back-ends must agree on *everything*.
 
 use parallel_cbls::prelude::*;
 
@@ -22,7 +22,8 @@ fn assert_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize, budg
     search.max_iterations_per_restart = budget;
     let factory = || bench.build();
 
-    let sim = SimulatedMultiWalk::replay(&factory, &search, master_seed, walks);
+    let batch = WalkBatch::uniform(master_seed, &search, walks);
+    let sim = SimulatedMultiWalk::replay(&factory, &batch, &SequentialExecutor);
     let solved = sim.solved_iterations().len();
     assert_eq!(
         solved,
@@ -31,17 +32,11 @@ fn assert_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize, budg
         bench.id()
     );
     let expect_winner = sim.winner(walks).expect("one walk solved");
-    let expect = &sim.runs()[expect_winner];
+    let expect = &sim.records()[expect_winner];
 
-    let config = MultiWalkConfig {
-        walks,
-        master_seed,
-        search,
-        timeout: None,
-    };
     let backends = [
-        ("threads", run_threads(&factory, &config)),
-        ("rayon", run_rayon(&factory, &config)),
+        ("threads", ThreadsExecutor.execute(&factory, &batch)),
+        ("sequential", SequentialExecutor.execute(&factory, &batch)),
     ];
     for (label, result) in backends {
         let winner = result
@@ -53,7 +48,7 @@ fn assert_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize, budg
             "{}: {label} winner disagrees with the replay",
             bench.id()
         );
-        let report = &result.reports[winner];
+        let report = &result.records[winner];
         assert_eq!(report.seed, expect.seed);
         assert_eq!(report.seed, WalkSeeds::new(master_seed).seed_of(winner));
         assert_eq!(
@@ -63,7 +58,7 @@ fn assert_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize, budg
             bench.id()
         );
         assert_eq!(report.outcome.solution, expect.outcome.solution);
-        assert_eq!(result.reports.len(), walks);
+        assert_eq!(result.records.len(), walks);
     }
 }
 
@@ -104,7 +99,6 @@ fn iterations_first_winner_rule_is_deterministic_across_backends() {
     let runs = [
         ("sequential", SequentialExecutor.execute(&factory, &batch)),
         ("threads", ThreadsExecutor.execute(&factory, &batch)),
-        ("rayon", RayonExecutor.execute(&factory, &batch)),
     ];
     let expect = &runs[0].1;
     let solved = expect.records.iter().filter(|r| r.outcome.solved()).count();
@@ -162,9 +156,9 @@ fn heterogeneous_portfolio(
     Portfolio::cycled(&protos, walks).with_master_seed(master_seed)
 }
 
-/// Check that the three executors agree on a heterogeneous portfolio: the
-/// replay is bit-identical on every back-end, and the true-parallel runners
-/// pick the replay's winner (same walk, seed and iteration count).
+/// Check that both executors agree on a heterogeneous portfolio: the replay
+/// is bit-identical on every back-end, and first-finisher runs pick the
+/// replay's winner (same walk, seed and iteration count).
 ///
 /// The isolating budget is calibrated in-test: a probe replay with a huge
 /// budget establishes each walk's iterations-to-solution, and the scenario
@@ -175,7 +169,7 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
 
     // --- probe: every walk to completion, find the unique fastest walk ---
     let probe = heterogeneous_portfolio(bench, master_seed, walks, 2_000_000);
-    let sim = SimulatedPortfolio::replay_parallel(&factory, &probe);
+    let sim = SimulatedMultiWalk::replay(&factory, &probe.batch(), &ThreadsExecutor);
     assert!(
         (sim.success_rate() - 1.0).abs() < 1e-12,
         "{}: the probe portfolio must solve on every walk",
@@ -183,7 +177,7 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
     );
     let mut iters: Vec<u64> = sim.solved_iterations();
     let expect_winner = sim.winner(walks).expect("all walks solved");
-    let expect = &sim.runs()[expect_winner];
+    let expect = &sim.records()[expect_winner];
     iters.sort_unstable();
     assert!(
         iters[0] < iters[1],
@@ -192,20 +186,16 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
     );
     let budget = (iters[0] + iters[1]) / 2;
 
-    // --- capped portfolio: the three replays agree bit for bit ---
-    let capped = heterogeneous_portfolio(bench, master_seed, walks, budget);
+    // --- capped portfolio: the replays agree bit for bit ---
+    let capped = heterogeneous_portfolio(bench, master_seed, walks, budget).batch();
     let replays = [
         (
             "threads",
-            SimulatedPortfolio::replay_on(&factory, &capped, &ThreadsExecutor),
-        ),
-        (
-            "rayon",
-            SimulatedPortfolio::replay_on(&factory, &capped, &RayonExecutor),
+            SimulatedMultiWalk::replay(&factory, &capped, &ThreadsExecutor),
         ),
         (
             "sequential",
-            SimulatedPortfolio::replay_on(&factory, &capped, &SequentialExecutor),
+            SimulatedMultiWalk::replay(&factory, &capped, &SequentialExecutor),
         ),
     ];
     for (label, replay) in &replays {
@@ -221,9 +211,9 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
             "{}: {label}",
             bench.id()
         );
-        for (r, p) in replay.runs().iter().zip(sim.runs().iter()) {
+        for (r, p) in replay.records().iter().zip(sim.records().iter()) {
             assert_eq!(r.seed, p.seed);
-            assert_eq!(r.member_label, p.member_label);
+            assert_eq!(r.label, p.label);
             if r.outcome.solved() {
                 assert_eq!(r.outcome.stats.iterations, p.outcome.stats.iterations);
                 assert_eq!(r.outcome.solution, p.outcome.solution);
@@ -231,10 +221,10 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
         }
     }
 
-    // --- true-parallel runners: first finisher is the replay's winner ---
+    // --- first-finisher runs: the winner is the replay's winner ---
     let backends = [
-        ("threads", run_portfolio_threads(&factory, &capped)),
-        ("rayon", run_portfolio_rayon(&factory, &capped)),
+        ("threads", ThreadsExecutor.execute(&factory, &capped)),
+        ("sequential", SequentialExecutor.execute(&factory, &capped)),
     ];
     for (label, result) in backends {
         let winner = result
@@ -246,10 +236,10 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
             "{}: {label} winner disagrees with the replay",
             bench.id()
         );
-        let report = &result.reports[winner];
+        let report = &result.records[winner];
         assert_eq!(report.seed, expect.seed);
         assert_eq!(report.seed, capped.seeds().seed_of(winner));
-        assert_eq!(report.member_label, expect.member_label);
+        assert_eq!(report.label, expect.label);
         assert_eq!(
             report.outcome.stats.iterations,
             expect.outcome.stats.iterations,
@@ -257,7 +247,7 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
             bench.id()
         );
         assert_eq!(report.outcome.solution, expect.outcome.solution);
-        assert_eq!(result.reports.len(), walks);
+        assert_eq!(result.records.len(), walks);
     }
 }
 
@@ -278,7 +268,7 @@ fn portfolio_backends_agree_on_langford_2_12() {
 
 /// The dependent-walk scheme is a deterministic function of
 /// `(factory, config)` whatever the scheduler, so its result must be equal
-/// in *every field* across the three executors.
+/// in *every field* across the executors.
 fn assert_dependent_backends_agree(bench: &Benchmark, master_seed: u64) {
     let factory = || bench.build();
     let config = DependentWalkConfig::new(4)
@@ -287,14 +277,9 @@ fn assert_dependent_backends_agree(bench: &Benchmark, master_seed: u64) {
         .with_segment_iterations(400)
         .with_max_segments(60);
     let threads = run_dependent_on(&factory, &config, &ThreadsExecutor);
-    let rayon = run_dependent_on(&factory, &config, &RayonExecutor);
     let sequential = run_dependent_on(&factory, &config, &SequentialExecutor);
     let default_backend = run_dependent(&factory, &config);
-    for (label, other) in [
-        ("rayon", &rayon),
-        ("sequential", &sequential),
-        ("default", &default_backend),
-    ] {
+    for (label, other) in [("sequential", &sequential), ("default", &default_backend)] {
         assert_eq!(threads.solved, other.solved, "{}: {label}", bench.id());
         assert_eq!(
             threads.best_walk,

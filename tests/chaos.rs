@@ -2,7 +2,7 @@
 //! executor back-end, asserting that the supervision layer's behaviour —
 //! fault reports, retry histories, rederived seeds and winners — is a pure
 //! function of `(master_seed, plan, policy)`, identical across the
-//! sequential, threads and rayon back-ends.
+//! sequential and threads back-ends.
 //!
 //! Scenarios: panic-at-probe recovered by a retry, a stall caught by the
 //! watchdog, deadline expiry with and without faults, retry exhaustion,
@@ -79,7 +79,7 @@ fn assert_runs_agree(label: &str, a: &SupervisedExecution, b: &SupervisedExecuti
     }
 }
 
-/// Run the scenario on all three back-ends and assert they agree with the
+/// Run the scenario on both back-ends and assert they agree with the
 /// sequential reference, returning the reference run.
 fn matrix(
     bench: &Benchmark,
@@ -89,9 +89,7 @@ fn matrix(
 ) -> SupervisedExecution {
     let reference = run_chaos(SequentialExecutor, bench, plan.clone(), batch, policy);
     let threads = run_chaos(ThreadsExecutor, bench, plan.clone(), batch, policy);
-    let rayon = run_chaos(RayonExecutor, bench, plan.clone(), batch, policy);
     assert_runs_agree("threads", &reference, &threads);
-    assert_runs_agree("rayon", &reference, &rayon);
     reference
 }
 
@@ -210,16 +208,6 @@ fn deadline_expiry_degrades_to_a_partial_result() {
                 RetryPolicy::retries(1),
             ),
         ),
-        (
-            "rayon",
-            run_chaos(
-                RayonExecutor,
-                &bench,
-                FaultPlan::new(),
-                &batch,
-                RetryPolicy::retries(1),
-            ),
-        ),
     ] {
         assert!(!run.solved(), "{label}");
         assert!(run.retries.is_empty(), "{label}: a timeout is not a fault");
@@ -267,16 +255,6 @@ fn faults_under_deadline_pressure_report_both_degradations() {
             "threads",
             run_chaos(
                 ThreadsExecutor,
-                &bench,
-                plan.clone(),
-                &batch,
-                RetryPolicy::retries(2),
-            ),
-        ),
-        (
-            "rayon",
-            run_chaos(
-                RayonExecutor,
                 &bench,
                 plan.clone(),
                 &batch,

@@ -1,7 +1,9 @@
-//! Reproducibility guarantees: every figure in EXPERIMENTS.md depends on
-//! fixed seeds producing identical runs, across engines, runners and
+//! Reproducibility guarantees: every figure the bench binaries print depends
+//! on fixed seeds producing identical runs, across engines, back-ends and
 //! processes.
 
+use cbls_bench::experiment::{collect_sequential_samples, ExperimentConfig};
+use cbls_bench::figures::costas_portfolio;
 use parallel_cbls::prelude::*;
 
 #[test]
@@ -27,10 +29,10 @@ fn sequential_runs_are_bit_reproducible() {
 
 #[test]
 fn simulated_multiwalk_is_reproducible_across_backends() {
-    let search = Benchmark::CostasArray(9).tuned_config();
-    let seq = SimulatedMultiWalk::replay(&|| CostasArray::new(9), &search, 55, 8);
-    let par = SimulatedMultiWalk::replay_parallel(&|| CostasArray::new(9), &search, 55, 8);
-    for (a, b) in seq.runs().iter().zip(par.runs().iter()) {
+    let batch = WalkBatch::uniform(55, &Benchmark::CostasArray(9).tuned_config(), 8);
+    let seq = SimulatedMultiWalk::replay(&|| CostasArray::new(9), &batch, &SequentialExecutor);
+    let par = SimulatedMultiWalk::replay(&|| CostasArray::new(9), &batch, &ThreadsExecutor);
+    for (a, b) in seq.records().iter().zip(par.records().iter()) {
         assert_eq!(a.walk_id, b.walk_id);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.outcome.stats.iterations, b.outcome.stats.iterations);
@@ -97,4 +99,53 @@ fn engine_determinism_holds_with_external_stop_present() {
     let with_stop = engine.solve_with_stop(&mut p2, &mut default_rng(5), &StopControl::new());
     assert_eq!(plain.stats, with_stop.stats);
     assert_eq!(plain.solution, with_stop.solution);
+}
+
+#[test]
+fn sample_collection_and_portfolio_replay_are_pinned() {
+    // Per-walk outcomes recorded from the sample collector and the portfolio
+    // replay as they stood before both moved onto the walk executor (the
+    // collector was a parallel map over `solve_with_stop`, the replay its own
+    // type).  Any drift here changes every figure.  Sample `i` is walk `i` of
+    // the collector's seed family, so its run index stands for its seed.
+    let bench = Benchmark::CostasArray(9);
+    let config = ExperimentConfig {
+        samples: 6,
+        master_seed: 1,
+        core_counts: vec![1],
+    };
+    let samples: Vec<(usize, bool, u64)> = collect_sequential_samples(&bench, &config)
+        .iter()
+        .map(|s| (s.run, s.solved, s.iterations))
+        .collect();
+    assert_eq!(
+        samples,
+        vec![
+            (0, true, 11),
+            (1, true, 18),
+            (2, true, 10011),
+            (3, true, 54),
+            (4, true, 76),
+            (5, true, 54),
+        ]
+    );
+
+    let portfolio = costas_portfolio(9, 6, 1);
+    let sim = SimulatedMultiWalk::replay(&|| bench.build(), &portfolio.batch(), &ThreadsExecutor);
+    let replayed: Vec<(u64, bool, u64)> = sim
+        .records()
+        .iter()
+        .map(|r| (r.seed, r.outcome.solved(), r.outcome.stats.iterations))
+        .collect();
+    assert_eq!(
+        replayed,
+        vec![
+            (0xe573_f9b7_ba51_b170, true, 1),
+            (0xaa02_1222_f91f_c734, true, 1251),
+            (0xe350_f6cc_b95b_a2a0, true, 7),
+            (0x7616_a945_2c27_b822, true, 32),
+            (0x866d_e8d2_3ced_f176, true, 2),
+            (0x9828_3dba_d8b3_597f, true, 12),
+        ]
+    );
 }

@@ -5,25 +5,25 @@ use parallel_cbls::prelude::*;
 
 #[test]
 fn independent_multiwalk_solves_costas_with_every_backend() {
-    let search = Benchmark::CostasArray(10).tuned_config();
-    let config = MultiWalkConfig::new(4)
-        .with_master_seed(2012)
-        .with_search(search);
-
-    let threads = run_threads(&|| CostasArray::new(10), &config);
-    assert!(threads.solved());
-    let winner = &threads.reports[threads.winner.unwrap()];
+    let batch = WalkBatch::uniform(2012, &Benchmark::CostasArray(10).tuned_config(), 4);
     let checker = CostasArray::new(10);
-    assert!(Evaluator::verify(&checker, &winner.outcome.solution));
-
-    let rayon = run_rayon(&|| CostasArray::new(10), &config);
-    assert!(rayon.solved());
+    for execution in [
+        ThreadsExecutor.execute(&|| CostasArray::new(10), &batch),
+        SequentialExecutor.execute(&|| CostasArray::new(10), &batch),
+    ] {
+        let winner = execution.winning_record().expect("costas-10 solves");
+        assert!(Evaluator::verify(&checker, &winner.outcome.solution));
+    }
 }
 
 #[test]
 fn simulated_multiwalk_speedup_is_monotone_on_costas() {
     let search = Benchmark::CostasArray(11).tuned_config();
-    let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(11), &search, 5, 16);
+    let sim = SimulatedMultiWalk::replay(
+        &|| CostasArray::new(11),
+        &WalkBatch::uniform(5, &search, 16),
+        &SequentialExecutor,
+    );
     assert!(sim.success_rate() > 0.9);
     let mut last = u64::MAX;
     for p in [1usize, 2, 4, 8, 16] {
@@ -42,14 +42,22 @@ fn walk_trajectories_are_independent_of_the_walk_count() {
     // Walk #3 must behave identically whether it is part of a 4-walk or a
     // 16-walk replay — this is what makes the simulated sweep valid.
     let search = Benchmark::NQueens(20).tuned_config();
-    let small = SimulatedMultiWalk::replay(&|| NQueens::new(20), &search, 77, 4);
-    let large = SimulatedMultiWalk::replay(&|| NQueens::new(20), &search, 77, 16);
+    let small = SimulatedMultiWalk::replay(
+        &|| NQueens::new(20),
+        &WalkBatch::uniform(77, &search, 4),
+        &SequentialExecutor,
+    );
+    let large = SimulatedMultiWalk::replay(
+        &|| NQueens::new(20),
+        &WalkBatch::uniform(77, &search, 16),
+        &SequentialExecutor,
+    );
     for walk in 0..4 {
         assert_eq!(
-            small.runs()[walk].outcome.stats.iterations,
-            large.runs()[walk].outcome.stats.iterations
+            small.records()[walk].outcome.stats.iterations,
+            large.records()[walk].outcome.stats.iterations
         );
-        assert_eq!(small.runs()[walk].seed, large.runs()[walk].seed);
+        assert_eq!(small.records()[walk].seed, large.records()[walk].seed);
     }
 }
 
@@ -62,12 +70,10 @@ fn first_finisher_stops_the_other_walks() {
         .max_restarts(10)
         .stop_check_interval(1)
         .build();
-    let config = MultiWalkConfig::new(6)
-        .with_master_seed(4)
-        .with_search(search);
-    let result = run_threads(&|| NQueens::new(40), &config);
-    assert!(result.solved());
-    for report in &result.reports {
+    let batch = WalkBatch::uniform(4, &search, 6);
+    let result = ThreadsExecutor.execute(&|| NQueens::new(40), &batch);
+    assert!(result.winner.is_some());
+    for report in &result.records {
         assert!(
             report.outcome.solved()
                 || report.outcome.reason == TerminationReason::ExternallyStopped
@@ -99,7 +105,11 @@ fn speedup_curves_from_real_measurements_are_well_formed() {
     use parallel_cbls::parallel::speedup::SpeedupCurve;
 
     let search = Benchmark::CostasArray(10).tuned_config();
-    let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(10), &search, 31, 32);
+    let sim = SimulatedMultiWalk::replay(
+        &|| CostasArray::new(10),
+        &WalkBatch::uniform(31, &search, 32),
+        &SequentialExecutor,
+    );
     let measurements: Vec<(usize, f64)> = [1usize, 2, 4, 8, 16, 32]
         .iter()
         .map(|&p| (p, sim.parallel_iterations(p).unwrap() as f64 + 1.0))

@@ -20,7 +20,7 @@ fn small_model_suite() -> Vec<Benchmark> {
 
 /// Run a 3-walk batch to completion on every executor back-end.  With no
 /// first-success stop the per-walk trajectories are deterministic, so the
-/// three back-ends must agree on every walk, not just the winner.
+/// two back-ends must agree on every walk, not just the winner.
 #[test]
 fn every_executor_solves_every_model_benchmark() {
     for bench in small_model_suite() {
@@ -29,13 +29,8 @@ fn every_executor_solves_every_model_benchmark() {
 
         let sequential = SequentialExecutor.execute(&factory, &batch);
         let threads = ThreadsExecutor.execute(&factory, &batch);
-        let rayon = RayonExecutor.execute(&factory, &batch);
 
-        for (label, result) in [
-            ("sequential", &sequential),
-            ("threads", &threads),
-            ("rayon", &rayon),
-        ] {
+        for (label, result) in [("sequential", &sequential), ("threads", &threads)] {
             assert!(
                 result.winner.is_some(),
                 "{}: {label} backend found no winner",
@@ -61,18 +56,16 @@ fn every_executor_solves_every_model_benchmark() {
         // The winner is resolved by measured elapsed time, which is
         // scheduler-dependent when several walks solve — but the per-walk
         // trajectories themselves must be bit-identical across back-ends.
-        for (label, other) in [("threads", &threads), ("rayon", &rayon)] {
-            for (a, b) in sequential.records.iter().zip(&other.records) {
-                assert_eq!(a.seed, b.seed, "{}: {label}", bench.id());
-                assert_eq!(
-                    a.outcome.stats,
-                    b.outcome.stats,
-                    "{}: {label} walk {} trajectory diverged",
-                    bench.id(),
-                    a.walk_id
-                );
-                assert_eq!(a.outcome.solution, b.outcome.solution);
-            }
+        for (a, b) in sequential.records.iter().zip(&threads.records) {
+            assert_eq!(a.seed, b.seed, "{}", bench.id());
+            assert_eq!(
+                a.outcome.stats,
+                b.outcome.stats,
+                "{}: threads walk {} trajectory diverged",
+                bench.id(),
+                a.walk_id
+            );
+            assert_eq!(a.outcome.solution, b.outcome.solution);
         }
     }
 }
@@ -95,14 +88,14 @@ fn the_portfolio_layer_drives_model_benchmarks() {
             PortfolioMember::new("sticky", sticky, Schedule::fixed(2_000_000, 0)),
         ];
         let portfolio = Portfolio::cycled(&members, 3).with_master_seed(77);
-        let sim = SimulatedPortfolio::replay_parallel(&factory, &portfolio);
+        let sim = SimulatedMultiWalk::replay(&factory, &portfolio.batch(), &ThreadsExecutor);
         assert!(
             (sim.success_rate() - 1.0).abs() < 1e-12,
             "{}: portfolio member failed to solve",
             bench.id()
         );
-        let again = SimulatedPortfolio::replay_parallel(&factory, &portfolio);
-        for (a, b) in sim.runs().iter().zip(again.runs().iter()) {
+        let again = SimulatedMultiWalk::replay(&factory, &portfolio.batch(), &ThreadsExecutor);
+        for (a, b) in sim.records().iter().zip(again.records().iter()) {
             assert_eq!(a.outcome.stats, b.outcome.stats, "{}", bench.id());
         }
     }

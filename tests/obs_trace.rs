@@ -1,6 +1,6 @@
 //! End-to-end contracts of the observability layer: the flight recorder is
-//! passive (bit-identical runs), per-walk event sequences agree across all
-//! three executor back-ends, the trace schema round-trips through JSON, the
+//! passive (bit-identical runs), per-walk event sequences agree across both
+//! executor back-ends, the trace schema round-trips through JSON, the
 //! Chrome exporter emits structurally valid documents, and a fixed-seed
 //! golden summary pins the recorder's deterministic outputs.
 
@@ -65,7 +65,6 @@ fn per_walk_event_sequences_agree_across_backends() {
         let execution = match backend {
             "sequential" => SequentialExecutor.execute_with_telemetry(&factory, &batch, &recorder),
             "threads" => ThreadsExecutor.execute_with_telemetry(&factory, &batch, &recorder),
-            "rayon" => RayonExecutor.execute_with_telemetry(&factory, &batch, &recorder),
             other => unreachable!("unknown backend {other}"),
         };
         let recording = recorder.finish(&execution);
@@ -87,15 +86,10 @@ fn per_walk_event_sequences_agree_across_backends() {
 
     let sequential = sequences("sequential");
     let threads = sequences("threads");
-    let rayon = sequences("rayon");
     for walk in 0..walks {
         assert_eq!(
             sequential[walk], threads[walk],
             "walk {walk}: threads diverged from sequential"
-        );
-        assert_eq!(
-            sequential[walk], rayon[walk],
-            "walk {walk}: rayon diverged from sequential"
         );
         // Sanity: a lifecycle pair brackets each walk's sequence.
         assert!(matches!(

@@ -23,25 +23,18 @@ fn endless_search() -> SearchConfig {
 /// the best incumbent any walk reached before the deadline.
 #[test]
 fn timed_out_multiwalk_returns_partial_results_on_every_backend() {
-    let config = MultiWalkConfig::new(3)
-        .with_master_seed(2012)
-        .with_search(endless_search())
-        .with_timeout(Duration::from_millis(30));
+    let batch =
+        WalkBatch::uniform(2012, &endless_search(), 3).with_timeout(Duration::from_millis(30));
     let factory = || CostasArray::new(10);
     let started = Instant::now();
     let backends = [
-        ("threads", run_threads(&factory, &config)),
-        ("rayon", run_rayon(&factory, &config)),
-        (
-            "sequential",
-            run_multiwalk(&factory, &config, &SequentialExecutor, None),
-        ),
+        ("threads", ThreadsExecutor.execute(&factory, &batch)),
+        ("sequential", SequentialExecutor.execute(&factory, &batch)),
     ];
     for (label, result) in backends {
         assert_eq!(result.winner, None, "{label}: timed-out run has no winner");
-        assert!(!result.solved());
-        assert_eq!(result.reports.len(), 3);
-        for report in &result.reports {
+        assert_eq!(result.records.len(), 3);
+        for report in &result.records {
             assert_eq!(
                 report.outcome.reason,
                 TerminationReason::TimedOut,
@@ -59,13 +52,13 @@ fn timed_out_multiwalk_returns_partial_results_on_every_backend() {
             .incumbent
             .as_ref()
             .unwrap_or_else(|| panic!("{label}: partial result carries an incumbent"));
-        let best_walk = &result.reports[incumbent.walk_id];
+        let best_walk = &result.records[incumbent.walk_id];
         assert_eq!(incumbent.cost, best_walk.outcome.best_cost);
         assert_eq!(incumbent.assignment, best_walk.outcome.solution);
         assert_eq!(
             incumbent.cost,
             result
-                .reports
+                .records
                 .iter()
                 .map(|r| r.outcome.best_cost)
                 .min()
@@ -79,8 +72,8 @@ fn timed_out_multiwalk_returns_partial_results_on_every_backend() {
     );
 }
 
-/// The same regression for heterogeneous portfolios, which used to derive
-/// their stop control separately from the flat runners.
+/// The same regression for heterogeneous portfolios: a portfolio is a batch,
+/// so its deadline is the batch deadline.
 #[test]
 fn timed_out_portfolio_returns_partial_results_on_every_backend() {
     let member = PortfolioMember::new(
@@ -92,18 +85,15 @@ fn timed_out_portfolio_returns_partial_results_on_every_backend() {
         .with_master_seed(7)
         .with_timeout(Duration::from_millis(30));
     let factory = || NQueens::new(24);
+    let batch = portfolio.batch();
     let backends = [
-        ("threads", run_portfolio_threads(&factory, &portfolio)),
-        ("rayon", run_portfolio_rayon(&factory, &portfolio)),
-        (
-            "sequential",
-            run_portfolio(&factory, &portfolio, &SequentialExecutor, None),
-        ),
+        ("threads", ThreadsExecutor.execute(&factory, &batch)),
+        ("sequential", SequentialExecutor.execute(&factory, &batch)),
     ];
     for (label, result) in backends {
         assert_eq!(result.winner, None, "{label}: timed-out run has no winner");
         assert!(result
-            .reports
+            .records
             .iter()
             .all(|r| r.outcome.reason == TerminationReason::TimedOut));
         assert_eq!(
@@ -118,7 +108,7 @@ fn timed_out_portfolio_returns_partial_results_on_every_backend() {
         assert!(incumbent.cost < i64::MAX);
         assert!(!incumbent.assignment.is_empty());
         // member fault accounting stays clean on a fault-free timeout
-        assert!(result.member_stats().iter().all(|m| m.faulted == 0));
+        assert!(member_stats(&result).iter().all(|m| m.faulted == 0));
     }
 }
 
@@ -127,10 +117,9 @@ fn timed_out_portfolio_returns_partial_results_on_every_backend() {
 /// is absolute, not per-walk.
 #[test]
 fn deadline_is_shared_by_late_starting_walks() {
-    let config = MultiWalkConfig::new(4)
-        .with_search(endless_search())
+    let batch = WalkBatch::uniform(WalkSeeds::DEFAULT_MASTER_SEED, &endless_search(), 4)
         .with_timeout(Duration::from_millis(25));
-    let result = run_multiwalk(&|| CostasArray::new(10), &config, &SequentialExecutor, None);
+    let result = SequentialExecutor.execute(&|| CostasArray::new(10), &batch);
     // the first walk consumed the whole budget; later walks must stop at
     // their first poll instead of burning 25ms each
     assert_eq!(result.winner, None);
@@ -139,11 +128,11 @@ fn deadline_is_shared_by_late_starting_walks() {
         result.incumbent.is_some(),
         "even an expired batch surfaces its best-so-far assignment"
     );
-    let later_iterations: u64 = result.reports[1..]
+    let later_iterations: u64 = result.records[1..]
         .iter()
         .map(|r| r.outcome.stats.iterations)
         .sum();
-    let first_iterations = result.reports[0].outcome.stats.iterations;
+    let first_iterations = result.records[0].outcome.stats.iterations;
     assert!(
         later_iterations <= first_iterations / 2,
         "late walks should cancel almost immediately \
@@ -156,23 +145,20 @@ fn deadline_is_shared_by_late_starting_walks() {
 /// and attaching the sink does not perturb the run.
 #[test]
 fn telemetry_stream_is_complete_and_passive() {
-    let search = Benchmark::CostasArray(9).tuned_config();
-    let config = MultiWalkConfig::new(4)
-        .with_master_seed(7)
-        .with_search(search);
+    let batch = WalkBatch::uniform(7, &Benchmark::CostasArray(9).tuned_config(), 4);
     let factory = || CostasArray::new(9);
 
-    let plain = run_multiwalk(&factory, &config, &SequentialExecutor, None);
+    let plain = SequentialExecutor.execute(&factory, &batch);
     let log = EventLog::new();
-    let observed = run_multiwalk(&factory, &config, &SequentialExecutor, Some(&log));
+    let observed = SequentialExecutor.execute_with_telemetry(&factory, &batch, &log);
 
     assert_eq!(plain.winner, observed.winner);
-    for (a, b) in plain.reports.iter().zip(observed.reports.iter()) {
+    for (a, b) in plain.records.iter().zip(observed.records.iter()) {
         assert_eq!(a.outcome.stats, b.outcome.stats);
         assert_eq!(a.outcome.solution, b.outcome.solution);
     }
 
-    for report in &observed.reports {
+    for report in &observed.records {
         let events = log.events_of(report.walk_id);
         assert!(
             matches!(events.first(), Some(WalkEvent::Started { seed, .. }) if *seed == report.seed),
@@ -215,20 +201,17 @@ fn telemetry_stream_is_complete_and_passive() {
 }
 
 /// Online recording through a `DistributionSink` sees exactly the solved
-/// walks' iteration counts — the same observations the post-hoc pass over
-/// the reports would record, available the moment each walk finishes.
+/// walks' iteration counts — the same observations a post-hoc pass over
+/// the records would collect, available the moment each walk finishes.
 #[test]
 fn distribution_sink_matches_posthoc_recording() {
-    let search = Benchmark::NQueens(20).tuned_config();
-    let config = MultiWalkConfig::new(6)
-        .with_master_seed(5)
-        .with_search(search);
+    let batch = WalkBatch::uniform(5, &Benchmark::NQueens(20).tuned_config(), 6);
     let sink = DistributionSink::new();
-    let result = run_multiwalk(&|| NQueens::new(20), &config, &RayonExecutor, Some(&sink));
+    let result = ThreadsExecutor.execute_with_telemetry(&|| NQueens::new(20), &batch, &sink);
 
     let mut online: Vec<f64> = sink.into_accumulator().observations().to_vec();
     let mut posthoc: Vec<f64> = result
-        .reports
+        .records
         .iter()
         .filter(|r| r.outcome.solved())
         .map(|r| r.outcome.stats.iterations as f64)
@@ -239,21 +222,19 @@ fn distribution_sink_matches_posthoc_recording() {
     assert!(!online.is_empty(), "at least the winner solved");
 }
 
-/// `select_winner` is the single winner convention shared by the parallel
-/// and portfolio crates: both report types plug into it.
+/// `select_winner` is the single winner convention of flat and portfolio
+/// runs alike: both execute to the same record type and plug into it.
 #[test]
 fn select_winner_is_shared_across_report_types() {
     let search = Benchmark::CostasArray(9).tuned_config();
-    let config = MultiWalkConfig::new(3)
-        .with_master_seed(7)
-        .with_search(search.clone());
-    let multi = run_threads(&|| CostasArray::new(9), &config);
-    assert_eq!(select_winner(&multi.reports), multi.winner);
+    let multi =
+        ThreadsExecutor.execute(&|| CostasArray::new(9), &WalkBatch::uniform(7, &search, 3));
+    assert_eq!(select_winner(&multi.records), multi.winner);
 
     let portfolio =
         Portfolio::uniform(search, Schedule::fixed(2_000_000, 0), 3).with_master_seed(7);
-    let hetero = run_portfolio_threads(&|| CostasArray::new(9), &portfolio);
-    assert_eq!(select_winner(&hetero.reports), hetero.winner);
+    let hetero = ThreadsExecutor.execute(&|| CostasArray::new(9), &portfolio.batch());
+    assert_eq!(select_winner(&hetero.records), hetero.winner);
 }
 
 /// The three degenerate batch shapes a hostile solve request can describe —
@@ -264,13 +245,10 @@ fn select_winner_is_shared_across_report_types() {
 /// because the executor is total.
 #[test]
 fn degenerate_batches_are_well_formed_on_every_backend() {
-    use parallel_cbls::parallel::BatchExecution;
-
-    fn run_all(batch: &WalkBatch) -> [(&'static str, BatchExecution); 3] {
+    fn run_all(batch: &WalkBatch) -> [(&'static str, BatchExecution); 2] {
         let factory = || NQueens::new(12);
         [
             ("threads", ThreadsExecutor.execute(&factory, batch)),
-            ("rayon", RayonExecutor.execute(&factory, batch)),
             ("sequential", SequentialExecutor.execute(&factory, batch)),
         ]
     }
