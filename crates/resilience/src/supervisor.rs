@@ -8,7 +8,9 @@
 //! 1. a **watchdog thread** polls every started walk's heartbeat counter and
 //!    kills (via the walk's personal kill flag) any walk whose heartbeat
 //!    stops advancing for more than the configured grace period — these
-//!    walks come back as [`WalkFault::Stalled`] records;
+//!    walks come back as [`WalkFault::Stalled`] records.  The watchdog ends
+//!    as soon as the pass returns or unwinds, mid-interval, so a pass costs
+//!    one thread spawn and join, not a poll interval;
 //! 2. a **retry loop** reschedules faulted walks as single-walk batches
 //!    pinned to the deterministically rederived stream of `(walk, attempt)`
 //!    ([`WalkSeeds::seed_of_attempt`]), under the [`RetryPolicy`]'s attempt
@@ -23,7 +25,7 @@
 //! *original* id; retry passes themselves run without a sink so the
 //! lifecycle stream stays one `Started`/`Finished` pair per walk.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
 
@@ -44,6 +46,10 @@ use crate::retry::RetryPolicy;
 /// (`stop_check_interval` iterations), or healthy slow walks get killed;
 /// the default window of ~200 ms is orders of magnitude above the
 /// microseconds a typical interval takes.
+///
+/// The interval paces only the polls: the watchdog ends as soon as its pass
+/// returns or unwinds, so a pass that finishes before its first poll costs
+/// one thread spawn and join, not a poll interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// How often the watchdog samples heartbeats.
@@ -297,23 +303,22 @@ impl<X: WalkExecutor> Supervisor<X> {
     {
         let supervision = Supervision::new(batch.walks());
         let mut execution = match self.watchdog {
-            Some(watchdog) => {
-                let finished = AtomicBool::new(false);
-                thread::scope(|scope| {
-                    let guard = scope.spawn(|| watch(&supervision, watchdog, &finished));
-                    let execution =
-                        self.executor
-                            .execute_supervised(factory, batch, sink, &supervision);
-                    // Release: pairs with the Acquire poll in `watch`, which
-                    // must observe the store and exit.
-                    finished.store(true, Ordering::Release);
-                    match guard.join() {
-                        Ok(()) => {}
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                    execution
-                })
-            }
+            Some(watchdog) => thread::scope(|scope| {
+                let (pass_running, pass_over) = mpsc::channel::<()>();
+                let guard = scope.spawn(|| watch(&supervision, watchdog, pass_over));
+                let execution =
+                    self.executor
+                        .execute_supervised(factory, batch, sink, &supervision);
+                // Dropping the sender wakes the watchdog and ends it.  If the
+                // pass unwinds instead, the sender drops with this frame, so
+                // the scope's join cannot wait on a watchdog that polls on.
+                drop(pass_running);
+                match guard.join() {
+                    Ok(()) => {}
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+                execution
+            }),
             None => self
                 .executor
                 .execute_supervised(factory, batch, sink, &supervision),
@@ -324,15 +329,16 @@ impl<X: WalkExecutor> Supervisor<X> {
 }
 
 /// The watchdog loop: kill any started, not-done walk whose heartbeat stays
-/// flat for more than `config.grace_polls` consecutive polls.
-fn watch(supervision: &Supervision, config: WatchdogConfig, finished: &AtomicBool) {
+/// flat for more than `config.grace_polls` consecutive polls, until the
+/// pass's sender disconnects `pass_over`.
+fn watch(supervision: &Supervision, config: WatchdogConfig, pass_over: Receiver<()>) {
     let walks = supervision.walks();
     let mut last = vec![0u64; walks];
     let mut stale = vec![0u32; walks];
-    // Acquire: pairs with the Release store in `guarded_pass` once the
-    // executor has returned.
-    while !finished.load(Ordering::Acquire) {
-        thread::sleep(config.poll_interval);
+    // Nothing is ever sent.  `Timeout` comes only once the whole interval
+    // has passed (a spurious wake-up waits again), so every poll is a full
+    // one and the grace window keeps its length.
+    while let Err(RecvTimeoutError::Timeout) = pass_over.recv_timeout(config.poll_interval) {
         for walk in 0..walks {
             if !supervision.is_started(walk)
                 || supervision.is_done(walk)
@@ -414,6 +420,8 @@ mod tests {
     use crate::chaos::{ChaosFactory, FaultPlan};
     use cbls_core::{Evaluator, SearchConfig};
     use cbls_parallel::{SequentialExecutor, ThreadsExecutor, WalkSeeds};
+    use cbls_problems::NQueens;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[derive(Clone)]
     struct Sort(usize);
@@ -448,6 +456,25 @@ mod tests {
 
     fn batch(walks: usize) -> WalkBatch {
         WalkBatch::uniform(2012, &quick_search(), walks).run_to_completion()
+    }
+
+    /// Run `f` on a helper thread and wait at most ten seconds for it to
+    /// return or panic, so a supervisor that hangs fails the test instead of
+    /// hanging the suite.
+    fn within_ten_seconds<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> thread::Result<T> {
+        let (done, outcome) = mpsc::channel();
+        let helper = thread::spawn(move || {
+            let _ = done.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        match outcome.recv_timeout(Duration::from_secs(10)) {
+            Ok(result) => {
+                assert!(helper.join().is_ok(), "the helper catches the call's panic");
+                result
+            }
+            Err(_) => panic!("no return or panic within 10 s"),
+        }
     }
 
     #[test]
@@ -528,23 +555,82 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_kills_a_stalled_walk() {
-        let factory = ChaosFactory::new(
-            || Sort(16),
-            FaultPlan::new().stall_once(0, 4, Duration::from_millis(400)),
-        );
-        let supervisor = Supervisor::new(ThreadsExecutor)
-            .with_policy(RetryPolicy::retries(1))
-            .with_watchdog(WatchdogConfig {
-                poll_interval: Duration::from_millis(5),
-                grace_polls: 3,
-            });
-        let run = supervisor.run(&factory, &batch(2));
-        // the stall was caught, the retry ran clean
-        assert_eq!(run.retries.len(), 1);
-        assert_eq!(run.retries[0].walk_id, 0);
-        assert!(run.retries[0].recovered);
-        assert!(run.solved());
-        assert!(!run.is_partial());
+    fn watchdog_kills_only_holds_past_the_grace_window() {
+        let poll_interval = Duration::from_millis(5);
+        // (hold, killed): the grace window is four full polls, 20 ms
+        let cases = [
+            (Duration::from_millis(400), true),
+            (poll_interval * 2, false),
+        ];
+        for (hold, killed) in cases {
+            let factory = ChaosFactory::new(|| Sort(16), FaultPlan::new().stall_once(0, 4, hold));
+            let supervisor = Supervisor::new(ThreadsExecutor)
+                .with_policy(RetryPolicy::retries(1))
+                .with_watchdog(WatchdogConfig {
+                    poll_interval,
+                    grace_polls: 3,
+                });
+            let run = supervisor.run(&factory, &batch(2));
+            assert!(run.solved(), "hold {hold:?}");
+            assert!(!run.is_partial(), "hold {hold:?}");
+            if killed {
+                // the stall was caught, the retry ran clean
+                assert_eq!(run.retries.len(), 1);
+                assert_eq!(run.retries[0].walk_id, 0);
+                assert!(run.retries[0].recovered);
+            } else {
+                assert!(run.retries.is_empty(), "hold {hold:?} was retried");
+                assert!(
+                    run.execution.records.iter().all(|r| r.fault.is_none()),
+                    "hold {hold:?} was classified as a fault"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_supervised_pass_does_not_wait_out_the_poll() {
+        fn run_on<X: WalkExecutor + Send + 'static>(executor: X) {
+            let run = within_ten_seconds(move || {
+                // The hold lets the watchdog fall asleep on its first poll
+                // before the walk ends, and the poll is far longer than it.
+                let factory = ChaosFactory::new(
+                    || Sort(16),
+                    FaultPlan::new().stall_once(0, 4, Duration::from_millis(50)),
+                );
+                Supervisor::new(executor)
+                    .with_watchdog(WatchdogConfig {
+                        poll_interval: Duration::from_secs(60),
+                        grace_polls: 7,
+                    })
+                    .run(&factory, &batch(2))
+            })
+            .expect("the run returns");
+            assert!(run.solved());
+            assert!(run.retries.is_empty());
+        }
+        run_on(SequentialExecutor);
+        run_on(ThreadsExecutor);
+    }
+
+    #[test]
+    fn a_panic_escaping_the_pass_propagates_instead_of_hanging() {
+        struct PanicsOnFault;
+        impl EventSink for PanicsOnFault {
+            fn record(&self, event: &WalkEvent) {
+                if matches!(event, WalkEvent::Faulted { .. }) {
+                    panic!("sink: refusing a fault event");
+                }
+            }
+        }
+        let outcome = within_ten_seconds(|| {
+            let factory = ChaosFactory::new(|| NQueens::new(16), FaultPlan::new().panic_once(0, 3));
+            Supervisor::new(SequentialExecutor).run_with_telemetry(
+                &factory,
+                &batch(2),
+                &PanicsOnFault,
+            )
+        });
+        assert!(outcome.is_err(), "the sink's panic reaches the caller");
     }
 }
