@@ -32,6 +32,10 @@ fn bench_cost_if_swap(c: &mut Criterion) {
         b.iter(|| black_box(swap_scan(&magic, &perm, cost)))
     });
 
+    // A Costas `cost_if_swap` is a one-entry row of its in-place kernel, so
+    // these time a row of one (the anchor's pairs come off and go back on
+    // for a single partner) and a loop of such rows; the row the engine
+    // actually runs is timed in the `batched_probes` group.
     let mut costas = CostasArray::new(14);
     let perm = rng.permutation(14);
     let cost = costas.init(&perm);
@@ -70,8 +74,9 @@ fn bench_batched_probes(c: &mut Criterion) {
     // against the looped scalar probes it replaces — the exact two shapes
     // the engine's candidate scan picks between on the `batched_probes`
     // claim.  Two declarative models where the shared-state walk dominated
-    // (graph coloring, Golomb ruler), one mixed-constraint model (QCP) and
-    // one closed-form hand-coded kernel (queens).
+    // (graph coloring, Golomb ruler), one mixed-constraint model (QCP), one
+    // closed-form hand-coded kernel (queens) and the in-place Costas kernel,
+    // whose looped side pays the anchor's removal once per probe.
     let mut group = c.benchmark_group("batched_probes");
     let mut rng = default_rng(3);
 
@@ -83,6 +88,7 @@ fn bench_batched_probes(c: &mut Criterion) {
         Benchmark::GolombRuler(8),
         Benchmark::QuasigroupCompletion(10),
         Benchmark::NQueens(64),
+        Benchmark::CostasArray(14),
     ] {
         let mut evaluator = bench.build();
         let n = evaluator.size();

@@ -164,9 +164,10 @@ fn main() {
         // No suite may fall behind the engine it replaced: every benchmark
         // with a pre-batching reference must hold at least 70% of it.  This
         // is the guard that caught costas-14 regressing 33% when its probe
-        // rows were first dispatched through a batch kernel that loses to
-        // its scalar probes; the margin absorbs machine-to-machine noise
-        // without letting a real dispatch mistake through.
+        // rows were first dispatched through a copy-the-table batch kernel
+        // that lost to the scalar probes of the time; the margin absorbs
+        // machine-to-machine noise without letting a real dispatch mistake
+        // through.
         for baseline in &pre {
             let fresh = report
                 .results

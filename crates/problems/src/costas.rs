@@ -13,54 +13,68 @@
 //! The cost counts surplus differences per distance, maintained in per-`d`
 //! occurrence tables so that swap evaluation costs `O(n)` instead of the
 //! `O(n²)` full recount.
+//!
+//! Candidate swaps are probed in place: `cost_if_swaps` applies each swap of
+//! a row to the real occurrence table, sums the surplus changes of the counts
+//! it moves, and takes the swap back before the next partner.  The anchor's
+//! pairs come off once for the whole row and go back on at its end, and
+//! `cost_if_swap` is a one-entry row, so both probes share this one kernel.
+//! The value is exact: a count `c` has surplus `max(c − 1, 0)`, so taking a
+//! pair off changes the cost by `−[c ≥ 2]` and putting one on by `+[c ≥ 1]`.
+//! These steps telescope in any order, and no count goes below zero because
+//! a pair is only taken off while it is still counted.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
 use cbls_core::{Evaluator, IncrementalProfile, SearchConfig};
+use serde::__private::{field, DeError, Value};
 use serde::{Deserialize, Serialize};
-
-/// Reusable buffers of the batched probe kernel: a copy of the occurrence
-/// table with the anchor's removals pre-applied, and the `(index, sign)`
-/// list that reverts each partner's adjustments.  Rebuilt lazily after
-/// deserialization (serde skips it), so the sizes are checked on entry.
-#[derive(Debug, Clone, Default)]
-struct ProbeScratch {
-    tmp: Vec<u32>,
-    undo: Vec<(u32, i32)>,
-}
 
 /// The Costas Array Problem of order `n`.
 #[derive(Debug, Clone)]
 pub struct CostasArray {
     n: usize,
-    /// Flat row-major occurrence table: `occ[(d−1)·2n + v]` = number of
-    /// column pairs at distance `d` whose row difference (shifted by `n−1`
-    /// to be non-negative) equals `v`.  Kept flat so the inner loops of swap
-    /// evaluation and error projection stay on one cache-friendly buffer
-    /// instead of chasing a `Vec<Vec<_>>` indirection per distance.
-    occ: Vec<u32>,
-    /// Interior mutability because the probe hooks take `&self`.
-    scratch: RefCell<ProbeScratch>,
+    /// Flat row-major occurrence table: `occ[base(d) + δ]` = number of
+    /// column pairs at distance `d` whose row difference is `δ`
+    /// (`|δ| ≤ n − 1`).  Kept flat so the inner loops of swap evaluation and
+    /// error projection stay on one cache-friendly buffer instead of chasing
+    /// a `Vec<Vec<_>>` indirection per distance.  Cells, because the probes
+    /// take `&self` and apply each candidate swap to the table itself.
+    occ: Box<[Cell<u32>]>,
 }
 
-// Manual (de)serialization: the probe scratch is derived state, so only `n`
-// and the occurrence table travel (the vendored serde derive has no `skip`).
+/// Length of the occurrence table of order `n`, `2n(n − 1)`; `None` for
+/// `n = 0` or on overflow.
+fn table_len(n: usize) -> Option<usize> {
+    n.checked_sub(1)?.checked_mul(n)?.checked_mul(2)
+}
+
+// Manual (de)serialization: the table travels as a plain array of counts,
+// and only a table of the length `new` builds is accepted back.
 impl Serialize for CostasArray {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"n\":");
         self.n.write_json(out);
         out.push_str(",\"occ\":");
-        self.occ.write_json(out);
+        let counts: Vec<u32> = self.occ.iter().map(Cell::get).collect();
+        counts.write_json(out);
         out.push('}');
     }
 }
 
 impl Deserialize for CostasArray {
-    fn from_json_value(v: &serde::__private::Value) -> Result<Self, serde::__private::DeError> {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        let n: usize = field(v, "n")?;
+        let occ: Vec<u32> = field(v, "occ")?;
+        if table_len(n) != Some(occ.len()) {
+            return Err(DeError::new(format!(
+                "costas-array: order {n} has no occurrence table of {} counts",
+                occ.len()
+            )));
+        }
         Ok(Self {
-            n: serde::__private::field(v, "n")?,
-            occ: serde::__private::field(v, "occ")?,
-            scratch: RefCell::new(ProbeScratch::default()),
+            n,
+            occ: occ.into_iter().map(Cell::new).collect(),
         })
     }
 }
@@ -69,16 +83,10 @@ impl CostasArray {
     /// Create an instance of order `n` (`n ≥ 1`).
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "Costas array order must be at least 1");
-        let width = 2 * n;
-        let rows = n.saturating_sub(1);
+        let len = table_len(n).expect("Costas array order must be at least 1");
         Self {
             n,
-            occ: vec![0; width * rows],
-            scratch: RefCell::new(ProbeScratch {
-                tmp: Vec::with_capacity(width * rows),
-                undo: Vec::with_capacity(6 * rows),
-            }),
+            occ: (0..len).map(|_| Cell::new(0)).collect(),
         }
     }
 
@@ -88,25 +96,52 @@ impl CostasArray {
         self.n
     }
 
+    /// Index of difference 0 in distance `d`'s row of the occurrence table:
+    /// a pair `(lo, hi)` at distance `d` counts at
+    /// `base(d) + perm[hi] − perm[lo]`.
     #[inline]
-    fn shifted_diff(&self, perm: &[usize], lo: usize, hi: usize) -> usize {
-        // perm[hi] - perm[lo], shifted into 0..2n-1
-        perm[hi] + self.n - 1 - perm[lo]
+    fn base(&self, d: usize) -> usize {
+        (d - 1) * 2 * self.n + self.n - 1
     }
 
-    /// Start of distance `d`'s row in the flat occurrence table.
+    /// Take one pair off the count at `idx`; returns the change in cost.
     #[inline]
-    fn row(&self, d: usize) -> usize {
-        (d - 1) * 2 * self.n
+    fn take(&self, idx: usize) -> i64 {
+        let count = &self.occ[idx];
+        let c = count.get();
+        count.set(c - 1);
+        -i64::from(c >= 2)
+    }
+
+    /// Put one pair on the count at `idx`; returns the change in cost.
+    #[inline]
+    fn put(&self, idx: usize) -> i64 {
+        let count = &self.occ[idx];
+        let c = count.get();
+        count.set(c + 1);
+        i64::from(c >= 1)
+    }
+
+    /// Visit the table slot of every pair through column `i`.
+    #[inline]
+    fn slots_through(&self, perm: &[usize], i: usize, mut visit: impl FnMut(usize)) {
+        for d in 1..self.n {
+            let base = self.base(d);
+            if let Some(lo) = i.checked_sub(d) {
+                visit(base + perm[i] - perm[lo]);
+            }
+            if i + d < self.n {
+                visit(base + perm[i + d] - perm[i]);
+            }
+        }
     }
 
     fn recompute(&mut self, perm: &[usize]) {
-        self.occ.iter_mut().for_each(|o| *o = 0);
+        self.occ.iter().for_each(|c| c.set(0));
         for d in 1..self.n {
-            let row = self.row(d);
-            for i in 0..self.n - d {
-                let v = self.shifted_diff(perm, i, i + d);
-                self.occ[row + v] += 1;
+            let base = self.base(d);
+            for lo in 0..self.n - d {
+                self.put(base + perm[lo + d] - perm[lo]);
             }
         }
     }
@@ -114,52 +149,8 @@ impl CostasArray {
     fn cost_from_occ(&self) -> i64 {
         self.occ
             .iter()
-            .map(|&o| i64::from(o.saturating_sub(1)))
+            .map(|c| i64::from(c.get().saturating_sub(1)))
             .sum()
-    }
-
-    /// The ≤ 4 deduplicated pairs at distance `d` involving `i` or `j`.
-    #[inline]
-    fn affected_pairs(&self, i: usize, j: usize, d: usize) -> ([(usize, usize); 4], usize) {
-        let mut pairs = [(0usize, 0usize); 4];
-        let mut np = 0usize;
-        for p in [i, j] {
-            if let Some(lo) = p.checked_sub(d) {
-                let pair = (lo, p);
-                if !pairs[..np].contains(&pair) {
-                    pairs[np] = pair;
-                    np += 1;
-                }
-            }
-            if p + d < self.n {
-                let pair = (p, p + d);
-                if !pairs[..np].contains(&pair) {
-                    pairs[np] = pair;
-                    np += 1;
-                }
-            }
-        }
-        (pairs, np)
-    }
-
-    /// Pairs `(lo, hi)` at distance `d` that involve position `p`.
-    fn pairs_involving(&self, p: usize, d: usize) -> impl Iterator<Item = (usize, usize)> {
-        let n = self.n;
-        let left = p.checked_sub(d).map(|lo| (lo, p));
-        let right = (p + d < n).then_some((p, p + d));
-        left.into_iter().chain(right)
-    }
-
-    /// Value at `pos` after hypothetically swapping positions `i` and `j`.
-    #[inline]
-    fn value_after_swap(perm: &[usize], i: usize, j: usize, pos: usize) -> usize {
-        if pos == i {
-            perm[j]
-        } else if pos == j {
-            perm[i]
-        } else {
-            perm[pos]
-        }
     }
 
     /// Render the permutation as an ASCII grid with one mark per column, the
@@ -204,7 +195,7 @@ impl Evaluator for CostasArray {
         let mut cost = 0;
         for d in 1..n {
             for lo in 0..n - d {
-                let v = self.shifted_diff(perm, lo, lo + d);
+                let v = perm[lo + d] + n - 1 - perm[lo];
                 if seen[v] >= 1 {
                     cost += 1;
                 }
@@ -212,7 +203,7 @@ impl Evaluator for CostasArray {
             }
             // Zero only the entries this distance touched.
             for lo in 0..n - d {
-                seen[self.shifted_diff(perm, lo, lo + d)] = 0;
+                seen[perm[lo + d] + n - 1 - perm[lo]] = 0;
             }
         }
         cost
@@ -222,66 +213,14 @@ impl Evaluator for CostasArray {
         // Number of difference-vector conflicts the mark in column `i`
         // participates in.
         let mut err = 0;
-        for d in 1..self.n {
-            let row = self.row(d);
-            for (lo, hi) in self.pairs_involving(i, d) {
-                let v = self.shifted_diff(perm, lo, hi);
-                if self.occ[row + v] > 1 {
-                    err += 1;
-                }
-            }
-        }
+        self.slots_through(perm, i, |idx| err += i64::from(self.occ[idx].get() > 1));
         err
     }
 
     fn cost_if_swap(&self, perm: &[usize], current_cost: i64, i: usize, j: usize) -> i64 {
-        if i == j {
-            return current_cost;
-        }
-        let mut cost = current_cost;
-        for d in 1..self.n {
-            let row = self.row(d);
-            let (pairs, np) = self.affected_pairs(i, j, d);
-            // Per-distance adjustment list: at most 8 entries, kept on the
-            // stack (this method runs n−1 times per engine iteration, so a
-            // heap allocation here would dominate the whole search).
-            let mut adjust = [(0usize, 0i64); 8];
-            let mut na = 0usize;
-
-            // Remove old differences.
-            for &(lo, hi) in &pairs[..np] {
-                let v = self.shifted_diff(perm, lo, hi);
-                let mut occ_now = i64::from(self.occ[row + v]);
-                for &(av, delta) in &adjust[..na] {
-                    if av == v {
-                        occ_now += delta;
-                    }
-                }
-                if occ_now > 1 {
-                    cost -= 1;
-                }
-                adjust[na] = (v, -1);
-                na += 1;
-            }
-            // Add new differences.
-            for &(lo, hi) in &pairs[..np] {
-                let a = Self::value_after_swap(perm, i, j, lo);
-                let b = Self::value_after_swap(perm, i, j, hi);
-                let v = b + self.n - 1 - a;
-                let mut occ_now = i64::from(self.occ[row + v]);
-                for &(av, delta) in &adjust[..na] {
-                    if av == v {
-                        occ_now += delta;
-                    }
-                }
-                if occ_now >= 1 {
-                    cost += 1;
-                }
-                adjust[na] = (v, 1);
-                na += 1;
-            }
-        }
-        cost
+        let mut out = [0];
+        self.cost_if_swaps(perm, current_cost, i, &[j], &mut out);
+        out[0]
     }
 
     fn cost_if_swaps(
@@ -293,96 +232,106 @@ impl Evaluator for CostasArray {
         out: &mut [i64],
     ) {
         assert_eq!(js.len(), out.len(), "cost_if_swaps: js/out length mismatch");
-        if self.n < 2 {
-            out.fill(current_cost);
-            return;
-        }
-        // Same removal/addition passes as the scalar probe, but run against
-        // a copy of the occurrence table so the running counts are exact
-        // without pending-adjustment scans.  Removing the anchor's own
-        // pairs (the pair (i, j) among them, at distance |i − j|) is shared
-        // by every probe of the row; each partner's adjustments are undone
-        // before the next one.  Distances live in disjoint table rows, so
-        // collapsing the scalar's per-distance phase interleaving into
-        // whole-row passes cannot change any running count.
-        let mut scratch = self.scratch.borrow_mut();
-        let ProbeScratch { tmp, undo } = &mut *scratch;
-        tmp.clear();
-        tmp.extend_from_slice(&self.occ);
-        let mut rm_i = 0i64;
-        for d in 1..self.n {
-            let row = self.row(d);
-            for (lo, hi) in self.pairs_involving(i, d) {
-                let idx = row + self.shifted_diff(perm, lo, hi);
-                let c = tmp[idx];
-                if c > 1 {
-                    rm_i -= 1;
-                }
-                tmp[idx] = c - 1;
-            }
-        }
-        for (k, &j) in js.iter().enumerate() {
+        // Every move below is taken back before the row returns, so the
+        // table is unchanged afterwards.  A panic mid-row leaves it modified,
+        // which is harmless: executors build each walk attempt's evaluator
+        // inside the walk's `catch_unwind`, so a panicked walk's evaluator is
+        // dropped and a retry builds a fresh one.
+        let n = self.n;
+        let pi = perm[i];
+        // The anchor's pairs come off once for the whole row.
+        let mut anchor = 0;
+        self.slots_through(perm, i, |idx| anchor += self.take(idx));
+        for (slot, &j) in out.iter_mut().zip(js) {
             if j == i {
-                out[k] = current_cost;
+                *slot = current_cost;
                 continue;
             }
-            let mut delta = rm_i;
-            undo.clear();
-            // One fused pass per distance: the partner's removals, then the
-            // additions for the whole affected union.  Each distance row
-            // still sees removals strictly before additions, so the running
-            // counts match the two-pass form (and the scalar probe) exactly.
-            for d in 1..self.n {
-                let row = self.row(d);
-                for (lo, hi) in self.pairs_involving(j, d) {
-                    if lo == i || hi == i {
-                        continue;
-                    }
-                    let idx = row + self.shifted_diff(perm, lo, hi);
-                    let c = tmp[idx];
-                    if c > 1 {
-                        delta -= 1;
-                    }
-                    tmp[idx] = c - 1;
-                    undo.push((idx as u32, 1));
+            let pj = perm[j];
+            let mut delta = anchor;
+            // Distances live in disjoint rows, so each one is applied and
+            // taken back on its own.
+            for d in 1..n {
+                let base = self.base(d);
+                // The counts this distance moves: the anchor's new pairs go
+                // on (column `i` holds `pj`, and column `j`, when it is the
+                // other end, holds `pi`); the partner's old pairs that do not
+                // involve the anchor come off, and its new ones go on.
+                let (mut on, mut ons) = ([0; 4], 0);
+                let (mut off, mut offs) = ([0; 2], 0);
+                if let Some(lo) = i.checked_sub(d) {
+                    on[ons] = base + pj - if lo == j { pi } else { perm[lo] };
+                    ons += 1;
                 }
-                let (pairs, np) = self.affected_pairs(i, j, d);
-                for &(lo, hi) in &pairs[..np] {
-                    let a = Self::value_after_swap(perm, i, j, lo);
-                    let b = Self::value_after_swap(perm, i, j, hi);
-                    let idx = row + (b + self.n - 1 - a);
-                    let c = tmp[idx];
-                    if c >= 1 {
-                        delta += 1;
-                    }
-                    tmp[idx] = c + 1;
-                    undo.push((idx as u32, -1));
+                if i + d < n {
+                    on[ons] = base + if i + d == j { pi } else { perm[i + d] } - pj;
+                    ons += 1;
+                }
+                if let Some(lo) = j.checked_sub(d).filter(|&lo| lo != i) {
+                    off[offs] = base + pj - perm[lo];
+                    on[ons] = base + pi - perm[lo];
+                    (offs, ons) = (offs + 1, ons + 1);
+                }
+                if j + d < n && j + d != i {
+                    off[offs] = base + perm[j + d] - pj;
+                    on[ons] = base + perm[j + d] - pi;
+                    (offs, ons) = (offs + 1, ons + 1);
+                }
+                for &idx in &off[..offs] {
+                    delta += self.take(idx);
+                }
+                for &idx in &on[..ons] {
+                    delta += self.put(idx);
+                }
+                for &idx in &on[..ons] {
+                    self.take(idx);
+                }
+                for &idx in &off[..offs] {
+                    self.put(idx);
                 }
             }
-            out[k] = current_cost + delta;
-            for &(idx, s) in undo.iter() {
-                let idx = idx as usize;
-                tmp[idx] = (i64::from(tmp[idx]) + i64::from(s)) as u32;
-            }
+            *slot = current_cost + delta;
         }
+        // The anchor's pairs go back on.
+        self.slots_through(perm, i, |idx| {
+            self.put(idx);
+        });
     }
 
     fn executed_swap(&mut self, perm: &[usize], i: usize, j: usize) {
         if i == j {
             return;
         }
-        // `perm` is the permutation after the swap; un-swapping on the fly
-        // recovers the old values for the removal pass.
-        for d in 1..self.n {
-            let row = self.row(d);
-            let (pairs, np) = self.affected_pairs(i, j, d);
-            for &(lo, hi) in &pairs[..np] {
-                let old_a = Self::value_after_swap(perm, i, j, lo);
-                let old_b = Self::value_after_swap(perm, i, j, hi);
-                let old_v = old_b + self.n - 1 - old_a;
-                self.occ[row + old_v] -= 1;
-                let new_v = self.shifted_diff(perm, lo, hi);
-                self.occ[row + new_v] += 1;
+        let n = self.n;
+        let (a, b) = (i.min(j), i.max(j));
+        // `perm` is the permutation after the swap, so column `a` held `pb`
+        // before it and column `b` held `pa`.  Each pair through `a` or `b`
+        // comes off at its old difference and goes on at its new one;
+        // `(a, a+d)` and `(b−d, b)` are the same pair exactly when
+        // `d = b − a`.
+        let (pa, pb) = (perm[a], perm[b]);
+        for d in 1..n {
+            let base = self.base(d);
+            if let Some(lo) = a.checked_sub(d) {
+                self.take(base + pb - perm[lo]);
+                self.put(base + pa - perm[lo]);
+            }
+            if a + d == b {
+                self.take(base + pa - pb);
+                self.put(base + pb - pa);
+            } else {
+                if a + d < n {
+                    self.take(base + perm[a + d] - pb);
+                    self.put(base + perm[a + d] - pa);
+                }
+                if let Some(lo) = b.checked_sub(d) {
+                    self.take(base + pa - perm[lo]);
+                    self.put(base + pb - perm[lo]);
+                }
+            }
+            if b + d < n {
+                self.take(base + perm[b + d] - pa);
+                self.put(base + perm[b + d] - pb);
             }
         }
     }
@@ -395,11 +344,10 @@ impl Evaluator for CostasArray {
     fn project_errors_full(&self, perm: &[usize], out: &mut [i64]) {
         out.iter_mut().for_each(|e| *e = 0);
         for d in 1..self.n {
-            let row = self.row(d);
+            let base = self.base(d);
             for lo in 0..self.n - d {
                 let hi = lo + d;
-                let v = self.shifted_diff(perm, lo, hi);
-                if self.occ[row + v] > 1 {
+                if self.occ[base + perm[hi] - perm[lo]].get() > 1 {
                     out[lo] += 1;
                     out[hi] += 1;
                 }
@@ -414,15 +362,9 @@ impl Evaluator for CostasArray {
             incremental_executed_swap: true,
             tracked_dirty_sets: false,
             batched_projection: true,
-            // Deliberately not advertised, although `cost_if_swaps` is
-            // implemented (and held bit-identical by the consistency
-            // harness): a Costas probe touches every distance row with O(1)
-            // work, so a whole row shares almost nothing beyond the
-            // anchor's own removals, and at catalog sizes the engine scans
-            // measurably faster through the scalar probe (~4.0µs vs ~6.0µs
-            // per n=14 row mid-search).  Batching starts paying only if
-            // per-probe work grows superlinearly, which it does not here.
-            batched_probes: false,
+            // A whole row takes the anchor's pairs off and puts them back
+            // once, where a loop of one-entry rows would do it per probe.
+            batched_probes: true,
         }
     }
 
@@ -472,7 +414,7 @@ mod tests {
         assert_no_default_hot_paths, check_batched_probes, check_error_projection,
         check_incremental_consistency, check_projection_cache,
     };
-    use as_rng::default_rng;
+    use as_rng::{default_rng, RandomSource};
     use cbls_core::AdaptiveSearch;
 
     /// The order-5 Costas array used as the example in the paper:
@@ -532,6 +474,104 @@ mod tests {
         for n in [2usize, 3, 5, 8, 12] {
             check_batched_probes(CostasArray::new(n), 7200 + n as u64, 12);
         }
+    }
+
+    fn counts(p: &CostasArray) -> Vec<u32> {
+        p.occ.iter().map(Cell::get).collect()
+    }
+
+    /// Swap a few random column pairs through `executed_swap`, leaving the
+    /// table mid-walk rather than freshly built.
+    fn walk(p: &mut CostasArray, perm: &mut [usize], rng: &mut impl RandomSource, swaps: usize) {
+        let n = perm.len();
+        for _ in 0..swaps {
+            let (a, b) = (rng.index(n), rng.index(n));
+            if a != b {
+                perm.swap(a, b);
+                p.executed_swap(perm, a, b);
+            }
+        }
+    }
+
+    /// The in-place kernel against an oracle that is not the kernel: every
+    /// entry of every row equals `cost` of the swapped permutation, which
+    /// recounts from scratch without reading the table, and each row leaves
+    /// the table bit for bit as it found it.
+    #[test]
+    fn probe_rows_match_a_recount_and_leave_the_table_unchanged() {
+        for n in [2usize, 3, 5, 8, 12, 14] {
+            let mut rng = default_rng(7300 + n as u64);
+            let mut p = CostasArray::new(n);
+            let mut perm = rng.permutation(n);
+            p.init(&perm);
+            for state in 0..4 {
+                if state > 0 {
+                    walk(&mut p, &mut perm, &mut rng, 3);
+                }
+                let cost = p.cost(&perm);
+                assert_eq!(p.cost_from_occ(), cost, "order {n}, state {state}");
+                for i in 0..n {
+                    // Every partner, so one at every distance |i − j| (the
+                    // pair the two swapped columns share among them), then
+                    // `i` itself and duplicates.
+                    let js: Vec<usize> = (0..n).chain([i, (i + 1) % n, i]).chain(0..n).collect();
+                    let mut out = vec![0; js.len()];
+                    let table = counts(&p);
+                    p.cost_if_swaps(&perm, cost, i, &js, &mut out);
+                    assert_eq!(
+                        counts(&p),
+                        table,
+                        "order {n}, state {state}: row {i} moved the table"
+                    );
+                    for (&j, &got) in js.iter().zip(&out) {
+                        let mut swapped = perm.clone();
+                        swapped.swap(i, j);
+                        assert_eq!(
+                            got,
+                            p.cost(&swapped),
+                            "order {n}, state {state}, swap ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_mid_walk_instance_survives_a_round_trip() {
+        let mut rng = default_rng(7400);
+        let mut p = CostasArray::new(12);
+        let mut perm = rng.permutation(12);
+        p.init(&perm);
+        walk(&mut p, &mut perm, &mut rng, 5);
+        let cost = p.cost(&perm);
+        let json = serde_json::to_string(&p).expect("serializes");
+        let back: CostasArray = serde_json::from_str(&json).expect("deserializes");
+        assert_eq!(back.order(), 12);
+        assert_eq!(counts(&back), counts(&p));
+        let js: Vec<usize> = (0..12).collect();
+        let (mut want, mut got) = (vec![0; 12], vec![0; 12]);
+        for i in 0..12 {
+            p.cost_if_swaps(&perm, cost, i, &js, &mut want);
+            back.cost_if_swaps(&perm, cost, i, &js, &mut got);
+            assert_eq!(got, want, "row {i}");
+        }
+    }
+
+    #[test]
+    fn deserialization_rejects_tables_the_constructor_never_builds() {
+        for bad in [
+            r#"{"n":12,"occ":[]}"#,
+            r#"{"n":0,"occ":[]}"#,
+            r#"{"n":2,"occ":[0,1,0]}"#,
+        ] {
+            assert!(
+                serde_json::from_str::<CostasArray>(bad).is_err(),
+                "{bad} deserialized"
+            );
+        }
+        let one: CostasArray = serde_json::from_str(r#"{"n":1,"occ":[]}"#).expect("order 1");
+        assert_eq!(one.order(), 1);
     }
 
     #[test]
