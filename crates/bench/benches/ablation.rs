@@ -1,6 +1,6 @@
-//! Ablation of the engine's design choices (DESIGN.md experiment E7): how the
-//! freeze duration, the reset policy, sideways moves and the exhaustive
-//! neighbourhood affect the time-to-solution of a representative benchmark.
+//! Ablation of the engine's design choices: how the freeze duration, the
+//! reset policy, sideways moves and the exhaustive neighbourhood affect the
+//! time-to-solution of a representative benchmark.
 //! These are the knobs the original C framework exposes per benchmark; the
 //! ablation quantifies why the shipped `tune()` defaults look the way they do.
 

@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use as_rng::{default_rng, RandomSource};
 use cbls_core::{AdaptiveSearch, Evaluator};
-use cbls_problems::{AllInterval, Benchmark, CostasArray, MagicSquare, NQueens};
+use cbls_problems::{AllInterval, Benchmark, CostasArray, MagicSquare, NQueens, PerfectSquare};
 
 /// One full swap-scan's worth of `cost_if_swap` probes for the worst case of
 /// the engine's selection phase: variable 0 against every other position.
@@ -66,6 +66,20 @@ fn bench_cost_if_swap(c: &mut Criterion) {
     group.bench_function("all-interval-100", |b| {
         b.iter(|| black_box(interval.cost_if_swap(&perm, cost, 10, 90)))
     });
+
+    // Anchored at slot 0, every Perfect Square probe re-decodes the whole
+    // order through the placement scan: 33 skyline columns for order 9,
+    // 112 for the CSPLib order-21 square.
+    for (id, mut square) in [
+        ("perfect-square-order9", PerfectSquare::order9()),
+        ("perfect-square-csplib21", PerfectSquare::csplib_order21()),
+    ] {
+        let perm = rng.permutation(square.size());
+        let cost = square.init(&perm);
+        group.bench_function(format!("{id}-scan"), |b| {
+            b.iter(|| black_box(swap_scan(&square, &perm, cost)))
+        });
+    }
     group.finish();
 }
 

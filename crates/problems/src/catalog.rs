@@ -75,7 +75,7 @@ pub enum Benchmark {
 
 impl Benchmark {
     /// The three CSPLib benchmarks of Figures 1 and 2, at the scaled-down
-    /// sizes used by the reproduction harness (see DESIGN.md §2).
+    /// sizes used by the reproduction harness.
     #[must_use]
     pub fn csplib_suite() -> Vec<Benchmark> {
         vec![

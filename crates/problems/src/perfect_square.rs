@@ -16,12 +16,32 @@
 //! area above the master height.  For a perfect packing instance the order
 //! that lists the squares by the (bottom-left) position they occupy in the
 //! true packing decodes exactly to that packing, so the optimum cost 0 is
-//! attainable and equivalent to solving CSPLib prob009.  DESIGN.md records
-//! this substitution.
+//! attainable and equivalent to solving CSPLib prob009.
+//!
+//! ## The placement scan
+//!
+//! Bottom-left fill places a square of side `s` at the smallest `x` among
+//! those minimising `y(x) = max(skyline[x .. x + s])`.  Every probe
+//! re-decodes a suffix of the order through this rule, so it is the hot
+//! path.  Two exact facts let the decoder skip most positions and still
+//! return the column scan's `(x, y)`:
+//!
+//! * *Only left walls can win.*  If `x > 0` and `skyline[x − 1] ≤
+//!   skyline[x]`, window `x − 1` is window `x` with its last column traded
+//!   for `skyline[x − 1]`, which is no higher than `skyline[x]` (a column
+//!   both windows share when `s > 1`, the whole window when `s = 1`).  So
+//!   `y(x − 1) ≤ y(x)`, and `x` is never the left-most minimum.  The
+//!   candidates are `x = 0` and the columns where the skyline steps down.
+//! * *A column that is too tall blocks every window over it.*  A
+//!   candidate's window is scanned only up to its first column `c` at least
+//!   as high as the best `y` so far: no window containing `c` is strictly
+//!   lower, and every start in `x ..= c` contains `c`, so the scan resumes
+//!   at `c + 1`.
 
 use std::cell::RefCell;
 
 use cbls_core::{Evaluator, IncrementalProfile, SearchConfig};
+use serde::__private::{field, DeError, Value};
 use serde::{Deserialize, Serialize};
 
 thread_local! {
@@ -125,7 +145,7 @@ pub struct Placement {
 /// so probing a swap of slots `i < j` (and committing one in
 /// `executed_swap`) re-decodes only the suffix starting at `i` instead of
 /// the whole order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PerfectSquare {
     instance: SquarePackingInstance,
     /// Per-slot overflow contribution of the last `init`/`executed_swap`.
@@ -138,6 +158,43 @@ pub struct PerfectSquare {
     /// `prefix_cost[s]` = total overflow of the first `s` committed
     /// placements.
     prefix_cost: Vec<i64>,
+}
+
+/// Accepts only states that [`PerfectSquare::new`] and `init` build: the
+/// placement scan needs every square in `1..=width`, and the probes index the
+/// tables by slot.
+impl Deserialize for PerfectSquare {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        let instance: SquarePackingInstance = field(v, "instance")?;
+        let contributions: Vec<i64> = field(v, "contributions")?;
+        let committed: Vec<usize> = field(v, "committed")?;
+        let prefix_skyline: Vec<i64> = field(v, "prefix_skyline")?;
+        let prefix_cost: Vec<i64> = field(v, "prefix_cost")?;
+        let n = instance.sizes.len();
+        let reject = |why: &str| Err(DeError::new(format!("perfect-square: {why}")));
+        if n == 0 {
+            return reject("the instance has no squares");
+        }
+        if !instance.sizes.iter().all(|&s| s > 0 && s <= instance.width) {
+            return reject("a square is empty or wider than the master");
+        }
+        if contributions.len() != n || prefix_cost.len() != n + 1 {
+            return reject("the overflow tables do not have one entry per slot");
+        }
+        let fresh = committed.is_empty() && prefix_skyline.is_empty();
+        let built = committed.len() == n
+            && (n + 1).checked_mul(instance.width as usize) == Some(prefix_skyline.len());
+        if !(fresh || built) {
+            return reject("the committed order and its prefix skylines do not match");
+        }
+        Ok(Self {
+            instance,
+            contributions,
+            committed,
+            prefix_skyline,
+            prefix_cost,
+        })
+    }
 }
 
 impl PerfectSquare {
@@ -186,15 +243,38 @@ impl PerfectSquare {
     /// lowest, then left-most, position within the master width), mutate the
     /// skyline, and return `(x, y, overflow_area)` where the overflow is the
     /// area of the square above `target_height`.
+    ///
+    /// Only left walls are tried, and a window's scan stops at its first
+    /// column at least as high as the best `y` so far, resuming past it (the
+    /// module doc gives why both are exact).  Requires `1 ≤ size ≤ width`.
     fn place(skyline: &mut [i64], size: usize, target_height: i64) -> (usize, i64, i64) {
-        let width = skyline.len();
+        let last = skyline.len() - size;
         let mut best_x = 0usize;
         let mut best_y = i64::MAX;
-        for x in 0..=width - size {
-            let y = skyline[x..x + size].iter().copied().max().unwrap_or(0);
-            if y < best_y {
-                best_y = y;
-                best_x = x;
+        let mut x = 0usize;
+        while x <= last {
+            // The window's height, or the offset of its first column that is
+            // at least as high as the best so far.
+            let window = &skyline[x..x + size];
+            let scan = window.iter().enumerate().try_fold(i64::MIN, |y, (c, &h)| {
+                if h < best_y {
+                    Ok(y.max(h))
+                } else {
+                    Err(c)
+                }
+            });
+            match scan {
+                Ok(y) => {
+                    best_x = x;
+                    best_y = y;
+                    x += 1;
+                }
+                // Every start in `x ..= x + c` contains the blocking column.
+                Err(c) => x += c + 1,
+            }
+            // Skip to the next left wall.
+            while x <= last && skyline[x - 1] <= skyline[x] {
+                x += 1;
             }
         }
         let top = best_y + size as i64;
@@ -428,7 +508,7 @@ mod tests {
         assert_no_default_hot_paths, check_error_projection, check_incremental_consistency,
         check_projection_cache,
     };
-    use as_rng::default_rng;
+    use as_rng::{default_rng, RandomSource};
     use cbls_core::AdaptiveSearch;
 
     #[test]
@@ -550,20 +630,159 @@ mod tests {
 
     #[test]
     fn a_known_good_order_packs_order9_perfectly() {
-        // The 33×32 squared rectangle packing:
-        //   18 at (0,0), 15 at (18,0), 14 at (18,15)... listed bottom-left
-        //   order by (y, x) of their true positions; the bottom-left-fill
-        //   decoder must reconstruct a zero-overflow packing from it.
-        let p = PerfectSquare::order9();
-        // sizes: [18, 15, 14, 10, 9, 8, 7, 4, 1]
-        // true packing (classic): 18@(0,0), 15@(18,0), 7@(18,15), 8@(25,15),
-        // 14@(0,18), 10@(14,18), 1@(14,28), 9@(24,23), 4@(14,29)... order by (y,x):
-        let order = [0usize, 1, 6, 5, 2, 3, 4, 8, 7];
-        let cost = p.cost(&order);
-        // The decoder may or may not hit the exact historical layout, but a
-        // perfect order exists; assert this one is at least well-formed and
-        // that *some* order found by search reaches zero (covered above).
-        assert!(cost >= 0);
+        // The order the engine finds at seed 903 (pinned in the engine's
+        // golden trajectories) decodes to a perfect packing of the 33×32
+        // rectangle; the placements are the decoder's as of the column scan.
+        let mut p = PerfectSquare::order9();
+        let order = [0usize, 1, 6, 2, 5, 7, 3, 8, 4];
+        assert_eq!(p.cost(&order), 0);
+        assert_eq!(p.init(&order), 0);
+        assert!(p.verify(&order));
+        let placed = |square, x, y, size| Placement { square, x, y, size };
+        let (placements, overflow) = p.decode(&order);
+        assert_eq!(
+            placements,
+            vec![
+                placed(0, 0, 0, 18),
+                placed(1, 18, 0, 15),
+                placed(6, 18, 15, 7),
+                placed(2, 0, 18, 14),
+                placed(5, 25, 15, 8),
+                placed(7, 14, 18, 4),
+                placed(3, 14, 22, 10),
+                placed(8, 24, 22, 1),
+                placed(4, 24, 23, 9),
+            ]
+        );
+        assert_eq!(overflow, vec![0; 9]);
+    }
+
+    /// The bottom-left-fill rule column by column: the window maximum at
+    /// every start, keeping the first strictly lowest.
+    fn place_by_columns(skyline: &mut [i64], size: usize, target_height: i64) -> (usize, i64, i64) {
+        let width = skyline.len();
+        let mut best_x = 0usize;
+        let mut best_y = i64::MAX;
+        for x in 0..=width - size {
+            let y = skyline[x..x + size].iter().copied().max().unwrap_or(0);
+            if y < best_y {
+                best_y = y;
+                best_x = x;
+            }
+        }
+        let top = best_y + size as i64;
+        for column in &mut skyline[best_x..best_x + size] {
+            *column = top;
+        }
+        let spill_height = (top - target_height).clamp(0, size as i64);
+        (best_x, best_y, spill_height * size as i64)
+    }
+
+    #[test]
+    fn left_wall_scan_matches_the_column_scan() {
+        let mut rng = default_rng(960);
+        for width in [1usize, 2, 7, 33, 112] {
+            let target = width as i64;
+            let mut skylines: Vec<Vec<i64>> = vec![
+                vec![0; width],
+                vec![target; width],
+                (0..width as i64).collect(),
+                (0..width as i64).rev().collect(),
+                (0..width as i64).map(|c| c / 3).collect(),
+                (0..width as i64).rev().map(|c| c / 3).collect(),
+                (0..width as i64).map(|c| (c / 2) % 2 * 5).collect(),
+            ];
+            for _ in 0..8 {
+                // Wide-range heights, some above the target, and few distinct
+                // heights for equal-height ties.
+                skylines.push(
+                    (0..width)
+                        .map(|_| rng.range_i64(0, 2 * target + 2))
+                        .collect(),
+                );
+                skylines.push((0..width).map(|_| rng.range_i64(0, 3)).collect());
+            }
+            for skyline in &skylines {
+                for size in 1..=width {
+                    let (mut fast, mut slow) = (skyline.clone(), skyline.clone());
+                    assert_eq!(
+                        PerfectSquare::place(&mut fast, size, target),
+                        place_by_columns(&mut slow, size, target),
+                        "width {width}, size {size}, skyline {skyline:?}"
+                    );
+                    assert_eq!(
+                        fast, slow,
+                        "width {width}, size {size}, skyline {skyline:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_mid_walk_instance_survives_a_round_trip() {
+        let mut rng = default_rng(961);
+        let mut p = PerfectSquare::csplib_order21();
+        let mut perm = rng.permutation(21);
+        let _ = p.init(&perm);
+        for _ in 0..5 {
+            let (a, b) = (rng.index(21), rng.index(21));
+            if a != b {
+                perm.swap(a, b);
+                p.executed_swap(&perm, a, b);
+            }
+        }
+        let cost = p.cost(&perm);
+        let json = serde_json::to_string(&p).expect("serializes");
+        let back: PerfectSquare = serde_json::from_str(&json).expect("deserializes");
+        assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
+        for i in 0..21 {
+            assert_eq!(
+                back.cost_on_variable(&perm, i),
+                p.cost_on_variable(&perm, i)
+            );
+            for j in 0..21 {
+                assert_eq!(
+                    back.cost_if_swap(&perm, cost, i, j),
+                    p.cost_if_swap(&perm, cost, i, j),
+                    "swap ({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deserialization_rejects_states_the_constructor_never_builds() {
+        fn state(
+            instance: &str,
+            contributions: &str,
+            committed: &str,
+            sky: &str,
+            cost: &str,
+        ) -> String {
+            format!(
+                r#"{{"instance":{instance},"contributions":{contributions},"committed":{committed},"prefix_skyline":{sky},"prefix_cost":{cost}}}"#
+            )
+        }
+        let ten_wide = |sizes: &str| format!(r#"{{"width":10,"height":10,"sizes":{sizes}}}"#);
+        let order9 = r#"{"width":33,"height":32,"sizes":[18,15,14,10,9,8,7,4,1]}"#;
+        let (nine, ten) = ("[0,0,0,0,0,0,0,0,0]", "[0,0,0,0,0,0,0,0,0,0]");
+        for bad in [
+            state(&ten_wide("[11]"), "[0]", "[]", "[]", "[0,0]"),
+            state(&ten_wide("[0]"), "[0]", "[]", "[]", "[0,0]"),
+            state(&ten_wide("[]"), "[]", "[]", "[]", "[0]"),
+            state(order9, "[]", "[]", "[]", "[]"),
+            state(order9, nine, "[0,1,2,3,4,5,6,7,8]", "[]", ten),
+            state(order9, nine, "[]", "[0]", ten),
+        ] {
+            assert!(
+                serde_json::from_str::<PerfectSquare>(&bad).is_err(),
+                "{bad} deserialized"
+            );
+        }
+        let fresh = state(order9, nine, "[]", "[]", ten);
+        let mut p: PerfectSquare = serde_json::from_str(&fresh).expect("a fresh order-9 state");
+        assert_eq!(p.init(&[0, 1, 6, 2, 5, 7, 3, 8, 4]), 0);
     }
 
     #[test]

@@ -149,3 +149,53 @@ fn sample_collection_and_portfolio_replay_are_pinned() {
         ]
     );
 }
+
+#[test]
+fn wide_perfect_square_fixed_budget_trajectory_is_pinned() {
+    // The CSPLib order-21 square decodes onto a 112-column skyline, where
+    // the order-9 golden run has 33 columns and stops at a solve.  A fixed
+    // budget with the target disabled, sliced per restart as the throughput
+    // harness does, pins the placement scan on wide skylines free of search
+    // luck.  Values captured from the column-by-column scan.
+    let bench = Benchmark::PerfectSquareCsplib;
+    let mut config = bench.tuned_config();
+    config.target_cost = -1;
+    let per_restart = config.max_iterations_per_restart;
+    let engine = AdaptiveSearch::new(config);
+    let mut problem = bench.build();
+    let mut remaining: u64 = 2_000;
+    let out = engine.solve_scheduled(
+        &mut problem,
+        &mut default_rng(2012),
+        &StopControl::new(),
+        move |_restart| {
+            if remaining == 0 {
+                None
+            } else {
+                let slice = per_restart.min(remaining);
+                remaining -= slice;
+                Some(slice)
+            }
+        },
+    );
+    assert_eq!(out.reason, TerminationReason::IterationBudgetExhausted);
+    assert_eq!(
+        out.stats,
+        SearchStats {
+            iterations: 2000,
+            swaps: 1395,
+            local_minima: 605,
+            plateau_moves: 219,
+            forced_moves: 0,
+            variables_marked: 605,
+            resets: 302,
+            restarts: 0,
+            swap_evaluations: 40000,
+        }
+    );
+    assert_eq!(out.best_cost, 282);
+    assert_eq!(
+        out.solution,
+        vec![0, 6, 3, 8, 12, 4, 10, 1, 2, 5, 7, 9, 11, 15, 13, 20, 14, 16, 17, 19, 18]
+    );
+}
