@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use as_rng::default_rng;
-use cbls_core::{AdaptiveSearch, Evaluator, IncrementalProfile, SearchConfig, StopControl};
+use cbls_core::{AdaptiveSearch, Evaluator, IncrementalProfile, Run, SearchConfig};
 use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta};
 use cbls_parallel::{
     BatchExecution, CountingSink, SequentialExecutor, Supervision, WalkBatch, WalkExecutor,
@@ -363,7 +363,7 @@ fn measure_with(
 ) -> ThroughputResult {
     let mut tuned = benchmark.tuned_config();
     tuned.target_cost = -1;
-    let per_restart = tuned.max_iterations_per_restart;
+    let budget = tuned.sliced_budget(config.budget);
     let engine = AdaptiveSearch::new(tuned);
     // The best (iterations, elapsed) pair is kept together: every repetition
     // is a deterministic replay today, but selecting the pair (rather than
@@ -374,22 +374,12 @@ fn measure_with(
     for _ in 0..config.repetitions.max(1) {
         let mut evaluator = build(benchmark);
         let mut rng = default_rng(THROUGHPUT_SEED);
-        let mut remaining = config.budget;
+        let run = Run {
+            budget: Some(&budget),
+            ..Run::default()
+        };
         let started = Instant::now();
-        let outcome = engine.solve_scheduled(
-            &mut evaluator,
-            &mut rng,
-            &StopControl::new(),
-            move |_restart| {
-                if remaining == 0 {
-                    None
-                } else {
-                    let slice = per_restart.min(remaining);
-                    remaining -= slice;
-                    Some(slice)
-                }
-            },
-        );
+        let outcome = engine.run(&mut evaluator, &mut rng, run);
         let elapsed = started.elapsed().as_secs_f64();
         if outcome.stats.iterations as f64 / elapsed.max(f64::MIN_POSITIVE)
             > iterations as f64 / best_elapsed.max(f64::MIN_POSITIVE)
@@ -438,15 +428,7 @@ fn measure_overhead(
 ) -> ExecutorOverheadResult {
     let mut tuned = benchmark.tuned_config();
     tuned.target_cost = -1;
-    let per_restart = tuned.max_iterations_per_restart;
-    let total = config.budget;
-    // The budget as a pure function of the restart index (executor jobs share
-    // their schedule across threads, so it cannot carry mutable state):
-    // per-restart slices until the total budget is consumed.
-    let budget = move |restart: u64| {
-        let used = restart.saturating_mul(per_restart);
-        (used < total).then(|| per_restart.min(total - used))
-    };
+    let budget = tuned.sliced_budget(config.budget);
     let job = WalkJob::new(tuned)
         .with_label(benchmark.id())
         .with_budget(budget);
@@ -730,11 +712,11 @@ mod tests {
             } else {
                 bench.build()
             };
-            let mut rng = default_rng(THROUGHPUT_SEED);
-            let mut budget = Some(2_000u64);
-            engine.solve_scheduled(&mut evaluator, &mut rng, &StopControl::new(), move |_| {
-                budget.take()
-            })
+            let run = Run {
+                budget: Some(&|restart| (restart == 0).then_some(2_000)),
+                ..Run::default()
+            };
+            engine.run(&mut evaluator, &mut default_rng(THROUGHPUT_SEED), run)
         };
         let batched = run(false);
         let scalar = run(true);

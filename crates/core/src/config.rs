@@ -97,11 +97,23 @@ impl SearchConfig {
     ///
     /// This is the default restart schedule of
     /// [`AdaptiveSearch::solve`](crate::AdaptiveSearch::solve); external
-    /// schedules (Luby, geometric, ...) replace it through
-    /// [`AdaptiveSearch::solve_scheduled`](crate::AdaptiveSearch::solve_scheduled).
+    /// schedules (Luby, geometric, [`sliced_budget`](Self::sliced_budget))
+    /// replace it through [`Run::budget`](crate::Run::budget).
     #[must_use]
     pub fn restart_budget(&self, restart: u64) -> Option<u64> {
         (restart <= u64::from(self.max_restarts)).then_some(self.max_iterations_per_restart)
+    }
+
+    /// The restart schedule that spends exactly `total` iterations: restarts
+    /// of `max_iterations_per_restart`, the last one cut to what remains,
+    /// whatever `max_restarts` says.  A pure function of the restart index,
+    /// so one schedule can drive many walks at once.
+    pub fn sliced_budget(&self, total: u64) -> impl Fn(u64) -> Option<u64> + Send + Sync + 'static {
+        let per_restart = self.max_iterations_per_restart.max(1);
+        move |restart| {
+            let used = restart.saturating_mul(per_restart);
+            (used < total).then(|| per_restart.min(total - used))
+        }
     }
 
     /// Validate parameter ranges, returning a description of the first
@@ -291,6 +303,25 @@ mod tests {
         // the schedule's total agrees with the closed-form budget
         let total: u64 = (0..10).map_while(|r| c.restart_budget(r)).sum();
         assert_eq!(total, c.total_iteration_budget());
+    }
+
+    #[test]
+    fn sliced_budget_spends_exactly_the_total() {
+        let c = SearchConfig::builder()
+            .max_iterations_per_restart(10)
+            .max_restarts(0)
+            .build();
+        let slices = |total| {
+            let budget = c.sliced_budget(total);
+            (0..).map_while(&budget).collect::<Vec<u64>>()
+        };
+        assert_eq!(slices(25), vec![10, 10, 5]);
+        assert_eq!(slices(20), vec![10, 10]);
+        assert_eq!(slices(3), vec![3]);
+        assert!(slices(0).is_empty());
+        // stateless: asking again gives the same slice
+        let budget = c.sliced_budget(25);
+        assert_eq!((budget(2), budget(2), budget(3)), (Some(5), Some(5), None));
     }
 
     #[test]

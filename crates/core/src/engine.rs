@@ -13,21 +13,20 @@
 //! framework the paper benchmarks; every divergence is a documented,
 //! configurable knob in [`SearchConfig`].
 
-use crate::stop::monotonic_now;
-
 use as_rng::RandomSource;
 
 use crate::config::SearchConfig;
 use crate::evaluator::Evaluator;
 use crate::observer::{NoObserver, SearchObserver, SearchPhase};
 use crate::outcome::{SearchOutcome, SearchStats, TerminationReason};
-use crate::stop::StopControl;
+use crate::stop::{monotonic_now, StopControl};
 
 /// The Adaptive Search solver.
 ///
 /// An `AdaptiveSearch` value is just a configuration; it can be reused to
 /// solve many evaluators, sequentially or from several threads (each call to
-/// [`solve`](AdaptiveSearch::solve) only borrows it immutably).
+/// [`solve`](AdaptiveSearch::solve) or [`run`](AdaptiveSearch::run) only
+/// borrows it immutably).
 ///
 /// ```
 /// use as_rng::default_rng;
@@ -62,6 +61,72 @@ impl Default for AdaptiveSearch {
     }
 }
 
+/// What one [`AdaptiveSearch::run`] adds to a plain solve.
+///
+/// Every field is optional, and `Run::default()` is exactly
+/// [`AdaptiveSearch::solve`]: no stop signal, a random first
+/// configuration, the configuration's own restart schedule and no
+/// observer.
+///
+/// ```
+/// use as_rng::default_rng;
+/// use cbls_core::{AdaptiveSearch, Evaluator, Run, StopControl};
+///
+/// // Cost = number of misplaced values; solved when sorted.
+/// struct Sort(usize);
+/// impl Evaluator for Sort {
+///     fn size(&self) -> usize { self.0 }
+///     fn init(&mut self, perm: &[usize]) -> i64 { self.cost(perm) }
+///     fn cost(&self, perm: &[usize]) -> i64 {
+///         perm.iter().enumerate().filter(|&(i, &v)| i != v).count() as i64
+///     }
+///     fn cost_on_variable(&self, perm: &[usize], i: usize) -> i64 {
+///         i64::from(perm[i] != i)
+///     }
+/// }
+///
+/// let engine = AdaptiveSearch::default();
+/// let stop = StopControl::new();
+/// let sorted: Vec<usize> = (0..8).collect();
+/// let outcome = engine.run(
+///     &mut Sort(8),
+///     &mut default_rng(7),
+///     Run {
+///         stop: Some(&stop),
+///         initial: Some(&sorted),
+///         budget: Some(&|restart| (restart == 0).then_some(100)),
+///         ..Run::default()
+///     },
+/// );
+/// // The given first configuration is already a solution.
+/// assert!(outcome.solved());
+/// assert_eq!(outcome.stats.iterations, 0);
+/// ```
+#[derive(Default)]
+pub struct Run<'a> {
+    /// Polled every `stop_check_interval` iterations, so that a sibling
+    /// walk or a deadline can interrupt the run; `None` never stops it.
+    pub stop: Option<&'a StopControl>,
+    /// The first restart's configuration, in place of a random one: the
+    /// dependent multi-walk scheme restarts a walk from a shared elite this
+    /// way.  Later restarts draw fresh random permutations.  It must be a
+    /// permutation of `0..eval.size()`.
+    pub initial: Option<&'a [usize]>,
+    /// An external restart schedule in place of the configuration's fixed
+    /// `max_iterations_per_restart` / `max_restarts` pair
+    /// ([`SearchConfig::restart_budget`]).  `budget(restart)` is called once
+    /// per restart (0-based) and returns that restart's iteration budget,
+    /// or `None` to end the run.  The random stream is not re-seeded
+    /// between restarts, so a schedule changes only how the work is sliced.
+    /// This is where the portfolio crate's `RestartSchedule`s (Luby,
+    /// geometric, fixed) and [`SearchConfig::sliced_budget`] plug in.
+    pub budget: Option<&'a dyn Fn(u64) -> Option<u64>>,
+    /// Passive restart, best-cost, heartbeat and phase hooks (the
+    /// multi-walk executor's telemetry plugs in here); `None` runs with
+    /// [`NoObserver`].  Observation cannot perturb the trajectory.
+    pub observer: Option<&'a mut dyn SearchObserver>,
+}
+
 impl AdaptiveSearch {
     /// Create an engine with the given configuration.
     ///
@@ -92,155 +157,65 @@ impl AdaptiveSearch {
         &self.config
     }
 
-    /// Solve `eval` with a fresh run (no external stop signal).
+    /// Solve `eval` with a plain run: [`run`](Self::run) with
+    /// [`Run::default()`].
     pub fn solve<E, R>(&self, eval: &mut E, rng: &mut R) -> SearchOutcome
     where
         E: Evaluator + ?Sized,
         R: RandomSource + ?Sized,
     {
-        self.solve_with_stop(eval, rng, &StopControl::new())
+        self.run(eval, rng, Run::default())
     }
 
-    /// Solve `eval`, polling `stop` so that a sibling walk (or a timeout) can
-    /// interrupt the run.
-    pub fn solve_with_stop<E, R>(
-        &self,
-        eval: &mut E,
-        rng: &mut R,
-        stop: &StopControl,
-    ) -> SearchOutcome
-    where
-        E: Evaluator + ?Sized,
-        R: RandomSource + ?Sized,
-    {
-        self.solve_from(eval, rng, stop, None)
-    }
-
-    /// Solve `eval` starting from a given initial permutation (used by the
-    /// dependent multi-walk scheme to restart a walk from an elite
-    /// configuration shared by another walk).  Later restarts fall back to
-    /// fresh random permutations, exactly like [`solve`](Self::solve).
+    /// Solve `eval` under the stop signal, first configuration, restart
+    /// schedule and observer that `run` names (see [`Run`]).
     ///
     /// # Panics
     ///
-    /// Panics if `initial` is provided and its length differs from
-    /// `eval.size()`.
-    pub fn solve_from<E, R>(
-        &self,
-        eval: &mut E,
-        rng: &mut R,
-        stop: &StopControl,
-        initial: Option<&[usize]>,
-    ) -> SearchOutcome
+    /// Panics if `run.initial` is not a permutation of `0..eval.size()`.
+    pub fn run<E, R>(&self, eval: &mut E, rng: &mut R, run: Run<'_>) -> SearchOutcome
     where
         E: Evaluator + ?Sized,
         R: RandomSource + ?Sized,
-    {
-        let cfg = self.config.clone();
-        self.solve_inner(
-            eval,
-            rng,
-            stop,
-            initial,
-            |restart| cfg.restart_budget(restart),
-            &mut NoObserver,
-        )
-    }
-
-    /// Solve `eval` with the restart loop driven by an external budget
-    /// schedule instead of the configuration's fixed
-    /// `max_iterations_per_restart` / `max_restarts` pair.
-    ///
-    /// `budget_of(restart)` is called once per restart (0-based) and returns
-    /// the iteration budget of that restart, or `None` to end the run.  The
-    /// random stream is *not* re-seeded between restarts: successive restarts
-    /// consume the same stream, so a restart schedule changes only how the
-    /// iteration budget is sliced, never which random numbers are drawn for a
-    /// given amount of work.  This is the per-walk budget hook the portfolio
-    /// crate's `RestartSchedule` implementations (Luby, geometric, fixed)
-    /// plug into.
-    ///
-    /// The configuration's `max_iterations_per_restart` and `max_restarts`
-    /// are ignored; everything else (freeze duration, reset policy, plateau
-    /// handling, target cost, stop polling) applies unchanged.
-    pub fn solve_scheduled<E, R, S>(
-        &self,
-        eval: &mut E,
-        rng: &mut R,
-        stop: &StopControl,
-        budget_of: S,
-    ) -> SearchOutcome
-    where
-        E: Evaluator + ?Sized,
-        R: RandomSource + ?Sized,
-        S: FnMut(u64) -> Option<u64>,
-    {
-        self.solve_inner(eval, rng, stop, None, budget_of, &mut NoObserver)
-    }
-
-    /// The fully general entry point: solve `eval` from an optional initial
-    /// configuration, with an external restart-budget schedule and a
-    /// [`SearchObserver`] receiving restart / best-cost-improvement events.
-    ///
-    /// Observation is passive — the observer cannot perturb the trajectory,
-    /// so the outcome is bit-identical to the same call with
-    /// [`NoObserver`].  This is the hook the multi-walk executor layer's
-    /// telemetry stream plugs into; see [`SearchObserver`] for a runnable
-    /// example.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is provided and its length differs from
-    /// `eval.size()`.
-    pub fn solve_observed<E, R, S, O>(
-        &self,
-        eval: &mut E,
-        rng: &mut R,
-        stop: &StopControl,
-        initial: Option<&[usize]>,
-        budget_of: S,
-        observer: &mut O,
-    ) -> SearchOutcome
-    where
-        E: Evaluator + ?Sized,
-        R: RandomSource + ?Sized,
-        S: FnMut(u64) -> Option<u64>,
-        O: SearchObserver + ?Sized,
-    {
-        self.solve_inner(eval, rng, stop, initial, budget_of, observer)
-    }
-
-    fn solve_inner<E, R, S, O>(
-        &self,
-        eval: &mut E,
-        rng: &mut R,
-        stop: &StopControl,
-        initial: Option<&[usize]>,
-        mut budget_of: S,
-        observer: &mut O,
-    ) -> SearchOutcome
-    where
-        E: Evaluator + ?Sized,
-        R: RandomSource + ?Sized,
-        S: FnMut(u64) -> Option<u64>,
-        O: SearchObserver + ?Sized,
     {
         let started = monotonic_now();
         let cfg = &self.config;
         let n = eval.size();
+        let Run {
+            stop,
+            initial,
+            budget,
+            observer,
+        } = run;
         if let Some(init) = initial {
             assert_eq!(
                 init.len(),
                 n,
                 "initial permutation length must match the problem size"
             );
+            let mut seen = vec![false; n];
+            assert!(
+                init.iter()
+                    .all(|&v| v < n && !std::mem::replace(&mut seen[v], true)),
+                "initial configuration {init:?} is not a permutation of 0..{n}"
+            );
         }
+        let mut no_observer = NoObserver;
+        let observer = match observer {
+            Some(observer) => observer,
+            None => &mut no_observer,
+        };
+        let budget_of = |restart| match budget {
+            Some(budget) => budget(restart),
+            None => cfg.restart_budget(restart),
+        };
         let mut stats = SearchStats::default();
 
         // Degenerate sizes: nothing to swap, just evaluate once.
         if n < 2 {
             let perm: Vec<usize> = (0..n).collect();
             let cost = eval.init(&perm);
+            observer.on_new_best(0, cost, &perm);
             let reason = if cost <= cfg.target_cost {
                 TerminationReason::Solved
             } else {
@@ -276,22 +251,23 @@ impl AdaptiveSearch {
         let mut err_cache: Vec<i64> = vec![0; n];
         let mut touched: Vec<usize> = Vec::with_capacity(n);
 
-        // Batched-probe dispatch, read once per solve: evaluators with a
+        // Batched-probe dispatch, read once per run: evaluators with a
         // native `cost_if_swaps` kernel get whole candidate rows in one call;
         // everyone else keeps the scalar probe loop (avoiding the pointless
         // buffer traffic a batched call would add on top of O(1) probes).
-        // Both paths scan candidates in the same order with the same
-        // comparisons and the same RNG draws, so they are bit-identical.
-        let batched = eval.incremental_profile().batched_probes;
-        let mut probe_js: Vec<usize> = Vec::with_capacity(n);
-        let mut probe_out: Vec<i64> = vec![0; n];
+        let mut scan = SwapScan {
+            batched: eval.incremental_profile().batched_probes,
+            first_best: cfg.first_best,
+            js: Vec::with_capacity(n),
+            out: vec![0; n],
+        };
 
         // Countdown to the next stop-flag poll: one subtraction per iteration
         // instead of a modulo on the hot path.  Starts at zero so the first
         // iteration polls, exactly like `iterations % interval == 0` did.
         let mut until_stop_check: u64 = 0;
 
-        // Phase-profiling opt-in, read once per solve call: when the observer
+        // Phase-profiling opt-in, read once per run: when the observer
         // declines, every instrumented site below is a single predictable
         // branch — no clock reads, no observer calls — and the RNG stream is
         // untouched either way, so profiled runs stay bit-identical.
@@ -326,7 +302,6 @@ impl AdaptiveSearch {
                 if cost < best_cost {
                     best_cost = cost;
                     best_perm = perm.clone();
-                    observer.on_improvement(stats.iterations, cost);
                     observer.on_new_best(stats.iterations, cost, &best_perm);
                 }
                 if cost <= cfg.target_cost {
@@ -340,7 +315,7 @@ impl AdaptiveSearch {
                 if until_stop_check == 0 {
                     until_stop_check = cfg.stop_check_interval;
                     observer.on_heartbeat(stats.iterations);
-                    if stop.should_stop() {
+                    if let Some(stop) = stop.filter(|stop| stop.should_stop()) {
                         reason = if stop.stop_requested() {
                             TerminationReason::ExternallyStopped
                         } else {
@@ -355,64 +330,9 @@ impl AdaptiveSearch {
 
                 let now = stats.iterations;
                 let scan_started = profile.then(monotonic_now);
-                let (move_i, move_j, best_swap_cost) = if cfg.exhaustive {
+                let (picked, scanned) = if cfg.exhaustive {
                     // --- exhaustive mode: best swap over all variable pairs ---
-                    let mut best_cost = i64::MAX;
-                    let mut best_pair: Option<(usize, usize)> = None;
-                    let mut pair_ties: u32 = 0;
-                    'scan: for a in 0..n {
-                        if batched {
-                            // One batched call per row `a`: probe values are
-                            // consumed in the same (a, b) order as the scalar
-                            // loop, and `swap_evaluations` counts only the
-                            // entries the selection actually scanned, so a
-                            // first-best break leaves identical stats.
-                            probe_js.clear();
-                            probe_js.extend(a + 1..n);
-                            if probe_js.is_empty() {
-                                continue;
-                            }
-                            let row = &mut probe_out[..probe_js.len()];
-                            eval.cost_if_swaps(&perm, cost, a, &probe_js, row);
-                            for (k, &b) in probe_js.iter().enumerate() {
-                                let new_cost = probe_out[k];
-                                stats.swap_evaluations += 1;
-                                if new_cost < best_cost {
-                                    best_cost = new_cost;
-                                    best_pair = Some((a, b));
-                                    pair_ties = 1;
-                                    if cfg.first_best && new_cost < cost {
-                                        break 'scan;
-                                    }
-                                } else if new_cost == best_cost {
-                                    pair_ties += 1;
-                                    if rng.below(u64::from(pair_ties)) == 0 {
-                                        best_pair = Some((a, b));
-                                    }
-                                }
-                            }
-                        } else {
-                            for b in a + 1..n {
-                                let new_cost = eval.cost_if_swap(&perm, cost, a, b);
-                                stats.swap_evaluations += 1;
-                                if new_cost < best_cost {
-                                    best_cost = new_cost;
-                                    best_pair = Some((a, b));
-                                    pair_ties = 1;
-                                    if cfg.first_best && new_cost < cost {
-                                        break 'scan;
-                                    }
-                                } else if new_cost == best_cost {
-                                    pair_ties += 1;
-                                    if rng.below(u64::from(pair_ties)) == 0 {
-                                        best_pair = Some((a, b));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let Some((a, b)) = best_pair else { break };
-                    (a, b, best_cost)
+                    scan.best_swap(eval, &perm, cost, (0..n - 1).map(|a| (a, a + 1)), rng)
                 } else {
                     // --- select the worst (highest error) non-frozen variable ---
                     // Errors are read from the incrementally maintained cache;
@@ -435,179 +355,88 @@ impl AdaptiveSearch {
                         }
                     }
 
-                    if ties.is_empty() {
-                        // The aborted selection still counts as scan time;
-                        // the reset itself is projection maintenance.
-                        if let Some(t0) = scan_started {
-                            observer.on_phase(SearchPhase::CandidateScan, nanos_since(t0));
-                        }
-                        // Every variable is frozen: unblock the search with a
-                        // partial reset, as the C framework does.
-                        stats.resets += 1;
-                        let reset_started = profile.then(monotonic_now);
-                        Self::partial_reset(&mut perm, reset_count, rng);
-                        cost = eval.init(&perm);
-                        eval.project_errors_full(&perm, &mut err_cache);
-                        marks.iter_mut().for_each(|m| *m = 0);
-                        marked_since_reset = 0;
-                        if let Some(t0) = reset_started {
-                            observer.on_phase(SearchPhase::Projection, nanos_since(t0));
-                        }
-                        continue;
-                    }
-
                     // Ties (including the degenerate "all errors are zero"
                     // case, where every free variable ties at error 0) are
-                    // broken uniformly at random.
-                    let worst = *rng.choose(&ties).expect("ties not empty");
-
-                    // --- find the best swap for the selected variable ---
-                    let mut best_cost = i64::MAX;
-                    let mut best_j: Option<usize> = None;
-                    let mut swap_ties: u32 = 0;
-                    if batched {
-                        // The whole candidate row in one evaluator call; the
-                        // selection below then consumes the probe values in
-                        // the exact order (and with the exact RNG draws) of
-                        // the scalar loop.  A first-best break stops the
-                        // *scan* early — `swap_evaluations` counts scanned
-                        // entries, keeping stats identical to scalar mode.
-                        probe_js.clear();
-                        probe_js.extend((0..n).filter(|&j| j != worst));
-                        let row = &mut probe_out[..n - 1];
-                        eval.cost_if_swaps(&perm, cost, worst, &probe_js, row);
-                        for (k, &j) in probe_js.iter().enumerate() {
-                            let new_cost = probe_out[k];
-                            stats.swap_evaluations += 1;
-                            if new_cost < best_cost {
-                                best_cost = new_cost;
-                                best_j = Some(j);
-                                swap_ties = 1;
-                                if cfg.first_best && new_cost < cost {
-                                    break;
-                                }
-                            } else if new_cost == best_cost {
-                                swap_ties += 1;
-                                if rng.below(u64::from(swap_ties)) == 0 {
-                                    best_j = Some(j);
-                                }
-                            }
+                    // broken uniformly at random.  No tie at all means every
+                    // variable is frozen: there is no candidate to scan.
+                    match rng.choose(&ties) {
+                        // --- find the best swap for the selected variable ---
+                        Some(&worst) => {
+                            scan.best_swap(eval, &perm, cost, std::iter::once((worst, 0)), rng)
                         }
-                    } else {
-                        for j in 0..n {
-                            if j == worst {
-                                continue;
-                            }
-                            let new_cost = eval.cost_if_swap(&perm, cost, worst, j);
-                            stats.swap_evaluations += 1;
-                            if new_cost < best_cost {
-                                best_cost = new_cost;
-                                best_j = Some(j);
-                                swap_ties = 1;
-                                if cfg.first_best && new_cost < cost {
-                                    break;
-                                }
-                            } else if new_cost == best_cost {
-                                // Reservoir-sample among equally good swaps so
-                                // ties do not systematically favour small
-                                // indices.
-                                swap_ties += 1;
-                                if rng.below(u64::from(swap_ties)) == 0 {
-                                    best_j = Some(j);
-                                }
-                            }
-                        }
+                        None => (None, 0),
                     }
-
-                    let Some(j) = best_j else {
-                        // n >= 2 guarantees at least one candidate, stay safe.
-                        break;
-                    };
-                    (worst, j, best_cost)
                 };
+                stats.swap_evaluations += scanned;
+                // An aborted selection still counts as scan time; a reset
+                // below is projection maintenance.
                 if let Some(t0) = scan_started {
                     observer.on_phase(SearchPhase::CandidateScan, nanos_since(t0));
                 }
 
-                let delta = best_swap_cost - cost;
+                let reset = match picked {
+                    // Every variable is frozen: unblock the search with a
+                    // partial reset, as the C framework does.
+                    None => true,
+                    Some((move_i, move_j, best_swap_cost)) => {
+                        let delta = best_swap_cost - cost;
+                        let accept = if delta < 0 {
+                            true
+                        } else if delta == 0 {
+                            let take = rng.bool_with_probability(cfg.plateau_probability);
+                            if take {
+                                stats.plateau_moves += 1;
+                            }
+                            take
+                        } else {
+                            false
+                        };
+                        // --- local minimum handling: a worsening move may
+                        // still be forced through to escape the minimum ---
+                        let forced = !accept && {
+                            stats.local_minima += 1;
+                            delta > 0 && rng.bool_with_probability(cfg.prob_select_local_min)
+                        };
 
-                let accept = if delta < 0 {
-                    true
-                } else if delta == 0 {
-                    let take = rng.bool_with_probability(cfg.plateau_probability);
-                    if take {
-                        stats.plateau_moves += 1;
+                        if accept || forced {
+                            let swap_started = profile.then(monotonic_now);
+                            perm.swap(move_i, move_j);
+                            eval.executed_swap(&perm, move_i, move_j);
+                            if let Some(t0) = swap_started {
+                                observer.on_phase(SearchPhase::SwapExecution, nanos_since(t0));
+                            }
+                            if !cfg.exhaustive {
+                                let proj_started = profile.then(monotonic_now);
+                                Self::refresh_projection(
+                                    eval,
+                                    &perm,
+                                    move_i,
+                                    move_j,
+                                    &mut touched,
+                                    &mut err_cache,
+                                );
+                                if let Some(t0) = proj_started {
+                                    observer.on_phase(SearchPhase::Projection, nanos_since(t0));
+                                }
+                            }
+                            cost = best_swap_cost;
+                            stats.swaps += 1;
+                            stats.forced_moves += u64::from(forced);
+                            continue;
+                        }
+
+                        // Freeze the selected variable (in exhaustive mode
+                        // there is no selected variable, so the local minimum
+                        // only counts towards the reset trigger).
+                        if !cfg.exhaustive {
+                            marks[move_i] = now + cfg.freeze_duration + 1;
+                            stats.variables_marked += 1;
+                        }
+                        marked_since_reset += 1;
+                        marked_since_reset >= reset_limit
                     }
-                    take
-                } else {
-                    false
                 };
-
-                if accept {
-                    let swap_started = profile.then(monotonic_now);
-                    perm.swap(move_i, move_j);
-                    eval.executed_swap(&perm, move_i, move_j);
-                    if let Some(t0) = swap_started {
-                        observer.on_phase(SearchPhase::SwapExecution, nanos_since(t0));
-                    }
-                    if !cfg.exhaustive {
-                        let proj_started = profile.then(monotonic_now);
-                        Self::refresh_projection(
-                            eval,
-                            &perm,
-                            move_i,
-                            move_j,
-                            &mut touched,
-                            &mut err_cache,
-                        );
-                        if let Some(t0) = proj_started {
-                            observer.on_phase(SearchPhase::Projection, nanos_since(t0));
-                        }
-                    }
-                    cost = best_swap_cost;
-                    stats.swaps += 1;
-                    continue;
-                }
-
-                // --- local minimum handling ---
-                stats.local_minima += 1;
-                if delta > 0 && rng.bool_with_probability(cfg.prob_select_local_min) {
-                    // Force the (worsening) move to escape the minimum.
-                    let swap_started = profile.then(monotonic_now);
-                    perm.swap(move_i, move_j);
-                    eval.executed_swap(&perm, move_i, move_j);
-                    if let Some(t0) = swap_started {
-                        observer.on_phase(SearchPhase::SwapExecution, nanos_since(t0));
-                    }
-                    if !cfg.exhaustive {
-                        let proj_started = profile.then(monotonic_now);
-                        Self::refresh_projection(
-                            eval,
-                            &perm,
-                            move_i,
-                            move_j,
-                            &mut touched,
-                            &mut err_cache,
-                        );
-                        if let Some(t0) = proj_started {
-                            observer.on_phase(SearchPhase::Projection, nanos_since(t0));
-                        }
-                    }
-                    cost = best_swap_cost;
-                    stats.swaps += 1;
-                    stats.forced_moves += 1;
-                    continue;
-                }
-
-                // Freeze the selected variable (in exhaustive mode there is no
-                // selected variable, so the local minimum only counts towards
-                // the reset trigger).
-                if !cfg.exhaustive {
-                    marks[move_i] = now + cfg.freeze_duration + 1;
-                    stats.variables_marked += 1;
-                }
-                marked_since_reset += 1;
-                if marked_since_reset >= reset_limit {
+                if reset {
                     stats.resets += 1;
                     let reset_started = profile.then(monotonic_now);
                     Self::partial_reset(&mut perm, reset_count, rng);
@@ -625,8 +454,8 @@ impl AdaptiveSearch {
         }
 
         if best_perm.is_empty() {
-            // No iteration ever ran (e.g. zero restarts with zero budget —
-            // impossible with a validated config, but stay total).
+            // No iteration ever ran (an external schedule with no restart at
+            // all): report the identity permutation.
             best_perm = (0..n).collect();
             best_cost = eval.init(&best_perm);
         }
@@ -668,6 +497,91 @@ impl AdaptiveSearch {
             let b = rng.index(n);
             perm.swap(a, b);
         }
+    }
+}
+
+/// The candidate scan of one run: the two switches it reads once, plus the
+/// scratch rows of the batched probe.
+struct SwapScan {
+    /// Whole rows go through one [`Evaluator::cost_if_swaps`] call (the
+    /// evaluator claims `batched_probes`) instead of probe by probe.
+    batched: bool,
+    first_best: bool,
+    js: Vec<usize>,
+    out: Vec<i64>,
+}
+
+impl SwapScan {
+    /// The best swap over the candidate rows `(a, from)`, each pairing the
+    /// anchor `a` with every other `b` in `from..n`, in order (`from` is `0`
+    /// or `a + 1`).
+    ///
+    /// A strictly better candidate replaces the pick; an equal one is
+    /// reservoir-sampled, so ties do not favour small indices; under
+    /// first-best, the first candidate that improves on `cost` ends the
+    /// scan.  Batched and scalar rows consume the same probe values in the
+    /// same order with the same draws, so both are bit-identical.  Returns
+    /// the pick with its probe value, and how many candidates the selection
+    /// scanned (a first-best stop leaves the rest of a batched row unread).
+    #[inline]
+    fn best_swap<E, R>(
+        &mut self,
+        eval: &E,
+        perm: &[usize],
+        cost: i64,
+        rows: impl Iterator<Item = (usize, usize)>,
+        rng: &mut R,
+    ) -> (Option<(usize, usize, i64)>, u64)
+    where
+        E: Evaluator + ?Sized,
+        R: RandomSource + ?Sized,
+    {
+        let n = perm.len();
+        let first_best = self.first_best;
+        let mut best_cost = i64::MAX;
+        let mut pick = None;
+        let mut ties: u32 = 0;
+        let mut scanned: u64 = 0;
+        // Offer one candidate; `true` once first-best ends the scan.
+        let mut offer = |a: usize, b: usize, new_cost: i64| {
+            scanned += 1;
+            if new_cost < best_cost {
+                best_cost = new_cost;
+                pick = Some((a, b));
+                ties = 1;
+                return first_best && new_cost < cost;
+            }
+            if new_cost == best_cost {
+                ties += 1;
+                if rng.below(u64::from(ties)) == 0 {
+                    pick = Some((a, b));
+                }
+            }
+            false
+        };
+        'rows: for (a, from) in rows {
+            // Two ranges rather than a filter, so that the batched fill is
+            // one exact-size extend.
+            let partners = (from..a).chain(a + 1..n);
+            if self.batched {
+                self.js.clear();
+                self.js.extend(partners);
+                let row = &mut self.out[..self.js.len()];
+                eval.cost_if_swaps(perm, cost, a, &self.js, row);
+                for (&b, &new_cost) in self.js.iter().zip(row.iter()) {
+                    if offer(a, b, new_cost) {
+                        break 'rows;
+                    }
+                }
+            } else {
+                for b in partners {
+                    if offer(a, b, eval.cost_if_swap(perm, cost, a, b)) {
+                        break 'rows;
+                    }
+                }
+            }
+        }
+        (pick.map(|(a, b)| (a, b, best_cost)), scanned)
     }
 }
 
@@ -758,7 +672,11 @@ mod tests {
         let stop = StopControl::new();
         stop.request_stop();
         let mut p = Unsatisfiable { n: 8 };
-        let out = engine.solve_with_stop(&mut p, &mut rng(2), &stop);
+        let run = Run {
+            stop: Some(&stop),
+            ..Run::default()
+        };
+        let out = engine.run(&mut p, &mut rng(2), run);
         assert_eq!(out.reason, TerminationReason::ExternallyStopped);
         assert!(out.stats.iterations <= 1);
     }
@@ -773,7 +691,11 @@ mod tests {
         let engine = AdaptiveSearch::new(config);
         let stop = StopControl::with_timeout(std::time::Duration::ZERO);
         let mut p = Unsatisfiable { n: 8 };
-        let out = engine.solve_with_stop(&mut p, &mut rng(3), &stop);
+        let run = Run {
+            stop: Some(&stop),
+            ..Run::default()
+        };
+        let out = engine.run(&mut p, &mut rng(3), run);
         assert_eq!(out.reason, TerminationReason::TimedOut);
     }
 
@@ -793,6 +715,31 @@ mod tests {
         let mut u1 = Unsatisfiable { n: 1 };
         let outu = engine.solve(&mut u1, &mut rng(6));
         assert!(!outu.solved());
+    }
+
+    #[test]
+    fn trivial_sizes_report_their_only_configuration_to_the_observer() {
+        #[derive(Default)]
+        struct Bests(Vec<(u64, i64, Vec<usize>)>);
+        impl SearchObserver for Bests {
+            fn on_new_best(&mut self, iteration: u64, cost: i64, assignment: &[usize]) {
+                self.0.push((iteration, cost, assignment.to_vec()));
+            }
+        }
+        let engine = AdaptiveSearch::default();
+        for n in [0, 1] {
+            let mut bests = Bests::default();
+            let run = Run {
+                observer: Some(&mut bests),
+                ..Run::default()
+            };
+            let out = engine.run(&mut Unsatisfiable { n }, &mut rng(8), run);
+            assert_eq!(
+                bests.0,
+                vec![(0, out.best_cost, out.solution)],
+                "n = {n}: the initial cost at iteration 0 is the run's one best"
+            );
+        }
     }
 
     #[test]
@@ -935,13 +882,17 @@ mod tests {
     }
 
     #[test]
-    fn solve_from_uses_the_provided_initial_configuration() {
+    fn run_starts_from_the_provided_initial_configuration() {
         // Starting from the already-sorted permutation must finish with zero
         // iterations, whatever the seed.
         let engine = AdaptiveSearch::default();
+        let from = |initial| Run {
+            initial: Some(initial),
+            ..Run::default()
+        };
         let mut p = SortPermutation::new(12);
         let sorted: Vec<usize> = (0..12).collect();
-        let out = engine.solve_from(&mut p, &mut rng(77), &StopControl::new(), Some(&sorted));
+        let out = engine.run(&mut p, &mut rng(77), from(&sorted));
         assert!(out.solved());
         assert_eq!(out.stats.iterations, 0);
         assert_eq!(out.stats.swaps, 0);
@@ -949,7 +900,7 @@ mod tests {
         // Starting from the reverse permutation costs at least one swap.
         let mut p = SortPermutation::new(12);
         let reversed: Vec<usize> = (0..12).rev().collect();
-        let out = engine.solve_from(&mut p, &mut rng(77), &StopControl::new(), Some(&reversed));
+        let out = engine.run(&mut p, &mut rng(77), from(&reversed));
         assert!(out.solved());
         assert!(out.stats.swaps > 0);
     }
@@ -967,9 +918,11 @@ mod tests {
         let mut p1 = SortPermutation::new(24);
         let a = engine.solve(&mut p1, &mut rng(31));
         let mut p2 = SortPermutation::new(24);
-        let b = engine.solve_scheduled(&mut p2, &mut rng(31), &StopControl::new(), |r| {
-            config.restart_budget(r)
-        });
+        let run = Run {
+            budget: Some(&|r| config.restart_budget(r)),
+            ..Run::default()
+        };
+        let b = engine.run(&mut p2, &mut rng(31), run);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.solution, b.solution);
         assert_eq!(a.best_cost, b.best_cost);
@@ -984,9 +937,11 @@ mod tests {
         let engine = AdaptiveSearch::default();
         let budgets = [7u64, 11, 13];
         let mut p = Unsatisfiable { n: 8 };
-        let out = engine.solve_scheduled(&mut p, &mut rng(17), &StopControl::new(), |r| {
-            budgets.get(r as usize).copied()
-        });
+        let run = Run {
+            budget: Some(&|r| budgets.get(r as usize).copied()),
+            ..Run::default()
+        };
+        let out = engine.run(&mut p, &mut rng(17), run);
         assert!(!out.solved());
         assert_eq!(out.reason, TerminationReason::IterationBudgetExhausted);
         assert_eq!(out.stats.iterations, 7 + 11 + 13);
@@ -997,7 +952,11 @@ mod tests {
     fn scheduled_solve_with_an_empty_schedule_runs_nothing() {
         let engine = AdaptiveSearch::default();
         let mut p = Unsatisfiable { n: 6 };
-        let out = engine.solve_scheduled(&mut p, &mut rng(19), &StopControl::new(), |_| None);
+        let run = Run {
+            budget: Some(&|_| None),
+            ..Run::default()
+        };
+        let out = engine.run(&mut p, &mut rng(19), run);
         assert!(!out.solved());
         assert_eq!(out.stats.iterations, 0);
         assert_eq!(out.stats.restarts, 0);
@@ -1016,9 +975,11 @@ mod tests {
         let run = |budgets: &'static [u64], seed: u64| {
             let mut r = rng(seed);
             let mut p = Unsatisfiable { n: 8 };
-            let out = engine.solve_scheduled(&mut p, &mut r, &StopControl::new(), |i| {
-                budgets.get(i as usize).copied()
-            });
+            let run = Run {
+                budget: Some(&|i| budgets.get(i as usize).copied()),
+                ..Run::default()
+            };
+            let out = engine.run(&mut p, &mut r, run);
             (out, r.next_u64())
         };
         let (a, next_a) = run(&[10, 10], 23);
@@ -1043,7 +1004,7 @@ mod tests {
             fn on_restart(&mut self, restart: u64) {
                 self.restarts.push(restart);
             }
-            fn on_improvement(&mut self, iteration: u64, cost: i64) {
+            fn on_new_best(&mut self, iteration: u64, cost: i64, _assignment: &[usize]) {
                 self.improvements.push((iteration, cost));
             }
         }
@@ -1059,14 +1020,12 @@ mod tests {
 
         let mut trace = Trace::default();
         let mut p2 = SortPermutation::new(24);
-        let observed = engine.solve_observed(
-            &mut p2,
-            &mut rng(31),
-            &StopControl::new(),
-            None,
-            |r| config.restart_budget(r),
-            &mut trace,
-        );
+        let run = Run {
+            budget: Some(&|r| config.restart_budget(r)),
+            observer: Some(&mut trace),
+            ..Run::default()
+        };
+        let observed = engine.run(&mut p2, &mut rng(31), run);
 
         // observation is passive: identical trajectory and statistics
         assert_eq!(plain.stats, observed.stats);
@@ -1116,14 +1075,12 @@ mod tests {
 
         let mut profiler = Profiler::default();
         let mut p2 = SortPermutation::new(24);
-        let profiled = engine.solve_observed(
-            &mut p2,
-            &mut rng(31),
-            &StopControl::new(),
-            None,
-            |r| config.restart_budget(r),
-            &mut profiler,
-        );
+        let run = Run {
+            budget: Some(&|r| config.restart_budget(r)),
+            observer: Some(&mut profiler),
+            ..Run::default()
+        };
+        let profiled = engine.run(&mut p2, &mut rng(31), run);
 
         // Profiling is passive: bit-identical trajectory and statistics.
         assert_eq!(plain.stats, profiled.stats);
@@ -1144,10 +1101,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "length must match")]
-    fn solve_from_rejects_wrong_length() {
+    fn run_rejects_an_initial_configuration_of_the_wrong_length() {
         let engine = AdaptiveSearch::default();
         let mut p = SortPermutation::new(4);
-        let _ = engine.solve_from(&mut p, &mut rng(1), &StopControl::new(), Some(&[0, 1]));
+        let run = Run {
+            initial: Some(&[0, 1]),
+            ..Run::default()
+        };
+        let _ = engine.run(&mut p, &mut rng(1), run);
     }
 
     #[test]

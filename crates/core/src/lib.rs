@@ -38,7 +38,9 @@
 //!   `Cost_If_Swap` / `Executed_Swap` entry points).
 //! * [`SearchConfig`] — engine parameters (freeze duration, reset policy,
 //!   restart policy, plateau handling).
-//! * [`AdaptiveSearch`] — the solver itself.
+//! * [`AdaptiveSearch`] / [`Run`] — the solver itself, and what one run adds
+//!   to a plain solve (stop signal, first configuration, restart schedule,
+//!   observer).
 //! * [`SearchOutcome`] / [`SearchStats`] / [`TerminationReason`] — per-run
 //!   results and counters.
 //! * [`StopControl`] — cooperative termination (stop flag + monotonic
@@ -73,7 +75,7 @@ mod summary;
 
 pub use anytime::{BestSoFar, Incumbent};
 pub use config::{SearchConfig, SearchConfigBuilder};
-pub use engine::AdaptiveSearch;
+pub use engine::{AdaptiveSearch, Run};
 pub use evaluator::{Evaluator, EvaluatorFactory, IncrementalProfile};
 pub use observer::{NoObserver, SearchObserver, SearchPhase};
 pub use outcome::{SearchOutcome, SearchStats, TerminationReason};

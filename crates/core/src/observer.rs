@@ -4,9 +4,10 @@
 //! restarted, improved its best cost, finished) without the engine knowing
 //! anything about walks, channels or sinks.  [`SearchObserver`] is the
 //! engine-side half of that contract: a callback object handed to
-//! [`AdaptiveSearch::solve_observed`](crate::AdaptiveSearch::solve_observed)
-//! whose hooks fire on the *cold* edges of the search loop only — restart
-//! boundaries and strict best-cost improvements — never once per iteration.
+//! [`AdaptiveSearch::run`](crate::AdaptiveSearch::run) through
+//! [`Run::observer`](crate::Run::observer), whose hooks fire on the *cold*
+//! edges of the search loop only — restart boundaries and strict best-cost
+//! improvements — never once per iteration.
 //!
 //! Observation is strictly passive: an observer cannot influence the
 //! trajectory, the RNG stream or the statistics, so a run with any observer
@@ -17,14 +18,14 @@
 //! then wraps the three components of every iteration — candidate scan, swap
 //! execution, error projection (including partial resets) — in monotonic
 //! spans and reports each one through [`SearchObserver::on_phase`].  The
-//! opt-in is read once per solve call, so a declining observer costs the
+//! opt-in is read once per run, so a declining observer costs the
 //! hot loop a single branch per instrumented site and zero clock reads.
 
 use serde::{Deserialize, Serialize};
 
 /// One component of an engine iteration, as attributed by phase profiling.
 ///
-/// The three phases partition where `solve_inner` spends its time on the
+/// The three phases partition where `AdaptiveSearch::run` spends its time on the
 /// hot path; restart-boundary work (fresh permutations, initial projection)
 /// is deliberately unattributed — it is already observable through
 /// [`SearchObserver::on_restart`] and is not part of the per-iteration cost
@@ -83,7 +84,7 @@ impl SearchPhase {
 ///
 /// ```
 /// use as_rng::default_rng;
-/// use cbls_core::{AdaptiveSearch, Evaluator, SearchConfig, SearchObserver, StopControl};
+/// use cbls_core::{AdaptiveSearch, Evaluator, Run, SearchConfig, SearchObserver};
 ///
 /// // Cost = number of misplaced values; solved when sorted.
 /// struct Sort(usize);
@@ -104,7 +105,7 @@ impl SearchPhase {
 ///     restarts: u64,
 /// }
 /// impl SearchObserver for Trace {
-///     fn on_improvement(&mut self, _iteration: u64, cost: i64) {
+///     fn on_new_best(&mut self, _iteration: u64, cost: i64, _assignment: &[usize]) {
 ///         self.improvements.push(cost);
 ///     }
 ///     fn on_restart(&mut self, _restart: u64) {
@@ -113,16 +114,12 @@ impl SearchPhase {
 /// }
 ///
 /// let engine = AdaptiveSearch::new(SearchConfig::default());
-/// let config = engine.config().clone();
 /// let mut trace = Trace::default();
-/// let outcome = engine.solve_observed(
-///     &mut Sort(16),
-///     &mut default_rng(7),
-///     &StopControl::new(),
-///     None,
-///     |restart| config.restart_budget(restart),
-///     &mut trace,
-/// );
+/// let run = Run {
+///     observer: Some(&mut trace),
+///     ..Run::default()
+/// };
+/// let outcome = engine.run(&mut Sort(16), &mut default_rng(7), run);
 /// assert!(outcome.solved());
 /// // every recorded improvement is strictly better than the previous one
 /// assert!(trace.improvements.windows(2).all(|w| w[1] < w[0]));
@@ -137,19 +134,14 @@ pub trait SearchObserver {
     }
 
     /// The run's best cost strictly improved to `cost` (reached after
-    /// `iteration` engine iterations).  Fired at most once per distinct best
-    /// cost, including for the initial configuration's cost at iteration 0.
-    fn on_improvement(&mut self, iteration: u64, cost: i64) {
-        let _ = (iteration, cost);
-    }
-
-    /// The run's best *assignment* strictly improved: `assignment` realizes
-    /// `cost`, the new best.  Fired on the same cold edge as
-    /// [`on_improvement`](Self::on_improvement), immediately after it, with
-    /// the engine's updated best permutation.  The supervision layer uses
-    /// this to publish anytime incumbents into a
-    /// [`BestSoFar`](crate::BestSoFar) slot; like every hook it is passive
-    /// and must not retain the borrow.
+    /// `iteration` engine iterations), and `assignment` is the engine's new
+    /// best permutation realizing it.  Fired at most once per distinct best
+    /// cost, including for the initial configuration's cost at iteration 0
+    /// (problems of fewer than two variables report their only
+    /// configuration).  The telemetry stream turns it into an improvement
+    /// event and the supervision layer publishes it as an anytime incumbent
+    /// into a [`BestSoFar`](crate::BestSoFar) slot; like every hook it is
+    /// passive and must not retain the borrow.
     fn on_new_best(&mut self, iteration: u64, cost: i64, assignment: &[usize]) {
         let _ = (iteration, cost, assignment);
     }
@@ -165,17 +157,17 @@ pub trait SearchObserver {
 
     /// Whether this observer wants per-iteration phase spans.
     ///
-    /// The engine reads this **once** per solve call, before the first
+    /// The engine reads this **once** per run, before the first
     /// iteration; returning `false` (the default) reduces every instrumented
     /// site to a single predictable branch with no clock read.  The answer
-    /// must therefore be constant for the lifetime of one solve call.
+    /// must therefore be constant for the lifetime of one run.
     fn observes_phases(&self) -> bool {
         false
     }
 
     /// One phase span: the engine spent `elapsed_nanos` monotonic nanoseconds
     /// in `phase`.  Only fired when [`observes_phases`](Self::observes_phases)
-    /// returned `true` at the start of the solve call.  Like every hook this
+    /// returned `true` at the start of the run.  Like every hook this
     /// is passive and synchronous — implementations must stay cheap and
     /// alloc-free (the flight recorder funnels these into atomics).
     fn on_phase(&mut self, phase: SearchPhase, elapsed_nanos: u64) {
@@ -183,11 +175,11 @@ pub trait SearchObserver {
     }
 }
 
-/// The no-op observer: every hook compiles away.
+/// The no-op observer: every hook is empty.
 ///
-/// [`AdaptiveSearch::solve`](crate::AdaptiveSearch::solve) and the other
-/// observer-less entry points run with `NoObserver`, so adding the hook layer
-/// costs unobserved runs nothing.
+/// [`AdaptiveSearch::solve`](crate::AdaptiveSearch::solve), and every run
+/// whose [`Run::observer`](crate::Run::observer) is `None`, observes with
+/// `NoObserver`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoObserver;
 
@@ -203,7 +195,6 @@ mod tests {
         // every hook without effect.
         let mut obs = NoObserver;
         obs.on_restart(3);
-        obs.on_improvement(10, 42);
         obs.on_new_best(10, 42, &[1, 0]);
         obs.on_heartbeat(100);
         assert!(!obs.observes_phases());
@@ -213,7 +204,6 @@ mod tests {
         impl SearchObserver for Empty {}
         let mut empty = Empty;
         empty.on_restart(0);
-        empty.on_improvement(0, 0);
         empty.on_new_best(0, 0, &[]);
         empty.on_heartbeat(0);
         assert!(!empty.observes_phases());

@@ -159,9 +159,7 @@ impl Model {
             terms_of_var,
             occ: vec![0; slab],
             occ_off,
-            term_viol: vec![0; m],
             term_aux: vec![0; m],
-            dirty: vec![0; n],
             probe: ProbeScratch {
                 acc: RefCell::new(vec![0; n]),
                 stamps: RefCell::new(TermStamps {
@@ -204,9 +202,7 @@ struct ProbeScratch {
 /// All mutable search state lives in flat structure-of-arrays slabs owned
 /// here: the decoded value of every slot (`dvals`, maintained with two
 /// writes per executed swap), one shared occurrence slab sliced per term,
-/// the per-term violations and scalar state, and a per-slot count of
-/// violated terms (`dirty`) that powers the opt-in move-filtering row
-/// ([`ModelEvaluator::cost_if_swaps_filtered`]).
+/// and the per-term scalar state.
 #[derive(Clone)]
 pub struct ModelEvaluator {
     name: String,
@@ -220,12 +216,8 @@ pub struct ModelEvaluator {
     /// Shared occurrence slab; term `t` owns `occ[occ_off[t]..occ_off[t+1]]`.
     occ: Vec<u32>,
     occ_off: Vec<usize>,
-    /// Cached violation per term.
-    term_viol: Vec<i64>,
     /// Scalar term state (the running sum of a linear term).
     term_aux: Vec<i64>,
-    /// Number of currently violated terms containing each slot.
-    dirty: Vec<u32>,
     probe: ProbeScratch,
     /// Cached weighted violation of the current configuration.
     total: i64,
@@ -275,31 +267,6 @@ impl ModelEvaluator {
     #[must_use]
     pub fn terms_of(&self, slot: usize) -> &[u32] {
         &self.terms_of_var[slot]
-    }
-
-    /// The move-filtering probe row: when every term containing the anchor
-    /// `i` is satisfied (`dirty[i] == 0`), partners whose affected terms
-    /// all certify a zero delta (`Term::swap_keeps_satisfied`) are
-    /// answered without computing anything; everything else falls back to
-    /// exact scalar probes.  Bit-identical to [`Evaluator::cost_if_swaps`]
-    /// (the cross-check tests hold both paths equal), but measured slower
-    /// mid-search than the batch kernels — with tabulated/O(1) per-term
-    /// deltas a failed certificate pays a second full term walk — so the
-    /// trait hook no longer dispatches here.
-    pub fn cost_if_swaps_filtered(
-        &self,
-        perm: &[usize],
-        current_cost: i64,
-        i: usize,
-        js: &[usize],
-        out: &mut [i64],
-    ) {
-        self.debug_assert_current(perm);
-        if self.dirty[i] == 0 {
-            self.probe_row_filtered(current_cost, i, js, out);
-        } else {
-            self.probe_row_batched(current_cost, i, js, out);
-        }
     }
 
     /// The current decoded-value view (valid between `init` and the next
@@ -383,41 +350,6 @@ impl ModelEvaluator {
             out[k] = current_cost + acc[k] + extra;
         }
     }
-
-    /// The move-filtering probe row, taken by
-    /// [`Self::cost_if_swaps_filtered`] when every term containing the
-    /// anchor `i` is satisfied (`dirty[i] == 0`).  A probe whose partner is
-    /// also clean and whose affected terms all certify a zero delta
-    /// ([`Term::swap_keeps_satisfied`]) is answered as `current_cost`
-    /// without touching the term state; everything else falls back to the
-    /// exact scalar probe, so the filtered row is bit-identical to the
-    /// batched one.
-    fn probe_row_filtered(&self, current_cost: i64, i: usize, js: &[usize], out: &mut [i64]) {
-        let dv = self.dv();
-        let vi = dv.get(i);
-        for (k, &j) in js.iter().enumerate() {
-            if j == i || dv.get(j) == vi {
-                out[k] = current_cost;
-                continue;
-            }
-            if self.dirty[j] == 0 {
-                let mut all_zero = true;
-                self.for_each_affected_term(i, j, |t| {
-                    all_zero = all_zero
-                        && self.terms[t].swap_keeps_satisfied(dv, self.term_state(t), i, j);
-                });
-                if all_zero {
-                    out[k] = current_cost;
-                    continue;
-                }
-            }
-            let mut delta = 0;
-            self.for_each_affected_term(i, j, |t| {
-                delta += self.weights[t] * self.terms[t].delta_swap(dv, self.term_state(t), i, j);
-            });
-            out[k] = current_cost + delta;
-        }
-    }
 }
 
 impl Evaluator for ModelEvaluator {
@@ -437,9 +369,7 @@ impl Evaluator for ModelEvaluator {
             terms,
             occ,
             occ_off,
-            term_viol,
             term_aux,
-            dirty,
             total,
             ..
         } = self;
@@ -448,19 +378,13 @@ impl Evaluator for ModelEvaluator {
         let dv = Dv {
             dvals: dvals.as_slice(),
         };
-        dirty.iter_mut().for_each(|d| *d = 0);
         let mut sum = 0;
         for (t, term) in terms.iter().enumerate() {
             let st = TermStateMut {
                 occ: &mut occ[occ_off[t]..occ_off[t + 1]],
                 aux: &mut term_aux[t],
             };
-            let v = term.rebuild(dv, st);
-            term_viol[t] = v;
-            if v != 0 {
-                term.for_each_var(|s| dirty[s] += 1);
-            }
-            sum += weights[t] * v;
+            sum += weights[t] * term.rebuild(dv, st);
         }
         *total = sum;
         sum
@@ -515,13 +439,9 @@ impl Evaluator for ModelEvaluator {
     ) {
         self.debug_assert_current(perm);
         // Always the batch kernels: with tabulated/O(1) per-term deltas,
-        // certifying a zero delta (`probe_row_filtered`) costs more than
-        // computing it — on coloring-60x3 the filtered dispatch tripled
-        // mid-search scan time (the engine's worst *free* variable is
-        // usually clean because violated variables get frozen, and a failed
-        // certificate pays a second full term walk).  The filtered row
-        // stays available as `cost_if_swaps_filtered` and is held
-        // bit-identical by the cross-check tests.
+        // certifying a zero delta costs more than computing it — a
+        // move-filtering row tripled mid-search scan time on coloring-60x3
+        // and was deleted (see the README's negative result).
         self.probe_row_batched(current_cost, i, js, out);
     }
 
@@ -536,9 +456,7 @@ impl Evaluator for ModelEvaluator {
             terms_of_var,
             occ,
             occ_off,
-            term_viol,
             term_aux,
-            dirty,
             total,
             ..
         } = self;
@@ -560,18 +478,7 @@ impl Evaluator for ModelEvaluator {
                 occ: &mut occ[occ_off[t]..occ_off[t + 1]],
                 aux: &mut term_aux[t],
             };
-            let d = terms[t].apply_swap(dv, st, i, j);
-            if d != 0 {
-                let was = term_viol[t];
-                term_viol[t] += d;
-                // Maintain the violated-set projection onto slots.
-                if was == 0 {
-                    terms[t].for_each_var(|s| dirty[s] += 1);
-                } else if term_viol[t] == 0 {
-                    terms[t].for_each_var(|s| dirty[s] -= 1);
-                }
-                delta += weights[t] * d;
-            }
+            delta += weights[t] * terms[t].apply_swap(dv, st, i, j);
         });
         *total += delta;
     }
@@ -700,11 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn filtered_and_unfiltered_probes_agree() {
+    fn batched_and_scalar_probes_agree() {
         // Random walks over models with satisfied terms en route: at every
-        // step the default probe row (the batch kernels), the
-        // move-filtering row (which may take the certificate shortcut) and
-        // the scalar probes must agree bit for bit.
+        // step the probe row (the batch kernels) and the scalar probes must
+        // agree bit for bit.
         let repeats = || {
             Model::new("repeats", vec![0i64, 0, 0, 1, 1, 2])
                 .term(Term::min_separation([(0, 1), (2, 3), (4, 5)], 1))
@@ -722,18 +628,12 @@ mod tests {
             let mut cost = m.init(&perm);
             let js: Vec<usize> = (0..n).collect();
             let mut row = vec![0i64; n];
-            let mut row_filtered = vec![0i64; n];
             for step in 0..60 {
                 for i in 0..n {
                     m.cost_if_swaps(&perm, cost, i, &js, &mut row);
-                    m.cost_if_swaps_filtered(&perm, cost, i, &js, &mut row_filtered);
                     for (k, &j) in js.iter().enumerate() {
                         let scalar = m.cost_if_swap(&perm, cost, i, j);
                         assert_eq!(row[k], scalar, "batched row: step {step} i={i} j={j}");
-                        assert_eq!(
-                            row_filtered[k], scalar,
-                            "filtered row: step {step} i={i} j={j}"
-                        );
                     }
                 }
                 let (i, j) = (rng.index(n), rng.index(n));

@@ -1151,15 +1151,6 @@ impl Pairwise {
             }
         }
     }
-
-    /// Exact zero-delta certificate for the tabulated `MinSeparation` mode
-    /// (the probe itself, in O(deg(i))); `None` when no table is kept.
-    fn swap_keeps_satisfied(&self, dv: Dv, st: TermState, i: usize, j: usize) -> Option<bool> {
-        match (self.mode, self.table) {
-            (DistanceMode::MinSeparation(_), Some(_)) => Some(self.delta_swap(dv, st, i, j) == 0),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1742,25 +1733,6 @@ impl Term {
         }
     }
 
-    /// Exact zero-delta certificate: `true` guarantees
-    /// `delta_swap(dv, st, i, j) == 0`, so the probe may be skipped without
-    /// changing any observable value.  Conservative `false` (for the
-    /// families without a cheap certificate) only forfeits the shortcut.
-    pub(crate) fn swap_keeps_satisfied(&self, dv: Dv, st: TermState, i: usize, j: usize) -> bool {
-        match &self.kind {
-            // The sum — and therefore the deviation — is unchanged exactly
-            // when (c_i − c_j)(v_j − v_i) = 0.
-            Kind::Linear(t) => (t.coeff(i) - t.coeff(j)) * (dv.get(j) - dv.get(i)) == 0,
-            // The scalar probe is already O(1) here, so the certificate is
-            // the probe itself.
-            Kind::AllDiff(t) => t.delta_swap(dv, st, i, j) == 0,
-            // With the conflict table the min-separation probe is cheap
-            // enough to be its own certificate.
-            Kind::Pairwise(t) => t.swap_keeps_satisfied(dv, st, i, j).unwrap_or(false),
-            Kind::Count(_) => false,
-        }
-    }
-
     pub(crate) fn apply_swap(&self, dv_after: Dv, st: TermStateMut, i: usize, j: usize) -> i64 {
         match &self.kind {
             Kind::AllDiff(t) => t.apply_swap(dv_after, st, i, j),
@@ -1960,9 +1932,6 @@ mod tests {
                             assert_eq!(acc[k], 0, "{}: equal-value batch slot", t.family());
                         } else {
                             assert_eq!(acc[k], scalar, "{}: i={i} j={j}", t.family());
-                        }
-                        if t.swap_keeps_satisfied(dv, ctx.st(), i, j) {
-                            assert_eq!(scalar, 0, "{}: bad certificate i={i} j={j}", t.family());
                         }
                     }
                 }

@@ -30,7 +30,7 @@
 
 use as_rng::RandomSource;
 use cbls_core::{
-    AdaptiveSearch, EvaluatorFactory, SearchConfig, SearchStats, StopControl, TerminationReason,
+    AdaptiveSearch, EvaluatorFactory, Run, SearchConfig, SearchStats, TerminationReason,
 };
 use serde::{Deserialize, Serialize};
 
@@ -231,12 +231,11 @@ where
                 (None, None) => (None, false),
             };
 
-            let outcome = engine.solve_from(
-                &mut evaluator,
-                &mut state.rng,
-                &StopControl::new(),
-                initial.as_deref(),
-            );
+            let run = Run {
+                initial: initial.as_deref(),
+                ..Run::default()
+            };
+            let outcome = engine.run(&mut evaluator, &mut state.rng, run);
 
             if outcome.best_cost < state.best_cost {
                 state.best_cost = outcome.best_cost;

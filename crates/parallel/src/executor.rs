@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbls_core::{
-    monotonic_now, AdaptiveSearch, EvaluatorFactory, Incumbent, SearchConfig, SearchOutcome,
+    monotonic_now, AdaptiveSearch, EvaluatorFactory, Incumbent, Run, SearchConfig, SearchOutcome,
     SearchStats, StopControl, TerminationReason,
 };
 use serde::{Deserialize, Serialize};
@@ -98,8 +98,7 @@ impl WalkJob {
     }
 
     /// Drive the restart loop with an external budget schedule instead of
-    /// the configuration's fixed one (see
-    /// [`AdaptiveSearch::solve_scheduled`]).
+    /// the configuration's fixed one (see [`Run::budget`]).
     #[must_use]
     pub fn with_budget(
         mut self,
@@ -774,18 +773,13 @@ where
         }
         None => stop,
     };
-    let config = engine.config();
-    let outcome = engine.solve_observed(
-        &mut evaluator,
-        &mut rng,
-        stop,
-        None,
-        |restart| match &job.budget {
-            Some(budget) => budget(restart),
-            None => config.restart_budget(restart),
-        },
-        &mut observer,
-    );
+    let run = Run {
+        stop: Some(stop),
+        budget: job.budget.as_deref().map(|budget| budget as _),
+        observer: Some(&mut observer),
+        ..Run::default()
+    };
+    let outcome = engine.run(&mut evaluator, &mut rng, run);
     if stop_on_first_success && outcome.solved() {
         // Completion is the only message the walks ever exchange.
         stop.request_stop();
@@ -1011,7 +1005,7 @@ mod tests {
     #[test]
     fn scheduled_jobs_drive_the_restart_loop() {
         // A hopeless job with an explicit budget schedule consumes exactly
-        // the scheduled slices (same contract as solve_scheduled).
+        // the scheduled slices (same contract as `Run::budget`).
         let search = SearchConfig::default();
         let job = WalkJob::new(search)
             .with_label("sliced")

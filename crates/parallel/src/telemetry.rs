@@ -326,7 +326,7 @@ impl cbls_core::SearchObserver for WalkObserver<'_> {
         }
     }
 
-    fn on_improvement(&mut self, iteration: u64, cost: i64) {
+    fn on_new_best(&mut self, iteration: u64, cost: i64, assignment: &[usize]) {
         if let Some(sink) = self.sink {
             sink.record(&WalkEvent::ImprovedCost {
                 walk_id: self.walk_id,
@@ -334,9 +334,6 @@ impl cbls_core::SearchObserver for WalkObserver<'_> {
                 cost,
             });
         }
-    }
-
-    fn on_new_best(&mut self, _iteration: u64, cost: i64, assignment: &[usize]) {
         if let Some(supervision) = self.supervision {
             supervision.best().publish(self.walk_id, cost, assignment);
         }
@@ -469,7 +466,7 @@ mod tests {
             supervision: None,
         };
         obs.on_restart(1);
-        obs.on_improvement(17, 4);
+        obs.on_new_best(17, 4, &[1, 0]);
         let events = log.into_events();
         assert_eq!(
             events,
@@ -493,7 +490,7 @@ mod tests {
             supervision: None,
         };
         silent.on_restart(1);
-        silent.on_improvement(0, 0);
+        silent.on_new_best(0, 0, &[]);
         assert!(!silent.observes_phases());
         silent.on_phase(SearchPhase::CandidateScan, 1);
     }

@@ -8,8 +8,7 @@
 //!
 //! * [`schedule`] — [`RestartSchedule`]s ([`Schedule::fixed`],
 //!   [`Schedule::geometric`], [`Schedule::luby`]) driving the engine's
-//!   restart loop through
-//!   [`AdaptiveSearch::solve_scheduled`](cbls_core::AdaptiveSearch::solve_scheduled);
+//!   restart loop through [`Run::budget`](cbls_core::Run::budget);
 //! * [`Portfolio`] — heterogeneous multi-walk runs (walk index →
 //!   `(SearchConfig, Schedule)`).  A portfolio is a
 //!   [`WalkBatch`](cbls_parallel::WalkBatch) ([`Portfolio::batch`]) whose

@@ -15,7 +15,7 @@
 //!   1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ...
 //!
 //! A schedule plugs into the engine through
-//! [`AdaptiveSearch::solve_scheduled`](cbls_core::AdaptiveSearch::solve_scheduled):
+//! [`Run::budget`](cbls_core::Run::budget):
 //! the engine asks for the budget of restart 0, 1, 2, ... and stops when the
 //! schedule returns `None`.  The walk's random stream is *never* re-seeded
 //! between restarts, so two schedules over the same seed explore genuinely

@@ -442,14 +442,8 @@ impl Shared {
 /// pinned to the bit-reproducible iterations-first rule.
 fn build_prototype(bench: &Benchmark, walks: usize, iteration_budget: u64) -> WalkBatch {
     let config = bench.tuned_config();
-    let per_restart = config.max_iterations_per_restart.max(1);
     let jobs = (0..walks)
-        .map(|_| {
-            WalkJob::new(config.clone()).with_budget(move |restart| {
-                let used = restart.saturating_mul(per_restart);
-                (used < iteration_budget).then(|| per_restart.min(iteration_budget - used))
-            })
-        })
+        .map(|_| WalkJob::new(config.clone()).with_budget(config.sliced_budget(iteration_budget)))
         .collect();
     WalkBatch::new(WalkSeeds::new(0), jobs).with_winner_rule(WinnerRule::IterationsFirst)
 }

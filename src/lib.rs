@@ -64,7 +64,7 @@ pub use cbls_service as service;
 pub mod prelude {
     pub use as_rng::{default_rng, DefaultRng, RandomSource, SeedSequence};
     pub use cbls_core::{
-        AdaptiveSearch, BestSoFar, Evaluator, EvaluatorFactory, IncrementalProfile, Incumbent,
+        AdaptiveSearch, BestSoFar, Evaluator, EvaluatorFactory, IncrementalProfile, Incumbent, Run,
         SearchConfig, SearchOutcome, SearchStats, StopControl, Summary, TerminationReason,
     };
     pub use cbls_model::{Model, ModelEvaluator, Term};

@@ -34,7 +34,7 @@ fn sweep(benchmark: &Benchmark) {
     let mut perm = rng.permutation(n);
     let mut cost = evaluator.init(&perm);
 
-    // Engine-owned buffers, preallocated exactly like `solve_inner` does.
+    // Engine-owned buffers, preallocated exactly like `AdaptiveSearch::run` does.
     let mut touched: Vec<usize> = Vec::with_capacity(8 * n + 64);
     let mut errors = vec![0i64; n];
     let js: Vec<usize> = (0..n).collect();

@@ -96,7 +96,12 @@ fn engine_determinism_holds_with_external_stop_present() {
     let mut p2 = CostasArray::new(9);
     let engine = AdaptiveSearch::tuned_for(&p1);
     let plain = engine.solve(&mut p1, &mut default_rng(5));
-    let with_stop = engine.solve_with_stop(&mut p2, &mut default_rng(5), &StopControl::new());
+    let stop = StopControl::new();
+    let run = Run {
+        stop: Some(&stop),
+        ..Run::default()
+    };
+    let with_stop = engine.run(&mut p2, &mut default_rng(5), run);
     assert_eq!(plain.stats, with_stop.stats);
     assert_eq!(plain.solution, with_stop.solution);
 }
@@ -105,9 +110,10 @@ fn engine_determinism_holds_with_external_stop_present() {
 fn sample_collection_and_portfolio_replay_are_pinned() {
     // Per-walk outcomes recorded from the sample collector and the portfolio
     // replay as they stood before both moved onto the walk executor (the
-    // collector was a parallel map over `solve_with_stop`, the replay its own
-    // type).  Any drift here changes every figure.  Sample `i` is walk `i` of
-    // the collector's seed family, so its run index stands for its seed.
+    // collector was a parallel map over single-walk solves sharing a stop
+    // flag, the replay its own type).  Any drift here changes every figure.
+    // Sample `i` is walk `i` of the collector's seed family, so its run index
+    // stands for its seed.
     let bench = Benchmark::CostasArray(9);
     let config = ExperimentConfig {
         samples: 6,
@@ -160,24 +166,14 @@ fn wide_perfect_square_fixed_budget_trajectory_is_pinned() {
     let bench = Benchmark::PerfectSquareCsplib;
     let mut config = bench.tuned_config();
     config.target_cost = -1;
-    let per_restart = config.max_iterations_per_restart;
+    let budget = config.sliced_budget(2_000);
     let engine = AdaptiveSearch::new(config);
     let mut problem = bench.build();
-    let mut remaining: u64 = 2_000;
-    let out = engine.solve_scheduled(
-        &mut problem,
-        &mut default_rng(2012),
-        &StopControl::new(),
-        move |_restart| {
-            if remaining == 0 {
-                None
-            } else {
-                let slice = per_restart.min(remaining);
-                remaining -= slice;
-                Some(slice)
-            }
-        },
-    );
+    let run = Run {
+        budget: Some(&budget),
+        ..Run::default()
+    };
+    let out = engine.run(&mut problem, &mut default_rng(2012), run);
     assert_eq!(out.reason, TerminationReason::IterationBudgetExhausted);
     assert_eq!(
         out.stats,

@@ -97,7 +97,52 @@ fn dependent_walks_solve_the_cap_and_report_cooperation() {
     assert_eq!(result.best_cost, 0);
     let checker = CostasArray::new(10);
     assert!(Evaluator::verify(&checker, &result.solution));
-    assert!(result.stats.iterations > 0);
+    // Pinned: walk 0 solves inside the first segment.
+    assert_eq!(
+        (result.best_walk, result.segments, result.elite_adoptions),
+        (0, 1, 0)
+    );
+    assert_eq!(
+        result.stats,
+        SearchStats {
+            iterations: 250,
+            swaps: 143,
+            local_minima: 107,
+            plateau_moves: 75,
+            forced_moves: 0,
+            variables_marked: 107,
+            resets: 53,
+            restarts: 0,
+            swap_evaluations: 2250,
+        }
+    );
+    assert_eq!(result.solution, vec![1, 8, 7, 4, 2, 3, 6, 0, 9, 5]);
+
+    // 15-iteration segments: later segments restart every walk from an
+    // initial configuration (the perturbed elite or its own best), the only
+    // engine runs in the workspace that start from a given permutation.
+    let short = config.with_segment_iterations(15);
+    let result = run_dependent(&|| CostasArray::new(10), &short);
+    assert!(result.solved);
+    assert_eq!(
+        (result.best_walk, result.segments, result.elite_adoptions),
+        (1, 6, 3)
+    );
+    assert_eq!(
+        result.stats,
+        SearchStats {
+            iterations: 266,
+            swaps: 141,
+            local_minima: 125,
+            plateau_moves: 63,
+            forced_moves: 0,
+            variables_marked: 125,
+            resets: 59,
+            restarts: 0,
+            swap_evaluations: 2394,
+        }
+    );
+    assert_eq!(result.solution, vec![6, 9, 4, 1, 0, 5, 3, 7, 8, 2]);
 }
 
 #[test]
