@@ -231,11 +231,6 @@ impl SearchConfigBuilder {
         }
         self.config
     }
-
-    /// Finish building, returning an error on invalid parameters.
-    pub fn try_build(self) -> Result<SearchConfig, String> {
-        self.config.validate().map(|()| self.config)
-    }
 }
 
 #[cfg(test)]

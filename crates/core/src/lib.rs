@@ -52,7 +52,6 @@
 //! * [`BestSoFar`] / [`Incumbent`] — per-walk anytime publication of the
 //!   best assignment found so far, feeding the supervision layer's partial
 //!   results for faulted or deadline-expired batches.
-//! * [`Summary`] — descriptive statistics over repeated runs.
 //! * [`consistency`] — the evaluator consistency harness: randomized checks
 //!   of the incremental contract that every problem crate's tests call.
 
@@ -71,7 +70,6 @@ mod evaluator;
 mod observer;
 mod outcome;
 mod stop;
-mod summary;
 
 pub use anytime::{BestSoFar, Incumbent};
 pub use config::{SearchConfig, SearchConfigBuilder};
@@ -80,4 +78,3 @@ pub use evaluator::{Evaluator, EvaluatorFactory, IncrementalProfile};
 pub use observer::{NoObserver, SearchObserver, SearchPhase};
 pub use outcome::{SearchOutcome, SearchStats, TerminationReason};
 pub use stop::{monotonic_now, StopControl};
-pub use summary::Summary;

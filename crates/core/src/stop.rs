@@ -87,12 +87,6 @@ impl StopControl {
         }
     }
 
-    /// Attach a wall-clock deadline to this control.
-    #[must_use]
-    pub fn and_timeout(self, timeout: Duration) -> Self {
-        self.and_deadline(monotonic_now() + timeout)
-    }
-
     /// Attach a fixed monotonic deadline to this control.
     #[must_use]
     pub fn and_deadline(mut self, deadline: Instant) -> Self {

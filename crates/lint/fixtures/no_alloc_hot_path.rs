@@ -71,3 +71,15 @@ impl Evaluator for BatchedFixture {
         }
     }
 }
+
+// Owned copies, formatted strings and pre-sized buffers allocate too.
+impl Evaluator for OwningFixture {
+    fn cost_if_swap(&self, perm: &[usize], current: i64, i: usize, j: usize) -> i64 {
+        let name = self.label.to_string(); // line 78: .to_string()
+        let owned = perm.to_owned(); // line 79: .to_owned()
+        let text = format!("{i}-{j}"); // line 80: format!(..)
+        let mut buf = Vec::with_capacity(owned.len()); // line 81: Vec::with_capacity()
+        buf.push(name.len() + text.len());
+        current + buf[0] as i64
+    }
+}

@@ -11,7 +11,7 @@ struct LeakyPolicy {
 impl LeakyPolicy {
     fn admit(&self, depth: usize) -> bool {
         let reasons = vec!["full"]; // line 13: vec![..]
-        let echo = depth.to_string().clone(); // line 14: .clone()
+        let echo = depth.to_string().clone(); // line 14: .to_string(), .clone()
         let _ = (reasons, echo);
         depth < self.capacity
     }

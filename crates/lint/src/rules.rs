@@ -130,10 +130,17 @@ fn alloc_pattern(tokens: &[Token], i: usize) -> Option<&'static str> {
     let method = |name: &str| -> bool {
         tokens[i].is_punct('.') && tokens.get(i + 1).is_some_and(|t| t.is_ident(name))
     };
+    let macro_call = |name: &str| -> bool {
+        tokens[i].is_ident(name) && tokens.get(i + 1).is_some_and(|t| t.is_punct('!'))
+    };
     if path3("Vec", "new") {
         Some("Vec::new()")
-    } else if tokens[i].is_ident("vec") && tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) {
+    } else if path3("Vec", "with_capacity") {
+        Some("Vec::with_capacity()")
+    } else if macro_call("vec") {
         Some("vec![..]")
+    } else if macro_call("format") {
+        Some("format!(..)")
     } else if path3("Box", "new") {
         Some("Box::new()")
     } else if path3("String", "from") {
@@ -144,6 +151,10 @@ fn alloc_pattern(tokens: &[Token], i: usize) -> Option<&'static str> {
         Some(".clone()")
     } else if method("collect") {
         Some(".collect()")
+    } else if method("to_string") {
+        Some(".to_string()")
+    } else if method("to_owned") {
+        Some(".to_owned()")
     } else {
         None
     }

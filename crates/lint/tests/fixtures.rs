@@ -27,10 +27,10 @@ fn no_alloc_hot_path_fires_on_every_banned_shape() {
     // One finding per seeded allocation, at the seeded line, nothing else.
     assert_eq!(
         rule_lines(&findings, rules::NO_ALLOC_HOT_PATH),
-        vec![15, 16, 17, 22, 28, 33, 34, 68],
+        vec![15, 16, 17, 22, 28, 33, 34, 68, 78, 79, 80, 81],
         "findings: {findings:#?}"
     );
-    assert_eq!(findings.len(), 8, "findings: {findings:#?}");
+    assert_eq!(findings.len(), 12, "findings: {findings:#?}");
     let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
     for pattern in [
         ".to_vec()",
@@ -40,6 +40,10 @@ fn no_alloc_hot_path_fires_on_every_banned_shape() {
         "Box::new()",
         "String::from()",
         "vec![..]",
+        ".to_string()",
+        ".to_owned()",
+        "format!(..)",
+        "Vec::with_capacity()",
     ] {
         assert!(
             messages.iter().any(|m| m.contains(pattern)),
@@ -74,15 +78,16 @@ fn no_alloc_hot_path_guards_recording_methods() {
 #[test]
 fn no_alloc_hot_path_guards_the_service_admission_decision() {
     let findings = lint_fixture("service_admission.rs");
-    // One finding per seeded allocation inside the `admit` impl method,
-    // nothing from the near-miss helper (`admittance`), the escaped impl or
-    // the free function of the same name.
+    // One finding per seeded allocation inside the `admit` impl method
+    // (line 14 holds two: `.to_string()` and `.clone()`), nothing from the
+    // near-miss helper (`admittance`), the escaped impl or the free
+    // function of the same name.
     assert_eq!(
         rule_lines(&findings, rules::NO_ALLOC_HOT_PATH),
-        vec![13, 14],
+        vec![13, 14, 14],
         "findings: {findings:#?}"
     );
-    assert_eq!(findings.len(), 2, "findings: {findings:#?}");
+    assert_eq!(findings.len(), 3, "findings: {findings:#?}");
     assert!(rules::is_hot_path_fn("admit"));
     assert!(!rules::is_hot_path_fn("admittance"));
 }
@@ -92,7 +97,7 @@ fn no_alloc_hot_path_escapes_and_trait_defaults_are_clean() {
     let findings = lint_fixture("no_alloc_hot_path.rs");
     // The `Allowed` impl (escaped) and the trait default body contribute
     // nothing: all findings live in the `Fixture` impl (lines < 45) or the
-    // seeded `BatchedFixture` batched-row impl (lines >= 63).
+    // seeded `BatchedFixture` and `OwningFixture` impls (lines >= 63).
     assert!(
         findings.iter().all(|f| f.line < 45 || f.line >= 63),
         "findings leaked past the seeded impls: {findings:#?}"

@@ -33,7 +33,6 @@
 
 mod chrome;
 mod metrics;
-mod portfolio;
 mod recorder;
 mod service;
 mod summary;
@@ -46,7 +45,6 @@ pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use portfolio::PortfolioMetrics;
 pub use recorder::{FlightRecorder, RecorderConfig};
 pub use service::ServiceMetrics;
 pub use summary::{render_diff, render_summary};

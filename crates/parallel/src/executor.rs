@@ -331,12 +331,6 @@ impl BatchExecution {
     pub fn is_partial(&self) -> bool {
         self.degradation.is_some()
     }
-
-    /// The records that ended in a fault, in walk order.
-    #[must_use]
-    pub fn faulted_records(&self) -> Vec<&WalkRecord> {
-        self.records.iter().filter(|r| r.fault.is_some()).collect()
-    }
 }
 
 /// How a batch resolves its winner among the solved walks.

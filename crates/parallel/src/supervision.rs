@@ -2,7 +2,7 @@
 //! and per-walk kill switches.
 //!
 //! A [`Supervision`] table is the executor-side half of the resilience
-//! contract (the policy half — retries, backoff, watchdog cadence — lives in
+//! contract (the policy half — retries, watchdog cadence — lives in
 //! `cbls-resilience`).  One table is sized for one batch and carries, per
 //! walk:
 //!

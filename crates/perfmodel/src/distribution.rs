@@ -174,8 +174,7 @@ impl EmpiricalDistribution {
 
     /// Monte-Carlo estimate of the expected minimum of `p` draws, using
     /// `rounds` resampling rounds.  Provided as an independent cross-check of
-    /// [`expected_min_of`](Self::expected_min_of) (used by the tests and the
-    /// EXPERIMENTS notebook).
+    /// [`expected_min_of`](Self::expected_min_of).
     #[must_use]
     pub fn expected_min_of_monte_carlo<R: RandomSource + ?Sized>(
         &self,
@@ -196,12 +195,6 @@ impl EmpiricalDistribution {
             total += min;
         }
         total / rounds as f64
-    }
-
-    /// Fit an exponential distribution by matching the mean.
-    #[must_use]
-    pub fn fit_exponential(&self) -> f64 {
-        self.mean()
     }
 
     /// Fit a shifted exponential `shift + Exp(scale)` by matching the minimum
@@ -322,78 +315,12 @@ impl DistributionAccumulator {
         }
     }
 
-    /// Sample mean (`None` while empty).
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Sample standard deviation: `None` while empty, `Some(0.0)` for a
-    /// single observation.  The `n - 1` divisor is guarded — one sample used
-    /// to produce `0.0 / 0.0 = NaN`, which propagated silently through
-    /// [`coefficient_of_variation`](Self::coefficient_of_variation) into the
-    /// speedup predictor.
-    #[must_use]
-    pub fn std_dev(&self) -> Option<f64> {
-        let n = self.samples.len();
-        if n == 0 {
-            return None;
-        }
-        if n < 2 {
-            return Some(0.0);
-        }
-        let mean = self.mean().expect("non-empty");
-        let var = self
-            .samples
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / (n as f64 - 1.0);
-        Some(var.sqrt())
-    }
-
-    /// Coefficient of variation (`std_dev / mean`): `None` while empty,
-    /// `Some(0.0)` for a single observation or a zero mean — never NaN.
-    #[must_use]
-    pub fn coefficient_of_variation(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let sd = self.std_dev()?;
-        Some(if mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            sd / mean
-        })
-    }
-
-    /// Nearest-rank quantile of the observations (`None` while empty — the
-    /// sorted index used to hit `clamp(1, 0)` and panic on a cold
-    /// accumulator).
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        Some(self.distribution()?.quantile(q))
-    }
-
-    /// Median (`None` while empty).
-    #[must_use]
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Empirical CDF at `x` (`None` while empty).
-    #[must_use]
-    pub fn cdf(&self, x: f64) -> Option<f64> {
-        Some(self.distribution()?.cdf(x))
-    }
-
     /// Quote the runtime of a `walks`-walk batch from the recorded
     /// distribution: the expected minimum of `walks` independent draws (the
     /// paper's parallel run time), a pessimistic p95, and the CoV that says
     /// how much to trust the point estimate.  `None` while the accumulator
-    /// is cold — the caller (admission control in `cbls-service`) falls back
-    /// to FIFO ordering rather than inventing a number.
+    /// is cold — the caller (admission control in `cbls-service`) then sends
+    /// no quote rather than inventing a number.
     #[must_use]
     pub fn quote(&self, walks: usize) -> Option<RuntimeQuote> {
         let dist = self.distribution()?;
@@ -409,10 +336,9 @@ impl DistributionAccumulator {
 /// A runtime quote derived from a recorded distribution: what a batch of
 /// independent walks is expected to cost, quoted at admission time.
 ///
-/// Produced by [`DistributionAccumulator::quote`]; consumed by the
-/// `cbls-service` admission queue (smallest-quoted-first fairness) and
-/// surfaced to clients so they can size budgets and deadlines.  All fields
-/// are finite for any non-empty accumulator.
+/// Produced by [`DistributionAccumulator::quote`] and sent to clients in
+/// the `cbls-service` `Admitted` frame, so they can size budgets and
+/// deadlines.  All fields are finite for any non-empty accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeQuote {
     /// How many observations back the quote.
@@ -567,34 +493,21 @@ mod tests {
 
     // Regression: an empty accumulator used to panic inside `quantile` —
     // the nearest-rank index computed `clamp(1, 0)`, violating `clamp`'s
-    // `min <= max` precondition.  Every statistic is now a clean `None`.
+    // `min <= max` precondition.  A cold accumulator now quotes nothing.
     #[test]
     fn empty_accumulator_statistics_are_none() {
         let acc = DistributionAccumulator::new();
-        assert_eq!(acc.quantile(0.5), None);
-        assert_eq!(acc.median(), None);
-        assert_eq!(acc.mean(), None);
-        assert_eq!(acc.std_dev(), None);
-        assert_eq!(acc.coefficient_of_variation(), None);
-        assert_eq!(acc.cdf(1.0), None);
+        assert!(acc.distribution().is_none());
         assert!(acc.quote(4).is_none());
     }
 
     // Regression: a single sample used to yield `std_dev = sqrt(0/0) = NaN`,
     // which flowed through the CoV into the speedup predictor without ever
-    // tripping an assertion.  Pin every statistic at n == 1.
+    // tripping an assertion.  Pin the quote at n == 1.
     #[test]
     fn single_sample_accumulator_statistics_are_finite() {
         let mut acc = DistributionAccumulator::new();
         acc.record(7.0);
-        assert_eq!(acc.mean(), Some(7.0));
-        assert_eq!(acc.std_dev(), Some(0.0));
-        assert_eq!(acc.coefficient_of_variation(), Some(0.0));
-        assert_eq!(acc.quantile(0.0), Some(7.0));
-        assert_eq!(acc.quantile(1.0), Some(7.0));
-        assert_eq!(acc.median(), Some(7.0));
-        assert_eq!(acc.cdf(6.9), Some(0.0));
-        assert_eq!(acc.cdf(7.0), Some(1.0));
         let quote = acc.quote(8).expect("one sample quotes");
         assert_eq!(quote.samples, 1);
         assert_eq!(quote.expected, 7.0);
@@ -607,23 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_statistics_match_the_distribution_snapshot() {
-        let mut acc = DistributionAccumulator::new();
-        for c in [4u64, 1, 3, 2] {
-            acc.record_count(c);
-        }
-        let dist = acc.distribution().expect("non-empty");
-        assert_eq!(acc.mean(), Some(dist.mean()));
-        assert_eq!(acc.std_dev(), Some(dist.std_dev()));
-        assert_eq!(
-            acc.coefficient_of_variation(),
-            Some(dist.coefficient_of_variation())
-        );
-        assert_eq!(acc.median(), Some(dist.median()));
-        assert_eq!(acc.cdf(2.5), Some(dist.cdf(2.5)));
-    }
-
-    #[test]
     fn quotes_shrink_with_walk_count() {
         let mut acc = DistributionAccumulator::new();
         for c in [100u64, 200, 400, 800] {
@@ -631,7 +527,7 @@ mod tests {
         }
         let one = acc.quote(1).unwrap();
         let eight = acc.quote(8).unwrap();
-        assert_eq!(one.expected, acc.mean().unwrap());
+        assert_eq!(one.expected, acc.distribution().unwrap().mean());
         assert!(eight.expected < one.expected);
         assert_eq!(one.p95, 800.0);
         // quote(0) is clamped to a single walk rather than asserting

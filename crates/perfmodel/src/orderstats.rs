@@ -11,9 +11,8 @@
 //!   speedup saturates at `(s + m) / s` — the bending curves of Figures 1
 //!   and 2.
 //!
-//! These functions are used by the tests (to validate the empirical order
-//! statistics) and by the EXPERIMENTS analysis (to explain *why* each
-//! benchmark's curve has its shape).
+//! The tests use these functions to validate the empirical order
+//! statistics.
 
 /// Expected minimum of `p` i.i.d. exponential variables with the given mean.
 #[must_use]

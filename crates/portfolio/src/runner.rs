@@ -169,6 +169,10 @@ mod tests {
         let labels: Vec<&str> = stats.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, vec!["fixed", "luby", "geom"]);
         assert_eq!(stats.iter().map(|s| s.walks).sum::<usize>(), 4);
+        assert_eq!(
+            stats.iter().map(|s| s.iterations).sum::<u64>(),
+            result.total_iterations()
+        );
         assert_eq!(stats.iter().filter(|s| s.won).count(), 1);
     }
 

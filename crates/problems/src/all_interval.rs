@@ -67,12 +67,6 @@ impl AllInterval {
         }
     }
 
-    /// Series length `n`.
-    #[must_use]
-    pub fn series_length(&self) -> usize {
-        self.n
-    }
-
     #[inline]
     fn diff(perm: &[usize], pair: usize) -> usize {
         perm[pair].abs_diff(perm[pair + 1])

@@ -15,8 +15,8 @@
 //!   seed streams (attempt `a` of walk `w` draws
 //!   [`WalkSeeds::seed_of_attempt(w, a)`](cbls_parallel::WalkSeeds::seed_of_attempt),
 //!   bit-reproducible on every back-end);
-//! * [`RetryPolicy`] — bounded attempts, exponential backoff with
-//!   deterministic seed-derived jitter, deadline budget carried over;
+//! * [`RetryPolicy`] — bounded attempts; a retry starts at once and runs
+//!   within the batch's remaining deadline;
 //! * [`FaultPlan`] / [`ChaosFactory`] — a seeded fault-injection harness
 //!   that makes a wrapped evaluator panic or stall at the `k`-th cost probe
 //!   of a chosen `(walk, attempt)`, deterministically across the

@@ -1,36 +1,20 @@
-//! Retry policies: bounded attempts with deterministic exponential backoff.
-
-use std::time::Duration;
-
-use cbls_parallel::WalkSeeds;
+//! Retry policies: a bound on the attempts per walk.
 
 /// How a [`Supervisor`](crate::Supervisor) reschedules faulted walks.
 ///
 /// `max_attempts` counts *total* attempts per walk including the original
-/// run, so `max_attempts == 1` disables retries.  The backoff before retry
-/// `a` (1-based) is `base * 2^(a-1)` plus a deterministic jitter in
-/// `[0, jitter]` derived from the retry stream's own seed — reproducible
-/// for a fixed master seed, yet decorrelated across walks and attempts.
+/// run, so `max_attempts == 1` disables retries.  A retry starts as soon as
+/// its fault is classified: compute faults gain nothing from waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per walk, including the original run (minimum 1).
     pub max_attempts: u32,
-    /// Base backoff before the first retry; doubles every further retry.
-    pub base_backoff: Duration,
-    /// Upper bound of the deterministic seed-derived jitter added to each
-    /// backoff.
-    pub jitter: Duration,
 }
 
 impl Default for RetryPolicy {
-    /// Three total attempts, no backoff — the right default for compute
-    /// faults, where waiting buys nothing.
+    /// Three total attempts.
     fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            base_backoff: Duration::ZERO,
-            jitter: Duration::ZERO,
-        }
+        Self { max_attempts: 3 }
     }
 }
 
@@ -38,52 +22,15 @@ impl RetryPolicy {
     /// No retries: every fault is terminal.
     #[must_use]
     pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            jitter: Duration::ZERO,
-        }
+        Self { max_attempts: 1 }
     }
 
-    /// Up to `retries` retries per walk (so `retries + 1` total attempts),
-    /// without backoff.
+    /// Up to `retries` retries per walk (so `retries + 1` total attempts).
     #[must_use]
     pub fn retries(retries: u32) -> Self {
         Self {
             max_attempts: retries.saturating_add(1).max(1),
-            base_backoff: Duration::ZERO,
-            jitter: Duration::ZERO,
         }
-    }
-
-    /// Attach an exponential backoff with the given base and jitter bound.
-    #[must_use]
-    pub fn with_backoff(mut self, base: Duration, jitter: Duration) -> Self {
-        self.base_backoff = base;
-        self.jitter = jitter;
-        self
-    }
-
-    /// The backoff to wait before launching retry `attempt` (1-based) of
-    /// walk `walk_id`: `base * 2^(attempt-1)` plus a jitter in
-    /// `[0, jitter]` that is a pure function of `(seeds, walk_id, attempt)`.
-    #[must_use]
-    pub fn backoff_for(&self, seeds: WalkSeeds, walk_id: usize, attempt: u32) -> Duration {
-        if attempt == 0 {
-            return Duration::ZERO;
-        }
-        let doubled = self
-            .base_backoff
-            .saturating_mul(2u32.saturating_pow(attempt.saturating_sub(1).min(16)));
-        let jitter_nanos = u64::try_from(self.jitter.as_nanos()).unwrap_or(u64::MAX);
-        if jitter_nanos == 0 {
-            return doubled;
-        }
-        // Deterministic jitter: reuse the retry stream's own derived seed,
-        // so the wait is reproducible without consuming any RNG state the
-        // walk itself will draw.
-        let draw = seeds.seed_of_attempt(walk_id, attempt) % (jitter_nanos + 1);
-        doubled.saturating_add(Duration::from_nanos(draw))
     }
 }
 
@@ -92,10 +39,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_retries_twice_without_backoff() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.max_attempts, 3);
-        assert_eq!(policy.backoff_for(WalkSeeds::new(1), 0, 1), Duration::ZERO);
+    fn default_retries_twice() {
+        assert_eq!(RetryPolicy::default().max_attempts, 3);
     }
 
     #[test]
@@ -103,38 +48,5 @@ mod tests {
         assert_eq!(RetryPolicy::none().max_attempts, 1);
         assert_eq!(RetryPolicy::retries(0).max_attempts, 1);
         assert_eq!(RetryPolicy::retries(4).max_attempts, 5);
-    }
-
-    #[test]
-    fn backoff_doubles_per_attempt() {
-        let policy =
-            RetryPolicy::retries(4).with_backoff(Duration::from_millis(10), Duration::ZERO);
-        assert_eq!(
-            policy.backoff_for(WalkSeeds::new(7), 2, 1),
-            Duration::from_millis(10)
-        );
-        assert_eq!(
-            policy.backoff_for(WalkSeeds::new(7), 2, 2),
-            Duration::from_millis(20)
-        );
-        assert_eq!(
-            policy.backoff_for(WalkSeeds::new(7), 2, 3),
-            Duration::from_millis(40)
-        );
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::retries(2)
-            .with_backoff(Duration::from_millis(5), Duration::from_millis(3));
-        let seeds = WalkSeeds::new(2012);
-        let a = policy.backoff_for(seeds, 1, 1);
-        let b = policy.backoff_for(seeds, 1, 1);
-        assert_eq!(a, b);
-        assert!(a >= Duration::from_millis(5));
-        assert!(a <= Duration::from_millis(8));
-        // different attempts draw different jitters (with these seeds)
-        let c = policy.backoff_for(seeds, 1, 2);
-        assert!(c >= Duration::from_millis(10) && c <= Duration::from_millis(13));
     }
 }

@@ -14,7 +14,7 @@
 //! 2. a **retry loop** reschedules faulted walks as single-walk batches
 //!    pinned to the deterministically rederived stream of `(walk, attempt)`
 //!    ([`WalkSeeds::seed_of_attempt`]), under the [`RetryPolicy`]'s attempt
-//!    bound and backoff, with the original batch deadline carried over;
+//!    bound, with the original batch deadline carried over;
 //! 3. **anytime degradation**: after merging retries, the winner, incumbent
 //!    and degradation reason are recomputed over the final records, so a
 //!    partially-faulted or deadline-expired batch still reports its best
@@ -114,7 +114,7 @@ impl SupervisedExecution {
 pub struct Supervisor<X> {
     executor: X,
     policy: RetryPolicy,
-    watchdog: Option<WatchdogConfig>,
+    watchdog: WatchdogConfig,
 }
 
 impl<X: WalkExecutor> Supervisor<X> {
@@ -123,7 +123,7 @@ impl<X: WalkExecutor> Supervisor<X> {
         Self {
             executor,
             policy: RetryPolicy::default(),
-            watchdog: Some(WatchdogConfig::default()),
+            watchdog: WatchdogConfig::default(),
         }
     }
 
@@ -137,14 +137,7 @@ impl<X: WalkExecutor> Supervisor<X> {
     /// Replace the watchdog cadence.
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Disable the stall watchdog (panics are still isolated and retried).
-    #[must_use]
-    pub fn without_watchdog(mut self) -> Self {
-        self.watchdog = None;
+        self.watchdog = watchdog;
         self
     }
 
@@ -224,16 +217,10 @@ impl<X: WalkExecutor> Supervisor<X> {
         let seeds = batch.seeds();
         let mut attempt = execution.records[walk_id].attempt;
         while attempt + 1 < self.policy.max_attempts {
-            let remaining = match deadline {
-                Some(d) => {
-                    let left = d.saturating_duration_since(monotonic_now());
-                    if left.is_zero() {
-                        break; // deadline exhausted: give up on this walk
-                    }
-                    Some(left)
-                }
-                None => None,
-            };
+            let left = deadline.map(|d| d.saturating_duration_since(monotonic_now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                break; // deadline exhausted: give up on this walk
+            }
             attempt += 1;
             let seed = seeds.seed_of_attempt(walk_id, attempt);
             if let Some(sink) = sink {
@@ -243,21 +230,11 @@ impl<X: WalkExecutor> Supervisor<X> {
                     seed,
                 });
             }
-            let backoff = self.policy.backoff_for(seeds, walk_id, attempt);
-            if !backoff.is_zero() {
-                thread::sleep(match remaining {
-                    Some(left) => backoff.min(left),
-                    None => backoff,
-                });
-            }
 
             let job = batch.jobs()[walk_id].clone().with_stream(walk_id, attempt);
             let mut retry_batch =
                 WalkBatch::new(seeds, vec![job]).with_winner_rule(batch.winner_rule());
-            if let Some(left) = deadline.map(|d| d.saturating_duration_since(monotonic_now())) {
-                if left.is_zero() {
-                    break;
-                }
+            if let Some(left) = left {
                 retry_batch = retry_batch.with_timeout(left);
             }
             // Retry passes run without the outer sink: the walk's lifecycle
@@ -290,8 +267,8 @@ impl<X: WalkExecutor> Supervisor<X> {
         }
     }
 
-    /// One supervised executor pass under the watchdog (if configured),
-    /// with killed-and-unsolved walks classified as stalled.
+    /// One supervised executor pass under the watchdog, with
+    /// killed-and-unsolved walks classified as stalled.
     fn guarded_pass<F>(
         &self,
         factory: &F,
@@ -302,27 +279,22 @@ impl<X: WalkExecutor> Supervisor<X> {
         F: EvaluatorFactory,
     {
         let supervision = Supervision::new(batch.walks());
-        let mut execution = match self.watchdog {
-            Some(watchdog) => thread::scope(|scope| {
-                let (pass_running, pass_over) = mpsc::channel::<()>();
-                let guard = scope.spawn(|| watch(&supervision, watchdog, pass_over));
-                let execution =
-                    self.executor
-                        .execute_supervised(factory, batch, sink, &supervision);
-                // Dropping the sender wakes the watchdog and ends it.  If the
-                // pass unwinds instead, the sender drops with this frame, so
-                // the scope's join cannot wait on a watchdog that polls on.
-                drop(pass_running);
-                match guard.join() {
-                    Ok(()) => {}
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-                execution
-            }),
-            None => self
+        let mut execution = thread::scope(|scope| {
+            let (pass_running, pass_over) = mpsc::channel::<()>();
+            let guard = scope.spawn(|| watch(&supervision, self.watchdog, pass_over));
+            let execution = self
                 .executor
-                .execute_supervised(factory, batch, sink, &supervision),
-        };
+                .execute_supervised(factory, batch, sink, &supervision);
+            // Dropping the sender wakes the watchdog and ends it.  If the
+            // pass unwinds instead, the sender drops with this frame, so the
+            // scope's join cannot wait on a watchdog that polls on.
+            drop(pass_running);
+            match guard.join() {
+                Ok(()) => {}
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+            execution
+        });
         classify_stalls(&mut execution, &supervision, sink);
         execution
     }

@@ -11,8 +11,6 @@
 //! * [`SplitMix64`] — seed expansion and cheap stateless stream derivation,
 //! * [`Xoshiro256PlusPlus`] — the default engine generator (fast, 256-bit
 //!   state, excellent statistical quality),
-//! * [`Pcg32`] — a second, independent family used by tests and by the
-//!   performance model so that model noise is uncorrelated with search noise,
 //! * [`SeedSequence`] — derivation of per-walk seeds from a master seed, the
 //!   way the paper launches `p` independent search engines,
 //! * [`RandomSource`] — the trait the engine is generic over, with uniform
@@ -36,14 +34,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pcg;
 mod sample;
 mod seed;
 mod source;
 mod splitmix;
 mod xoshiro;
 
-pub use pcg::Pcg32;
 pub use sample::{exponential, shifted_exponential, standard_normal};
 pub use seed::SeedSequence;
 pub use source::RandomSource;

@@ -63,13 +63,6 @@ impl SeedSequence {
         self.counter += 1;
         s
     }
-
-    /// Hand out the next 64-bit seed and advance the cursor.
-    pub fn next_u64_seed(&mut self) -> u64 {
-        let s = Self::u64_seed_for(self.master, self.counter);
-        self.counter += 1;
-        s
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! properties run over a deterministic sweep: a grid of seeds (including the
 //! edge seeds 0 and `u64::MAX`) crossed with characteristic parameter values.
 
-use as_rng::{default_rng, Pcg32, RandomSource, SeedSequence, SplitMix64, Xoshiro256PlusPlus};
+use as_rng::{default_rng, RandomSource, SeedSequence, SplitMix64, Xoshiro256PlusPlus};
 
 /// Seeds covering the edges plus a spread of "typical" values.
 fn seed_grid() -> Vec<u64> {
@@ -112,16 +112,12 @@ fn seed_sequence_is_stable() {
     }
 }
 
-/// The three generator families are deterministic given their seed.
+/// Both generator families are deterministic given their seed.
 #[test]
 fn generators_are_deterministic() {
     for seed in seed_grid() {
         let mut a = Xoshiro256PlusPlus::from_u64_seed(seed);
         let mut b = Xoshiro256PlusPlus::from_u64_seed(seed);
-        assert_eq!(a.next_u64(), b.next_u64());
-
-        let mut a = Pcg32::from_u64_seed(seed);
-        let mut b = Pcg32::from_u64_seed(seed);
         assert_eq!(a.next_u64(), b.next_u64());
 
         let mut a = SplitMix64::new(seed);

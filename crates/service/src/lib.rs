@@ -17,8 +17,8 @@
 //!   are bit-identical to a direct executor run
 //!   ([`SolveService::batch_for`] is the audit path);
 //! * admission quotes come from `cbls-perfmodel`'s runtime distributions,
-//!   warmed by completed jobs, and drive the
-//!   [`Fairness::SmallestQuotedFirst`] queue policy;
+//!   warmed by completed jobs; a quote informs the client and does not
+//!   reorder the FIFO queue;
 //! * service health is a `cbls-obs` instrument set
 //!   ([`ServiceMetrics`](cbls_obs::ServiceMetrics)), exposed as a snapshot
 //!   via [`SolveService::metrics`].
@@ -38,74 +38,6 @@ mod queue;
 mod service;
 mod wire;
 
-pub use queue::{AdmissionError, Fairness};
+pub use queue::AdmissionError;
 pub use service::{CompletedJob, JobHandle, ServiceConfig, SolveService};
 pub use wire::{JobEvent, JobResult, ProgressFrame, SolveRequest, WIRE_SCHEMA};
-
-#[cfg(test)]
-mod queue_tests {
-    use std::sync::mpsc;
-
-    use cbls_core::monotonic_now;
-
-    use crate::queue::{Fairness, QueueState};
-    use crate::service::QueuedJob;
-    use crate::SolveRequest;
-
-    fn job(job_id: u64, quote_expected: Option<f64>) -> QueuedJob {
-        let (events, _) = mpsc::channel();
-        let (done, _) = mpsc::sync_channel(1);
-        QueuedJob {
-            job_id,
-            request: SolveRequest::new("queens-12", 1, 1_000),
-            quote_expected,
-            enqueued: monotonic_now(),
-            events,
-            done,
-        }
-    }
-
-    fn drain(state: &mut QueueState, fairness: Fairness) -> Vec<u64> {
-        let mut order = Vec::new();
-        while let Some(job) = state.pop_next(fairness) {
-            order.push(job.job_id);
-        }
-        order
-    }
-
-    #[test]
-    fn fifo_dequeues_in_arrival_order() {
-        let mut state = QueueState::default();
-        for (id, quote) in [(0, Some(9.0)), (1, None), (2, Some(1.0))] {
-            state.jobs.push_back(job(id, quote));
-        }
-        assert_eq!(drain(&mut state, Fairness::Fifo), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn smallest_quoted_first_orders_by_quote_with_unquoted_last() {
-        let mut state = QueueState::default();
-        for (id, quote) in [
-            (0, None),
-            (1, Some(500.0)),
-            (2, Some(20.0)),
-            (3, None),
-            (4, Some(500.0)),
-        ] {
-            state.jobs.push_back(job(id, quote));
-        }
-        // Smallest quote first; equal quotes and the unquoted tail keep
-        // arrival order.
-        assert_eq!(
-            drain(&mut state, Fairness::SmallestQuotedFirst),
-            vec![2, 1, 4, 0, 3]
-        );
-    }
-
-    #[test]
-    fn popping_an_empty_queue_is_none_under_both_policies() {
-        let mut state = QueueState::default();
-        assert!(state.pop_next(Fairness::Fifo).is_none());
-        assert!(state.pop_next(Fairness::SmallestQuotedFirst).is_none());
-    }
-}

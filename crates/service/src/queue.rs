@@ -1,5 +1,5 @@
-//! The bounded admission queue: capacity enforcement and the fairness
-//! policies that decide which waiting job a freed worker picks next.
+//! The bounded admission queue: capacity enforcement and arrival-order
+//! dequeue.
 //!
 //! Admission is a two-gate pipeline.  The first gate is *validation* (an
 //! unknown benchmark id can never run, so it is rejected before touching the
@@ -8,12 +8,7 @@
 //! `no-alloc-hot-path` rule, so a burst of rejected requests costs nothing
 //! but an atomic counter bump per request.
 //!
-//! Dequeue order is a [`Fairness`] policy.  FIFO is the throughput-neutral
-//! default; smallest-quoted-first uses the runtime quotes `cbls-perfmodel`
-//! derives from completed jobs to let short jobs overtake long ones — the
-//! classic shortest-job-first latency win, bounded here by the queue
-//! capacity so long jobs cannot starve indefinitely (a full queue admits
-//! nothing new to overtake them).
+//! A freed worker takes the oldest waiting job: the queue is FIFO.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -21,18 +16,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::service::QueuedJob;
-
-/// Which waiting job a freed worker dequeues next.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Fairness {
-    /// Strict arrival order.
-    #[default]
-    Fifo,
-    /// The job with the smallest quoted expected runtime first; jobs
-    /// without a quote (no history yet for their benchmark) queue behind
-    /// quoted ones, ties broken by arrival order.
-    SmallestQuotedFirst,
-}
 
 /// Why a [`SolveRequest`](crate::SolveRequest) was rejected at admission.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,32 +80,4 @@ impl AdmissionPolicy {
 pub(crate) struct QueueState {
     pub(crate) jobs: VecDeque<QueuedJob>,
     pub(crate) closed: bool,
-}
-
-impl QueueState {
-    /// Dequeue the next job under `fairness`, or `None` when the queue is
-    /// empty.
-    pub(crate) fn pop_next(&mut self, fairness: Fairness) -> Option<QueuedJob> {
-        match fairness {
-            Fairness::Fifo => self.jobs.pop_front(),
-            Fairness::SmallestQuotedFirst => {
-                let idx = self
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .min_by(|(ia, a), (ib, b)| {
-                        quote_key(a).total_cmp(&quote_key(b)).then(ia.cmp(ib))
-                    })
-                    .map(|(i, _)| i)?;
-                self.jobs.remove(idx)
-            }
-        }
-    }
-}
-
-/// The sort key smallest-quoted-first minimizes: the quoted expected
-/// iterations, with unquoted jobs ordered last (`f64::INFINITY` under
-/// [`f64::total_cmp`] sorts after every finite quote).
-fn quote_key(job: &QueuedJob) -> f64 {
-    job.quote_expected.unwrap_or(f64::INFINITY)
 }

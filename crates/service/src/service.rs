@@ -18,15 +18,16 @@
 //! 1. **Validate** — an unknown benchmark id is rejected without queueing.
 //! 2. **Quote** — completed jobs feed per-benchmark runtime distributions
 //!    (`cbls-perfmodel`); a request whose benchmark has history gets a
-//!    [`RuntimeQuote`] in its `Admitted` frame, and under
-//!    [`Fairness::SmallestQuotedFirst`] the quote orders the queue.
+//!    [`RuntimeQuote`] in its `Admitted` frame.  The quote is informational:
+//!    the queue stays in arrival order.
 //! 3. **Admit or reject** — the bounded queue either takes the job or the
 //!    call returns [`AdmissionError::QueueFull`] immediately (no blocking
 //!    admission: back-pressure is the client's problem to see).
-//! 4. **Execute** — a worker dequeues the job, replays its shape from the
-//!    prototype cache reseeded with the request's master seed, and runs it
-//!    under supervision: panics and stalls degrade to anytime incumbents
-//!    instead of failing the job.
+//! 4. **Execute** — a worker dequeues the oldest job, replays its shape
+//!    from the prototype cache reseeded with the request's master seed, and
+//!    runs it under the default supervision (3 attempts per walk, stall
+//!    watchdog): panics and stalls degrade to anytime incumbents instead of
+//!    failing the job.
 //! 5. **Stream** — every walk event is forwarded as a [`ProgressFrame`];
 //!    the terminal frame carries the [`JobResult`].
 
@@ -44,9 +45,9 @@ use cbls_parallel::{
 };
 use cbls_perfmodel::DistributionAccumulator;
 use cbls_problems::Benchmark;
-use cbls_resilience::{RetryPolicy, SupervisedExecution, Supervisor, WatchdogConfig};
+use cbls_resilience::{SupervisedExecution, Supervisor};
 
-use crate::queue::{AdmissionError, AdmissionPolicy, Fairness, QueueState};
+use crate::queue::{AdmissionError, AdmissionPolicy, QueueState};
 use crate::wire::{JobEvent, JobResult, ProgressFrame, SolveRequest, WIRE_SCHEMA};
 
 /// Tuning knobs of a [`SolveService`].
@@ -57,63 +58,33 @@ pub struct ServiceConfig {
     /// Admission-queue capacity: jobs *waiting* for a worker beyond this
     /// bound are rejected with [`AdmissionError::QueueFull`].
     pub queue_capacity: usize,
-    /// Dequeue order for waiting jobs.
-    pub fairness: Fairness,
-    /// Retry policy for faulted walks (panics, stalls).
-    pub retry: RetryPolicy,
-    /// Stall-watchdog cadence; `None` disables stall detection (panics are
-    /// still isolated).
-    pub watchdog: Option<WatchdogConfig>,
 }
 
 impl Default for ServiceConfig {
-    /// Two-to-four workers (bounded by the machine), a 64-deep queue, FIFO
-    /// dequeue, and the default supervision (3 attempts, stall watchdog on).
+    /// Two-to-four workers (bounded by the machine) and a 64-deep queue.
     fn default() -> Self {
         let workers = thread::available_parallelism().map_or(2, |n| n.get().min(4));
         Self {
             workers,
             queue_capacity: 64,
-            fairness: Fairness::default(),
-            retry: RetryPolicy::default(),
-            watchdog: Some(WatchdogConfig::default()),
         }
     }
 }
 
 impl ServiceConfig {
-    /// Replace the worker count (minimum 1).
+    /// Replace the worker count.  Zero is accepted here, but
+    /// [`SolveService::new`] panics on it.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Replace the admission-queue capacity (minimum 1).
+    /// Replace the admission-queue capacity.  Zero is accepted here, but
+    /// [`SolveService::new`] panics on it.
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Replace the fairness policy.
-    #[must_use]
-    pub fn with_fairness(mut self, fairness: Fairness) -> Self {
-        self.fairness = fairness;
-        self
-    }
-
-    /// Replace the retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Disable the stall watchdog.
-    #[must_use]
-    pub fn without_watchdog(mut self) -> Self {
-        self.watchdog = None;
         self
     }
 }
@@ -123,9 +94,6 @@ impl ServiceConfig {
 pub(crate) struct QueuedJob {
     pub(crate) job_id: u64,
     pub(crate) request: SolveRequest,
-    /// The quoted expected iterations, when the benchmark has history —
-    /// the sort key of [`Fairness::SmallestQuotedFirst`].
-    pub(crate) quote_expected: Option<f64>,
     pub(crate) enqueued: Instant,
     pub(crate) events: mpsc::Sender<JobEvent>,
     pub(crate) done: mpsc::SyncSender<CompletedJob>,
@@ -162,12 +130,6 @@ impl JobHandle {
     /// (the frame after [`JobEvent::Completed`] is always `None`).
     pub fn next_frame(&mut self) -> Option<ProgressFrame> {
         let event = self.events.recv().ok()?;
-        Some(self.envelope(event))
-    }
-
-    /// The next progress frame if one is ready, without blocking.
-    pub fn try_next_frame(&mut self) -> Option<ProgressFrame> {
-        let event = self.events.try_recv().ok()?;
         Some(self.envelope(event))
     }
 
@@ -211,7 +173,6 @@ impl EventSink for JobSink {
 
 /// State shared between the service handle and its workers.
 struct Shared {
-    config: ServiceConfig,
     policy: AdmissionPolicy,
     queue: Mutex<QueueState>,
     /// Signalled on every enqueue and on shutdown.
@@ -265,7 +226,6 @@ impl SolveService {
         let metrics = ServiceMetrics::register(&mut registry);
         let shared = Arc::new(Shared {
             policy: AdmissionPolicy::new(config.queue_capacity),
-            config,
             queue: Mutex::new(QueueState::default()),
             idle: Condvar::new(),
             registry,
@@ -274,7 +234,7 @@ impl SolveService {
             prototypes: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(0),
         });
-        let workers = (0..shared.config.workers)
+        let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
@@ -337,7 +297,6 @@ impl SolveService {
             state.jobs.push_back(QueuedJob {
                 job_id,
                 request,
-                quote_expected: quote.map(|q| q.expected),
                 enqueued: monotonic_now(),
                 events: events_tx,
                 done: done_tx,
@@ -426,7 +385,7 @@ impl Shared {
     }
 
     /// Feed a completed execution into the per-benchmark runtime history.
-    fn observe_history(&self, benchmark: &str, execution: &SupervisedExecution) {
+    fn add_to_history(&self, benchmark: &str, execution: &SupervisedExecution) {
         let mut history = self.history.lock().expect("history mutex poisoned");
         let acc = history.entry(benchmark.to_string()).or_default();
         for record in &execution.execution.records {
@@ -453,7 +412,7 @@ fn worker_loop(shared: &Shared) {
         let (job, depth) = {
             let mut state = shared.queue.lock().expect("queue mutex poisoned");
             loop {
-                if let Some(job) = state.pop_next(shared.config.fairness) {
+                if let Some(job) = state.jobs.pop_front() {
                     break (job, state.jobs.len());
                 }
                 if state.closed {
@@ -481,20 +440,13 @@ fn run_job(shared: &Shared, job: QueuedJob) {
 
     let bench = Benchmark::from_id(&request.benchmark).expect("benchmark validated at admission");
     let batch = shared.job_batch(&request, &bench);
-    let supervisor = match shared.config.watchdog {
-        Some(watchdog) => Supervisor::new(SequentialExecutor)
-            .with_policy(shared.config.retry)
-            .with_watchdog(watchdog),
-        None => Supervisor::new(SequentialExecutor)
-            .with_policy(shared.config.retry)
-            .without_watchdog(),
-    };
+    let supervisor = Supervisor::new(SequentialExecutor);
     let sink = JobSink {
         events: events.clone(),
     };
     let supervised = supervisor.run_with_telemetry(&|| bench.build(), &batch, &sink);
 
-    shared.observe_history(&request.benchmark, &supervised);
+    shared.add_to_history(&request.benchmark, &supervised);
     let result = summarize(job_id, &request, &supervised);
     let latency_ms = millis(monotonic_now().saturating_duration_since(enqueued));
     shared
@@ -688,6 +640,39 @@ mod tests {
             let completed = handle.wait().expect("drained before join");
             assert!(completed.result.solved);
         }
+    }
+
+    #[test]
+    fn one_worker_starts_jobs_in_admission_order() {
+        let service = quick_service(1);
+        // Each job holds the worker until its 30 ms deadline, so in FIFO
+        // order every job waits about one deadline longer than the job
+        // admitted before it.
+        let handles: Vec<JobHandle> = (0..3)
+            .map(|seed| {
+                service
+                    .submit(
+                        SolveRequest::new("costas-16", 1, u64::MAX / 4)
+                            .with_deadline_ms(30)
+                            .with_master_seed(seed),
+                    )
+                    .expect("admitted")
+            })
+            .collect();
+        let queued: Vec<u64> = handles
+            .into_iter()
+            .map(|mut handle| loop {
+                let frame = handle.next_frame().expect("stream open");
+                if let JobEvent::Started { queued_ms } = frame.event {
+                    break queued_ms;
+                }
+            })
+            .collect();
+        assert!(
+            queued.windows(2).all(|w| w[0] < w[1]),
+            "queued_ms in admission order: {queued:?}"
+        );
+        service.shutdown();
     }
 
     #[test]

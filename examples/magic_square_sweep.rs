@@ -26,16 +26,28 @@ fn sweep(label: &str, benchmarks: &[Benchmark], runs: u64) {
                 iterations.push(outcome.stats.iterations);
             }
         }
-        let summary = Summary::of_counts(iterations.iter().copied());
+        // An empirical distribution needs samples: print zeros when no run
+        // solved.
+        let (mean, min, max, cov) = if iterations.is_empty() {
+            (0.0, 0.0, 0.0, 0.0)
+        } else {
+            let dist = EmpiricalDistribution::from_counts(&iterations);
+            (
+                dist.mean(),
+                dist.min(),
+                dist.max(),
+                dist.coefficient_of_variation(),
+            )
+        };
         println!(
             "{:<28} {:>5}/{:<1} {:>12.0} {:>12.0} {:>12.0} {:>8.2}",
             benchmark.label(),
             solved,
             runs,
-            summary.mean,
-            summary.min,
-            summary.max,
-            summary.coefficient_of_variation()
+            mean,
+            min,
+            max,
+            cov
         );
     }
     println!();

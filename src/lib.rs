@@ -38,7 +38,7 @@
 //! * [`resilience`] (`cbls-resilience`) — supervised execution: stall
 //!   watchdog, deterministic retries and the chaos fault-injection harness;
 //! * [`service`] (`cbls-service`) — the concurrent solve-job service:
-//!   bounded admission, quoted fairness and the versioned progress wire
+//!   bounded FIFO admission, runtime quotes and the versioned progress wire
 //!   format;
 //! * [`propagation`] (`cbls-propagation`) — the backtracking baseline;
 //! * [`perfmodel`] (`cbls-perfmodel`) — runtime distributions and platform
@@ -62,31 +62,25 @@ pub use cbls_service as service;
 
 /// The most commonly used items, importable with a single `use`.
 pub mod prelude {
-    pub use as_rng::{default_rng, DefaultRng, RandomSource, SeedSequence};
+    pub use as_rng::{default_rng, RandomSource, SeedSequence};
     pub use cbls_core::{
-        AdaptiveSearch, BestSoFar, Evaluator, EvaluatorFactory, IncrementalProfile, Incumbent, Run,
-        SearchConfig, SearchOutcome, SearchStats, StopControl, Summary, TerminationReason,
+        AdaptiveSearch, Evaluator, Run, SearchConfig, SearchOutcome, SearchStats, StopControl,
+        TerminationReason,
     };
     pub use cbls_model::{Model, ModelEvaluator, Term};
-    pub use cbls_obs::{
-        render_summary, FlightRecorder, MetricsRegistry, RecorderConfig, TraceMeta, TraceRecording,
-    };
+    pub use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta, TraceRecording};
     pub use cbls_parallel::{
         dependent::{run_dependent, run_dependent_on, DependentWalkConfig},
         select_winner, select_winner_by, BatchExecution, DegradationReason, DistributionSink,
-        EventLog, EventSink, FaultKind, SequentialExecutor, SimulatedMultiWalk, Supervision,
-        ThreadsExecutor, WalkBatch, WalkEvent, WalkExecutor, WalkFault, WalkJob, WalkSeeds,
-        WinnerRule,
+        EventLog, SequentialExecutor, SimulatedMultiWalk, Supervision, ThreadsExecutor, WalkBatch,
+        WalkEvent, WalkExecutor, WalkFault, WalkJob, WalkSeeds, WinnerRule,
     };
-    pub use cbls_perfmodel::{
-        DistributionAccumulator, EmpiricalDistribution, Platform, SpeedupModel,
-    };
+    pub use cbls_perfmodel::{EmpiricalDistribution, Platform, SpeedupModel};
     pub use cbls_portfolio::{
-        member_stats, AdaptiveScheduler, Portfolio, PortfolioMember, RestartSchedule, Schedule,
+        member_stats, AdaptiveScheduler, Portfolio, PortfolioMember, Schedule,
     };
     pub use cbls_problems::{
-        AllInterval, AlphaCipher, Benchmark, CostasArray, Langford, MagicSquare, NQueens,
-        NumberPartitioning, PerfectSquare, SquarePackingInstance,
+        AllInterval, Benchmark, CostasArray, Langford, MagicSquare, NQueens, NumberPartitioning,
     };
     pub use cbls_propagation::{
         AllIntervalConstraint, BacktrackingSolver, CostasConstraint, LangfordConstraint,
@@ -97,7 +91,7 @@ pub mod prelude {
         SupervisedExecution, Supervisor, WatchdogConfig,
     };
     pub use cbls_service::{
-        AdmissionError, CompletedJob, Fairness, JobEvent, JobHandle, JobResult, ProgressFrame,
-        ServiceConfig, SolveRequest, SolveService, WIRE_SCHEMA,
+        AdmissionError, JobEvent, ProgressFrame, ServiceConfig, SolveRequest, SolveService,
+        WIRE_SCHEMA,
     };
 }
