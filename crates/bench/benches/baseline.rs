@@ -1,8 +1,7 @@
 //! Criterion benchmark backing the introduction's claim: Adaptive Search vs
 //! the propagation-based backtracking baseline on the Costas Array Problem.
-//! At small orders the baseline is competitive; its run time explodes with
-//! the order while local search keeps scaling — run
-//! `cargo run -p cbls-bench --bin baseline_compare` for the full table.
+//! The `speedup` binary's CAP hardness table compares the two over orders
+//! 8–13.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -5,18 +5,18 @@
 //!
 //! ```text
 //! cargo run --release -p cbls-bench --bin portfolio_speedup
-//! CBLS_CAP_ORDER=10 CBLS_WALKS=128 cargo run --release -p cbls-bench --bin portfolio_speedup
+//! CBLS_CAP_ORDER=10 CBLS_WALKS=128 CBLS_SEED=7 cargo run --release -p cbls-bench --bin portfolio_speedup
 //! ```
 
-use cbls_bench::figures::{costas_portfolio, portfolio_figure};
-use cbls_bench::ExperimentConfig;
+use cbls_bench::portfolio::{costas_portfolio, portfolio_figure};
+use cbls_bench::speedup::Sampling;
 use cbls_parallel::{SimulatedMultiWalk, ThreadsExecutor};
 use cbls_perfmodel::report::{default_figure_dir, fmt_f64, Table};
 use cbls_portfolio::AdaptiveScheduler;
 use cbls_problems::CostasArray;
 
 fn main() {
-    let config = ExperimentConfig::from_env();
+    let master_seed = Sampling::from_env().master_seed;
     let order = std::env::var("CBLS_CAP_ORDER")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -30,7 +30,7 @@ fn main() {
          (override with CBLS_CAP_ORDER / CBLS_WALKS) ..."
     );
 
-    match portfolio_figure(order, walks, &config) {
+    match portfolio_figure(order, walks, master_seed) {
         Some((table, experiment)) => {
             println!("{}", table.to_ascii());
             println!(
@@ -56,10 +56,8 @@ fn main() {
     // Adaptive allocation across successive solve requests: start from the
     // same three prototypes and let the bandit shift walks towards the
     // strategies with the best observed left tail.
-    let prototypes = costas_portfolio(order, 3, config.master_seed)
-        .members()
-        .to_vec();
-    let mut scheduler = AdaptiveScheduler::new(prototypes, config.master_seed);
+    let prototypes = costas_portfolio(order, 3, master_seed).members().to_vec();
+    let mut scheduler = AdaptiveScheduler::new(prototypes, master_seed);
     let rounds = 4;
     let round_walks = walks.clamp(3, 24);
     let mut table = Table::new(

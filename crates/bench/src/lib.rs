@@ -1,19 +1,14 @@
 //! # cbls-bench — the experiment harness
 //!
-//! Shared machinery used by the figure-regeneration binaries (`src/bin/*`)
-//! and the `cargo bench` targets: collecting sequential runtime
-//! distributions, measuring engine throughput, building platform-model
-//! predictions and emitting the tables that correspond to the paper's
-//! figures.
+//! Shared machinery of the binaries (`src/bin/*`) and the `cargo bench`
+//! targets: the paper's speedup tables from one sample of sequential runs
+//! per benchmark, the portfolio experiment, engine throughput and service
+//! load measurements.
 //!
 //! | paper artefact | binary | bench target |
 //! |----------------|--------|--------------|
-//! | Figure 1 (speedups on HA8000)            | `fig1_ha8000`     | `fig1_ha8000` |
-//! | Figure 2 (speedups on Grid'5000 Suno)    | `fig2_grid5000`   | `fig2_grid5000` |
-//! | Figure 3 (CAP speedup w.r.t. 32 cores)   | `fig3_cap`        | `fig3_cap` |
-//! | headline claim (≈30/40/50+ at 64/128/256)| `summary_table`   | — |
-//! | CAP sequential hardness ("n=22 ≈ hours") | `cap_scaling`     | — |
-//! | intro claim vs propagation-based solvers | `baseline_compare`| `baseline` |
+//! | Figures 1–3, headline claim, size trend, CAP hardness vs backtracking | `speedup` | `baseline` (hardness micro-timings) |
+//! | restart-schedule portfolio, predicted vs observed | `portfolio_speedup` | — |
 //! | engine iteration throughput trajectory   | `throughput`      | — |
 //! | engine micro-costs                       | —                 | `engine_micro` |
 //! | design-choice ablations                  | —                 | `ablation` |
@@ -21,11 +16,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiment;
-pub mod figures;
+pub mod portfolio;
 pub mod service_load;
+pub mod speedup;
 pub mod throughput;
 
-pub use experiment::{ExperimentConfig, SequentialSample};
 pub use service_load::{measure_service_throughput, ServiceThroughputResult};
 pub use throughput::{EngineThroughputReport, ThroughputConfig};

@@ -1,8 +1,8 @@
 //! Engine iteration-throughput measurements (`BENCH_engine.json`).
 //!
 //! The paper's headline results rest on how fast the *sequential* inner loop
-//! of Adaptive Search runs — every multi-walk, portfolio and platform-model
-//! figure multiplies through it.  This module measures steady-state
+//! of Adaptive Search runs — every multi-walk and portfolio run multiplies
+//! through it.  This module measures steady-state
 //! iterations per second on fixed seeds and a fixed iteration budget (the
 //! target cost is set below zero so the run never terminates early), and
 //! emits a JSON report that records the engine's performance trajectory

@@ -60,7 +60,7 @@
 //!
 //! The crate also contains the paper's "future work" — a *dependent*
 //! multi-walk scheme with periodic exchange of elite configurations
-//! ([`dependent`]) — and speedup bookkeeping helpers ([`speedup`]).
+//! ([`dependent`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +69,6 @@ pub mod dependent;
 pub mod executor;
 mod seeds;
 mod simulate;
-pub mod speedup;
 pub mod supervision;
 pub mod telemetry;
 

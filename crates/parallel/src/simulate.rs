@@ -6,9 +6,9 @@
 //! first".  [`SimulatedMultiWalk`] therefore runs every walk of a batch to
 //! completion and reports, for every requested walk count `p`, the iteration
 //! count of the fastest of the first `p` walks — the machine-independent cost
-//! the paper's parallel runs would have paid.  The figure harness feeds these
-//! counts to `cbls-perfmodel`, which converts them into simulated wall-clock
-//! times on the HA8000 / Grid'5000 platform models.
+//! the paper's parallel runs would have paid.  The `cbls-bench` speedup
+//! tables read the solved walks' counts as one empirical distribution and
+//! compute every speedup from its order statistics, in iterations.
 //!
 //! Every walk runs to completion (it is not interrupted by a sibling's
 //! success), so a single replay can be reused for *every* walk count `p ≤

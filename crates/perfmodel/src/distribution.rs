@@ -3,7 +3,7 @@
 //! Everything the multi-walk analysis needs is derived from a sample of
 //! sequential runs: the mean, the spread, and — crucially — the expected
 //! minimum of `p` independent draws, which *is* the expected parallel run
-//! time of `p` independent walks (up to platform overheads).
+//! time of `p` independent walks.
 
 use as_rng::RandomSource;
 use serde::{Deserialize, Serialize};

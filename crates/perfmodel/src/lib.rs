@@ -1,36 +1,26 @@
-//! # cbls-perfmodel — runtime distributions, order statistics and platform models
+//! # cbls-perfmodel — runtime distributions and order statistics
 //!
-//! The paper measures independent multi-walk speedups on two machines we do
-//! not have (the Hitachi HA8000 supercomputer and the Grid'5000 Suno/Helios
-//! clusters, up to 256 cores).  Because the walks never communicate, the
-//! behaviour of a `p`-core run is fully determined by the *distribution* of
-//! the sequential run time: the parallel run time is the minimum of `p`
-//! independent draws, plus the platform's start-up overhead.  This crate
-//! provides the three ingredients needed to turn locally measured sequential
-//! runs into the paper's figures:
+//! The paper measures independent multi-walk speedups on up to 256 cores.
+//! Because the walks never communicate, the cost of a `p`-walk run is fully
+//! determined by the *distribution* of the sequential cost: it is the
+//! minimum of `p` independent draws.  This crate turns locally measured
+//! sequential runs into the paper's speedups:
 //!
 //! * [`EmpiricalDistribution`] — the measured distribution of
 //!   iterations-to-solution (or seconds), with exact order-statistics for the
 //!   expected minimum of `p` draws;
+//! * [`DistributionAccumulator`] — its online front half, which also quotes
+//!   a batch's expected runtime ([`RuntimeQuote`]);
 //! * [`orderstats`] — closed forms for the exponential and shifted
 //!   exponential reference cases (linear vs. saturating speedup — the two
 //!   regimes the paper observes);
-//! * [`Platform`] — core counts, relative core speed and start-up overhead of
-//!   the HA8000 and Grid'5000 machines, used to convert iteration counts into
-//!   simulated wall-clock seconds;
-//! * [`SpeedupModel`] — the combination of the three, predicting the speedup
-//!   curve for a list of core counts;
-//! * [`report`] — ASCII-table / CSV emission used by the figure binaries.
+//! * [`report`] — ASCII-table / CSV emission used by the bench binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod distribution;
 pub mod orderstats;
-mod platform;
 pub mod report;
-mod speedup_model;
 
 pub use distribution::{DistributionAccumulator, EmpiricalDistribution, RuntimeQuote};
-pub use platform::{Platform, PlatformKind};
-pub use speedup_model::{PredictedPoint, SpeedupModel, SpeedupPrediction};

@@ -1,6 +1,6 @@
 //! Plain-text and CSV emission of experiment results.
 //!
-//! The figure binaries print aligned ASCII tables (what you read in the
+//! The bench binaries print aligned ASCII tables (what you read in the
 //! terminal) and write CSV files under `target/figures/` (what you re-plot),
 //! both produced by the same [`Table`] value so they can never diverge.
 
@@ -116,7 +116,7 @@ impl Table {
     }
 }
 
-/// The default output directory of the figure binaries.
+/// The default output directory of the bench binaries' CSV files.
 #[must_use]
 pub fn default_figure_dir() -> PathBuf {
     PathBuf::from("target").join("figures")

@@ -1,9 +1,9 @@
 //! Continuous distributions used by the performance model.
 //!
 //! The multi-walk speedup analysis needs to *generate* synthetic runtime
-//! distributions (exponential, shifted exponential, log-normal-ish) in tests
-//! and in the calibration of the platform models, so the handful of inverse
-//! transforms live here next to the generators rather than in the model crate.
+//! distributions (exponential, shifted exponential, log-normal-ish) to test
+//! its order statistics against, so the handful of inverse transforms live
+//! here next to the generators rather than in the model crate.
 
 use crate::source::RandomSource;
 

@@ -18,7 +18,7 @@
 //! cargo run --release --example portfolio 12 32     # CAP 12, 32 walks
 //! ```
 
-use cbls_bench::figures::costas_portfolio;
+use cbls_bench::portfolio::costas_portfolio;
 use parallel_cbls::prelude::*;
 
 fn main() {

@@ -1,7 +1,7 @@
 //! End-to-end reproduction of the paper's analysis pipeline on one benchmark:
-//! measure the sequential runtime distribution, feed it to the platform
-//! models of the HA8000 and Grid'5000 machines, and print the predicted
-//! 16..256-core speedup curves next to the ideal line.
+//! measure the sequential runtime distribution and print the predicted
+//! speedup of 16..256 independent walks, `mean / E[min of p]` in
+//! iterations, next to the ideal line.
 //!
 //! The measurement runs through the executor layer with a
 //! [`DistributionSink`] attached: solved walks stream their
@@ -55,30 +55,20 @@ fn main() {
         distribution.coefficient_of_variation()
     );
 
-    // Map the distribution onto the paper's time scale: pretend the mean
-    // sequential run takes one hour, as CAP instances of paper size do.
-    let reference_throughput = distribution.mean() / 3600.0;
-    let cores = [1usize, 16, 32, 64, 128, 256];
-
-    for platform in [Platform::ha8000(), Platform::grid5000_suno()] {
-        let model = SpeedupModel::new(
-            benchmark.label(),
-            distribution.clone(),
-            reference_throughput,
-            platform.clone(),
-        );
-        let prediction = model.predict(&cores, 1);
-        println!("--- {} ---", platform.name);
+    // p independent walks cost the minimum of p draws from the sequential
+    // distribution.
+    println!(
+        "{:>6} {:>14} {:>10} {:>8}",
+        "walks", "iterations", "speedup", "ideal"
+    );
+    for p in [1usize, 16, 32, 64, 128, 256] {
+        let parallel = distribution.expected_min_of(p);
         println!(
-            "{:>6} {:>14} {:>10} {:>8}",
-            "cores", "seconds", "speedup", "ideal"
+            "{:>6} {:>14.1} {:>10.1} {:>8}",
+            p,
+            parallel,
+            distribution.mean() / parallel,
+            p
         );
-        for point in &prediction.points {
-            println!(
-                "{:>6} {:>14.1} {:>10.1} {:>8}",
-                point.cores, point.expected_seconds, point.speedup, point.cores
-            );
-        }
-        println!();
     }
 }

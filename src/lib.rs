@@ -4,8 +4,9 @@
 //! Parallel Constraint-Based Local Search"* (Abreu, Caniou, Codognet, Diaz,
 //! Richoux — PPoPP 2012): the Adaptive Search engine, the CSPLib / Costas
 //! Array benchmark models, the independent multi-walk parallel runners, the
-//! propagation-based baseline and the platform performance models, re-exported
-//! under one roof so that applications can depend on a single crate.
+//! propagation-based baseline and the runtime distributions that predict
+//! multi-walk speedups, re-exported under one roof so that applications can
+//! depend on a single crate.
 //!
 //! ```
 //! use parallel_cbls::prelude::*;
@@ -32,7 +33,7 @@
 //! * [`obs`] (`cbls-obs`) — metrics, flight-recorder tracing and phase
 //!   profiling, with Chrome-trace export and the `cbls-trace` CLI;
 //! * [`parallel`] (`cbls-parallel`) — walk batches, the threads and
-//!   sequential executors, replay and speedup helpers;
+//!   sequential executors, and their deterministic replay;
 //! * [`portfolio`] (`cbls-portfolio`) — restart schedules, heterogeneous
 //!   strategy portfolios and the adaptive walk scheduler;
 //! * [`resilience`] (`cbls-resilience`) — supervised execution: stall
@@ -41,8 +42,8 @@
 //!   bounded FIFO admission, runtime quotes and the versioned progress wire
 //!   format;
 //! * [`propagation`] (`cbls-propagation`) — the backtracking baseline;
-//! * [`perfmodel`] (`cbls-perfmodel`) — runtime distributions and platform
-//!   models;
+//! * [`perfmodel`] (`cbls-perfmodel`) — runtime distributions and order
+//!   statistics;
 //! * [`rng`] (`as-rng`) — deterministic random streams.
 
 #![forbid(unsafe_code)]
@@ -75,7 +76,7 @@ pub mod prelude {
         EventLog, SequentialExecutor, SimulatedMultiWalk, Supervision, ThreadsExecutor, WalkBatch,
         WalkEvent, WalkExecutor, WalkFault, WalkJob, WalkSeeds, WinnerRule,
     };
-    pub use cbls_perfmodel::{EmpiricalDistribution, Platform, SpeedupModel};
+    pub use cbls_perfmodel::EmpiricalDistribution;
     pub use cbls_portfolio::{
         member_stats, AdaptiveScheduler, Portfolio, PortfolioMember, Schedule,
     };

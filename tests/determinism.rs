@@ -1,9 +1,9 @@
-//! Reproducibility guarantees: every figure the bench binaries print depends
+//! Reproducibility guarantees: every table the bench binaries print depends
 //! on fixed seeds producing identical runs, across engines, back-ends and
 //! processes.
 
-use cbls_bench::experiment::{collect_sequential_samples, ExperimentConfig};
-use cbls_bench::figures::costas_portfolio;
+use cbls_bench::portfolio::costas_portfolio;
+use cbls_bench::speedup::sequential_runs;
 use parallel_cbls::prelude::*;
 
 #[test]
@@ -115,14 +115,10 @@ fn sample_collection_and_portfolio_replay_are_pinned() {
     // Sample `i` is walk `i` of the collector's seed family, so its run index
     // stands for its seed.
     let bench = Benchmark::CostasArray(9);
-    let config = ExperimentConfig {
-        samples: 6,
-        master_seed: 1,
-        core_counts: vec![1],
-    };
-    let samples: Vec<(usize, bool, u64)> = collect_sequential_samples(&bench, &config)
+    let samples: Vec<(usize, bool, u64)> = sequential_runs(&bench, 6, 1)
+        .records()
         .iter()
-        .map(|s| (s.run, s.solved, s.iterations))
+        .map(|r| (r.walk_id, r.outcome.solved(), r.outcome.stats.iterations))
         .collect();
     assert_eq!(
         samples,

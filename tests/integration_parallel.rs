@@ -144,25 +144,3 @@ fn dependent_walks_solve_the_cap_and_report_cooperation() {
     );
     assert_eq!(result.solution, vec![6, 9, 4, 1, 0, 5, 3, 7, 8, 2]);
 }
-
-#[test]
-fn speedup_curves_from_real_measurements_are_well_formed() {
-    use parallel_cbls::parallel::speedup::SpeedupCurve;
-
-    let search = Benchmark::CostasArray(10).tuned_config();
-    let sim = SimulatedMultiWalk::replay(
-        &|| CostasArray::new(10),
-        &WalkBatch::uniform(31, &search, 32),
-        &SequentialExecutor,
-    );
-    let measurements: Vec<(usize, f64)> = [1usize, 2, 4, 8, 16, 32]
-        .iter()
-        .map(|&p| (p, sim.parallel_iterations(p).unwrap() as f64 + 1.0))
-        .collect();
-    let curve = SpeedupCurve::from_measurements("costas-10", 1, &measurements);
-    assert_eq!(curve.speedup_at(1), Some(1.0));
-    assert!(curve.speedup_at(32).unwrap() >= 1.0);
-    // rebasing to 8 cores keeps relative ordering
-    let rebased = curve.rebased(8);
-    assert!((rebased.speedup_at(8).unwrap() - 1.0).abs() < 1e-12);
-}
