@@ -11,7 +11,10 @@ use cbls_bench::speedup::{Samples, Sampling, TABLES};
 use cbls_perfmodel::report::default_figure_dir;
 
 fn main() {
-    let sampling = Sampling::from_env();
+    let sampling = Sampling::from_env().unwrap_or_else(|error| {
+        eprintln!("speedup: {error}");
+        std::process::exit(2);
+    });
     eprintln!(
         "{} sequential runs per benchmark, {} for CAP orders 9-11 \
          (override both with CBLS_SAMPLES, the seed with CBLS_SEED) ...",

@@ -53,22 +53,44 @@ pub struct Sampling {
 }
 
 impl Sampling {
-    /// Read `CBLS_SAMPLES` (raised to at least 2) and `CBLS_SEED`.  A value
-    /// that does not parse leaves the default.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let samples = std::env::var("CBLS_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(2));
-        Self {
+    /// Read `CBLS_SAMPLES` and `CBLS_SEED` with [`Sampling::parse`].
+    ///
+    /// # Errors
+    ///
+    /// The message of [`Sampling::parse`].
+    pub fn from_env() -> Result<Self, String> {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Self::parse(var("CBLS_SAMPLES").as_deref(), var("CBLS_SEED").as_deref())
+    }
+
+    /// The sampling that the values of `CBLS_SAMPLES` and `CBLS_SEED` ask
+    /// for, `None` where a variable is unset.  An unset variable keeps its
+    /// default.
+    ///
+    /// # Errors
+    ///
+    /// A set value that is not a decimal integer, or a sample count below
+    /// 2 (the smallest sample with a spread).
+    pub fn parse(samples: Option<&str>, seed: Option<&str>) -> Result<Self, String> {
+        let samples = samples
+            .map(|v| match v.parse::<usize>() {
+                Ok(n) if n >= 2 => Ok(n),
+                _ => Err(format!(
+                    "CBLS_SAMPLES={v:?}: expected a decimal integer of at least 2"
+                )),
+            })
+            .transpose()?;
+        let master_seed = seed
+            .map(|v| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("CBLS_SEED={v:?}: expected a decimal integer"))
+            })
+            .transpose()?;
+        Ok(Self {
             samples: samples.unwrap_or(100),
             trend_samples: samples.unwrap_or(1_500),
-            master_seed: std::env::var("CBLS_SEED")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0x5EED),
-        }
+            master_seed: master_seed.unwrap_or(0x5EED),
+        })
     }
 
     fn runs_for(&self, benchmark: &Benchmark) -> usize {
@@ -534,7 +556,28 @@ mod tests {
 
     #[test]
     fn env_overrides_are_optional() {
-        let sampling = Sampling::from_env();
-        assert!(sampling.samples >= 2 && sampling.trend_samples >= 2);
+        let defaults = Sampling {
+            samples: 100,
+            trend_samples: 1_500,
+            master_seed: 0x5EED,
+        };
+        assert_eq!(Sampling::parse(None, None), Ok(defaults));
+        let sampling = Sampling::parse(Some("12"), None).unwrap();
+        assert_eq!((sampling.samples, sampling.trend_samples), (12, 12));
+        assert_eq!(sampling.master_seed, 0x5EED);
+        assert_eq!(Sampling::parse(None, Some("7")).unwrap().master_seed, 7);
+    }
+
+    #[test]
+    fn malformed_settings_are_errors_not_defaults() {
+        for samples in ["1", "0", "-3", "1e3", "", " 12", "many"] {
+            let error = Sampling::parse(Some(samples), None).unwrap_err();
+            assert!(error.starts_with("CBLS_SAMPLES="), "{error}");
+        }
+        for seed in ["0x10", "-1", "1.5", "", "18446744073709551616"] {
+            let error = Sampling::parse(Some("12"), Some(seed)).unwrap_err();
+            assert!(error.starts_with("CBLS_SEED="), "{error}");
+        }
+        assert_eq!(Sampling::parse(Some("2"), None).unwrap().samples, 2);
     }
 }

@@ -822,6 +822,93 @@ mod tests {
     }
 
     #[test]
+    fn batched_and_scalar_scans_take_the_same_trajectory_in_every_mode() {
+        use crate::evaluator::IncrementalProfile;
+        use std::cell::Cell;
+
+        // The same evaluator with and without the `batched_probes` claim:
+        // its row forwards probe by probe, so the claim alone picks the scan
+        // loop, and `rows` counts the batched calls.
+        struct Claim {
+            inner: SortPermutation,
+            batched: bool,
+            rows: Cell<u64>,
+        }
+        impl Evaluator for Claim {
+            fn size(&self) -> usize {
+                self.inner.size()
+            }
+            fn init(&mut self, perm: &[usize]) -> i64 {
+                self.inner.init(perm)
+            }
+            fn cost(&self, perm: &[usize]) -> i64 {
+                self.inner.cost(perm)
+            }
+            fn cost_on_variable(&self, perm: &[usize], i: usize) -> i64 {
+                self.inner.cost_on_variable(perm, i)
+            }
+            fn cost_if_swap(&self, perm: &[usize], current_cost: i64, i: usize, j: usize) -> i64 {
+                self.inner.cost_if_swap(perm, current_cost, i, j)
+            }
+            fn cost_if_swaps(
+                &self,
+                perm: &[usize],
+                current_cost: i64,
+                i: usize,
+                js: &[usize],
+                out: &mut [i64],
+            ) {
+                self.rows.set(self.rows.get() + 1);
+                for (slot, &j) in out.iter_mut().zip(js) {
+                    *slot = self.inner.cost_if_swap(perm, current_cost, i, j);
+                }
+            }
+            fn executed_swap(&mut self, perm: &[usize], i: usize, j: usize) {
+                self.inner.executed_swap(perm, i, j);
+            }
+            fn incremental_profile(&self) -> IncrementalProfile {
+                IncrementalProfile {
+                    batched_probes: self.batched,
+                    ..IncrementalProfile::default()
+                }
+            }
+        }
+
+        for (first_best, exhaustive) in [(false, false), (true, false), (false, true)] {
+            // A target below zero keeps every run going for its whole budget,
+            // through plateaus, local minima and resets.
+            let engine = AdaptiveSearch::new(
+                SearchConfig::builder()
+                    .first_best(first_best)
+                    .exhaustive(exhaustive)
+                    .max_iterations_per_restart(300)
+                    .max_restarts(2)
+                    .target_cost(-1)
+                    .build(),
+            );
+            for seed in 0..4 {
+                let run = |batched: bool| {
+                    let mut eval = Claim {
+                        inner: SortPermutation::new(16),
+                        batched,
+                        rows: Cell::new(0),
+                    };
+                    let out = engine.solve(&mut eval, &mut rng(seed));
+                    (out, eval.rows.get())
+                };
+                let ((batched, rows), (scalar, no_rows)) = (run(true), run(false));
+                let mode = (first_best, exhaustive, seed);
+                assert_eq!(batched.stats.iterations, 900, "{mode:?}");
+                assert!(rows > 0, "{mode:?}: the claim routes through rows");
+                assert_eq!(no_rows, 0, "{mode:?}: no claim, no rows");
+                assert_eq!(batched.stats, scalar.stats, "{mode:?}");
+                assert_eq!(batched.solution, scalar.solution, "{mode:?}");
+                assert_eq!(batched.best_cost, scalar.best_cost, "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
     fn forced_local_min_moves_are_counted() {
         // An unsatisfiable flat landscape forces local minima every iteration;
         // with prob_select_local_min = 1 every one of them becomes a forced move.

@@ -79,4 +79,4 @@ pub use executor::{
 pub use seeds::WalkSeeds;
 pub use simulate::{SimulatedMultiWalk, SpeedupComparison};
 pub use supervision::{DegradationReason, FaultKind, Supervision, WalkFault};
-pub use telemetry::{CountingSink, DistributionSink, EventLog, EventSink, WalkEvent};
+pub use telemetry::{DistributionSink, EventLog, EventSink, WalkEvent};

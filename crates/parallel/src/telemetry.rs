@@ -4,16 +4,14 @@
 //! live stream of [`WalkEvent`]s — one `Started` and one `Finished` per walk,
 //! plus `Restarted` / `ImprovedCost` events forwarded from the engine's
 //! [`SearchObserver`](cbls_core::SearchObserver) hooks.  Consumers implement
-//! [`EventSink`]; three sinks ship with the crate:
+//! [`EventSink`]; two sinks ship with the crate:
 //!
 //! * [`EventLog`] — collects every event (ordered per walk, interleaved
 //!   across walks in arrival order);
 //! * [`DistributionSink`] — feeds each solved walk's iterations-to-solution
 //!   into a [`DistributionAccumulator`] *online*, as walks finish, so the
 //!   order-statistics speedup predictor of `cbls-perfmodel` no longer needs a
-//!   post-hoc pass over the reports;
-//! * [`CountingSink`] — counts events and nothing else (used by the
-//!   throughput harness to measure the telemetry overhead).
+//!   post-hoc pass over the reports.
 //!
 //! The event contract (also documented in the README):
 //!
@@ -29,7 +27,6 @@
 //! Telemetry is passive: a run with any sink attached is bit-identical (same
 //! winner, same iteration counts, same RNG streams) to the same run without.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use cbls_core::SearchPhase;
@@ -272,38 +269,6 @@ impl EventSink for DistributionSink {
     }
 }
 
-/// A sink that counts events and discards them — the cheapest possible
-/// consumer, used by the throughput harness to price the telemetry stream
-/// itself.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    count: AtomicU64,
-}
-
-impl CountingSink {
-    /// A fresh counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events seen so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        // Relaxed: a monotonic counter read after the batch joins; the join
-        // itself is the synchronization point, no ordering is carried here.
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl EventSink for CountingSink {
-    fn record(&self, _event: &WalkEvent) {
-        // Relaxed: pure event counting on the hot path; no other memory is
-        // published through this counter.
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// The engine-side observer of one walk: forwards
 /// [`SearchObserver`](cbls_core::SearchObserver) hooks to the batch's sink as
 /// [`WalkEvent`]s, and — when the batch is supervised — publishes anytime
@@ -441,19 +406,6 @@ mod tests {
             cost: 0,
         });
         assert_eq!(sink.accumulator().observations(), &[50.0, 70.0]);
-    }
-
-    #[test]
-    fn counting_sink_counts() {
-        let sink = CountingSink::new();
-        assert_eq!(sink.count(), 0);
-        for i in 0..5 {
-            sink.record(&WalkEvent::Started {
-                walk_id: i,
-                seed: i as u64,
-            });
-        }
-        assert_eq!(sink.count(), 5);
     }
 
     #[test]

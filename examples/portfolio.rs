@@ -80,6 +80,13 @@ fn main() {
                 .map_or_else(|| "-".to_string(), |s| format!("{s:.2}")),
         );
     }
+    println!(
+        "success rate: {:.2}; pooled CoV: {:.2} (≈1.0 ⇒ near-linear speedup regime)",
+        sim.success_rate(),
+        sim.iteration_distribution()
+            .expect("some walk solved the instance")
+            .coefficient_of_variation()
+    );
 
     // --- 3. adaptive walk allocation across solve requests -----------------
     // One prototype per strategy, independent of how many walks ran above.
