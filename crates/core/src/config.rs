@@ -46,7 +46,8 @@ pub struct SearchConfig {
     pub exhaustive: bool,
     /// Cost at or below which the problem counts as solved (0 for pure CSPs).
     pub target_cost: i64,
-    /// How many iterations pass between checks of the external stop flag.
+    /// How many iterations pass between heartbeats and deadline checks.
+    /// The stop flags themselves are read every iteration.
     pub stop_check_interval: u64,
 }
 
@@ -216,7 +217,8 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Set how often (in iterations) the external stop flag is polled.
+    /// Set how often (in iterations) the engine beats its heartbeat and
+    /// checks the deadline.
     #[must_use]
     pub fn stop_check_interval(mut self, v: u64) -> Self {
         self.config.stop_check_interval = v;

@@ -104,8 +104,9 @@ impl Default for AdaptiveSearch {
 /// ```
 #[derive(Default)]
 pub struct Run<'a> {
-    /// Polled every `stop_check_interval` iterations, so that a sibling
-    /// walk or a deadline can interrupt the run; `None` never stops it.
+    /// Lets a sibling walk, a supervisor or a deadline interrupt the run;
+    /// `None` never stops it.  Its flags are read every iteration, its
+    /// deadline every `stop_check_interval` iterations.
     pub stop: Option<&'a StopControl>,
     /// The first restart's configuration, in place of a random one: the
     /// dependent multi-walk scheme restarts a walk from a shared elite this
@@ -262,9 +263,10 @@ impl AdaptiveSearch {
             out: vec![0; n],
         };
 
-        // Countdown to the next stop-flag poll: one subtraction per iteration
-        // instead of a modulo on the hot path.  Starts at zero so the first
-        // iteration polls, exactly like `iterations % interval == 0` did.
+        // Countdown to the next heartbeat and deadline poll: one subtraction
+        // per iteration instead of a modulo on the hot path.  Starts at zero
+        // so the first iteration polls, exactly like
+        // `iterations % interval == 0` did.
         let mut until_stop_check: u64 = 0;
 
         // Phase-profiling opt-in, read once per run: when the observer
@@ -312,15 +314,22 @@ impl AdaptiveSearch {
                     // restart (or give up if the schedule is exhausted)
                     break;
                 }
-                if until_stop_check == 0 {
+                let poll = until_stop_check == 0;
+                if poll {
                     until_stop_check = cfg.stop_check_interval;
                     observer.on_heartbeat(stats.iterations);
-                    if let Some(stop) = stop.filter(|stop| stop.should_stop()) {
-                        reason = if stop.stop_requested() {
-                            TerminationReason::ExternallyStopped
-                        } else {
-                            TerminationReason::TimedOut
-                        };
+                }
+                if let Some(stop) = stop {
+                    // The flags are one Acquire load each, so they are read
+                    // every iteration: a losing walk stops within one
+                    // iteration of the winner.  The deadline reads the clock,
+                    // so it keeps the poll's cadence.
+                    if stop.stop_requested() {
+                        reason = TerminationReason::ExternallyStopped;
+                        break 'restarts;
+                    }
+                    if poll && stop.deadline_passed() {
+                        reason = TerminationReason::TimedOut;
                         break 'restarts;
                     }
                 }
@@ -679,6 +688,82 @@ mod tests {
         let out = engine.run(&mut p, &mut rng(2), run);
         assert_eq!(out.reason, TerminationReason::ExternallyStopped);
         assert!(out.stats.iterations <= 1);
+
+        // Raised mid-run, the flag stops the walk at the next iteration,
+        // while heartbeats keep the `stop_check_interval` cadence.
+        /// Constant cost; raises `stop` during iteration `at`.  An exhaustive
+        /// scan of `n` variables probes `n(n-1)/2` swaps per iteration.
+        struct RaiseAt {
+            n: usize,
+            at: u64,
+            stop: StopControl,
+            probes: std::cell::Cell<u64>,
+        }
+        impl Evaluator for RaiseAt {
+            fn size(&self) -> usize {
+                self.n
+            }
+            fn init(&mut self, _perm: &[usize]) -> i64 {
+                1
+            }
+            fn cost(&self, _perm: &[usize]) -> i64 {
+                1
+            }
+            fn cost_on_variable(&self, _perm: &[usize], _i: usize) -> i64 {
+                1
+            }
+            fn cost_if_swap(&self, _perm: &[usize], _cost: i64, _i: usize, _j: usize) -> i64 {
+                let per_iteration = (self.n * (self.n - 1) / 2) as u64;
+                if self.probes.get() / per_iteration + 1 == self.at {
+                    self.stop.request_stop();
+                }
+                self.probes.set(self.probes.get() + 1);
+                1
+            }
+        }
+        #[derive(Default)]
+        struct Heartbeats(Vec<u64>);
+        impl SearchObserver for Heartbeats {
+            fn on_heartbeat(&mut self, iterations: u64) {
+                self.0.push(iterations);
+            }
+        }
+        let engine = AdaptiveSearch::new(
+            SearchConfig::builder()
+                .max_iterations_per_restart(2_500)
+                .max_restarts(0)
+                .exhaustive(true)
+                .stop_check_interval(1_000)
+                .build(),
+        );
+        let solve = |at: u64| {
+            let stop = StopControl::new();
+            let mut eval = RaiseAt {
+                n: 5,
+                at,
+                stop: stop.clone(),
+                probes: std::cell::Cell::new(0),
+            };
+            let mut heartbeats = Heartbeats::default();
+            let run = Run {
+                stop: Some(&stop),
+                observer: Some(&mut heartbeats),
+                ..Run::default()
+            };
+            let out = engine.run(&mut eval, &mut rng(2), run);
+            (out, heartbeats.0)
+        };
+        for at in [1, 7] {
+            let (out, heartbeats) = solve(at);
+            assert_eq!(out.reason, TerminationReason::ExternallyStopped);
+            assert_eq!(out.stats.iterations, at);
+            assert_eq!(heartbeats, vec![0]);
+        }
+        // Never raised: the whole budget, a heartbeat every 1 000.
+        let (out, heartbeats) = solve(u64::MAX);
+        assert_eq!(out.reason, TerminationReason::IterationBudgetExhausted);
+        assert_eq!(out.stats.iterations, 2_500);
+        assert_eq!(heartbeats, vec![0, 1_000, 2_000]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! simultaneous computations *except for completion*": the only signal a walk
 //! ever receives is "someone else finished, stop now".  [`StopControl`]
 //! carries exactly that signal (a shared atomic flag), plus an optional
-//! wall-clock deadline used by the sequential harness.
+//! wall-clock deadline (a batch's timeout).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,7 +23,8 @@ pub fn monotonic_now() -> Instant {
     Instant::now()
 }
 
-/// Shared, cheaply clonable stop signal checked periodically by the engine.
+/// Shared, cheaply clonable stop signal: the engine reads its flags every
+/// iteration and its deadline every `stop_check_interval` iterations.
 ///
 /// Besides the *shared* flag (raised by [`request_stop`](Self::request_stop)
 /// for every sibling walk at once), a control can carry a *local* flag
@@ -76,24 +77,6 @@ impl StopControl {
         }
     }
 
-    /// A stop control sharing an externally owned flag (the multi-walk runner
-    /// hands the same flag to every walk).
-    #[must_use]
-    pub fn with_shared_flag(flag: Arc<AtomicBool>) -> Self {
-        Self {
-            flag,
-            local: None,
-            deadline: None,
-        }
-    }
-
-    /// Attach a fixed monotonic deadline to this control.
-    #[must_use]
-    pub fn and_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Attach a walk-local kill flag to this control.
     ///
     /// The supervision layer gives each walk its own flag on top of the
@@ -107,26 +90,6 @@ impl StopControl {
         self
     }
 
-    /// The walk-local kill flag, if one is attached.
-    #[must_use]
-    pub fn local_flag(&self) -> Option<Arc<AtomicBool>> {
-        self.local.as_ref().map(Arc::clone)
-    }
-
-    /// The monotonic deadline, if one is set.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Wall-clock time left until the deadline (`None` without a deadline,
-    /// [`Duration::ZERO`] once it has passed).
-    #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(monotonic_now()))
-    }
-
     /// Whether the deadline (and only the deadline — the flag is ignored)
     /// has passed.
     #[must_use]
@@ -137,14 +100,8 @@ impl StopControl {
         }
     }
 
-    /// The shared flag, for handing to sibling walks.
-    #[must_use]
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.flag)
-    }
-
-    /// Request that every engine sharing this control stop as soon as it
-    /// polls the flag.
+    /// Request that every engine sharing this control stop at its next
+    /// iteration.
     pub fn request_stop(&self) {
         // Release: pairs with the Acquire loads below so a stopping walk's
         // writes (its outcome) happen-before any walk that observes the flag.
@@ -163,13 +120,6 @@ impl StopControl {
             // Acquire: same pairing as the shared flag above.
             || self.local.as_ref().is_some_and(|f| f.load(Ordering::Acquire))
     }
-
-    /// Whether the engine should stop now, because either flag is raised
-    /// or because the deadline has passed.
-    #[must_use]
-    pub fn should_stop(&self) -> bool {
-        self.stop_requested() || self.deadline_passed()
-    }
 }
 
 #[cfg(test)]
@@ -180,15 +130,14 @@ mod tests {
     #[test]
     fn fresh_control_does_not_stop() {
         let c = StopControl::new();
-        assert!(!c.should_stop());
         assert!(!c.stop_requested());
+        assert!(!c.deadline_passed());
     }
 
     #[test]
     fn request_stop_is_visible() {
         let c = StopControl::new();
         c.request_stop();
-        assert!(c.should_stop());
         assert!(c.stop_requested());
     }
 
@@ -196,27 +145,18 @@ mod tests {
     fn clones_share_the_flag() {
         let a = StopControl::new();
         let b = a.clone();
+        let c = b.clone();
         b.request_stop();
-        assert!(a.should_stop());
-    }
-
-    #[test]
-    fn shared_flag_constructor_shares() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let a = StopControl::with_shared_flag(Arc::clone(&flag));
-        let b = StopControl::with_shared_flag(Arc::clone(&flag));
-        a.request_stop();
-        assert!(b.should_stop());
-        // Acquire: observe the Release store made through control `a`.
-        assert!(flag.load(Ordering::Acquire));
+        assert!(a.stop_requested());
+        assert!(c.stop_requested());
     }
 
     #[test]
     fn timeout_eventually_fires() {
         let c = StopControl::with_timeout(Duration::from_millis(10));
-        assert!(!c.stop_requested());
+        assert!(!c.deadline_passed());
         thread::sleep(Duration::from_millis(20));
-        assert!(c.should_stop());
+        assert!(c.deadline_passed());
         // the flag itself is still untouched: only the deadline fired
         assert!(!c.stop_requested());
     }
@@ -224,42 +164,20 @@ mod tests {
     #[test]
     fn zero_timeout_stops_immediately() {
         let c = StopControl::with_timeout(Duration::ZERO);
-        assert!(c.should_stop());
+        assert!(c.deadline_passed());
     }
 
     #[test]
-    fn deadline_accessors_are_consistent() {
-        let no_deadline = StopControl::new();
-        assert!(no_deadline.deadline().is_none());
-        assert!(no_deadline.remaining().is_none());
-        assert!(!no_deadline.deadline_passed());
-
-        let deadline = monotonic_now() + Duration::from_secs(3600);
-        let c = StopControl::with_deadline(deadline);
-        assert_eq!(c.deadline(), Some(deadline));
-        assert!(!c.deadline_passed());
-        assert!(c.remaining().unwrap() <= Duration::from_secs(3600));
-        assert!(c.remaining().unwrap() > Duration::from_secs(3590));
+    fn deadline_passed_reads_only_the_deadline() {
+        assert!(!StopControl::new().deadline_passed());
+        let future = StopControl::with_deadline(monotonic_now() + Duration::from_secs(3600));
+        assert!(!future.deadline_passed());
 
         let past = StopControl::with_deadline(monotonic_now() - Duration::from_millis(1));
         assert!(past.deadline_passed());
-        assert!(past.should_stop());
-        assert_eq!(past.remaining(), Some(Duration::ZERO));
-        // the flag itself is untouched: only the deadline fired
+        // A deadline never raises the flag, for the control or its clones.
         assert!(!past.stop_requested());
-    }
-
-    #[test]
-    fn and_deadline_attaches_to_a_shared_flag() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let c = StopControl::with_shared_flag(Arc::clone(&flag))
-            .and_deadline(monotonic_now() - Duration::from_millis(1));
-        assert!(c.should_stop());
-        assert!(
-            // Acquire: would observe any Release store; none must have happened.
-            !flag.load(Ordering::Acquire),
-            "deadline must not raise the flag"
-        );
+        assert!(!past.clone().stop_requested());
     }
 
     #[test]
@@ -267,19 +185,13 @@ mod tests {
         let shared = StopControl::new();
         let kill = Arc::new(AtomicBool::new(false));
         let killed = shared.clone().and_local_flag(Arc::clone(&kill));
-        assert!(!killed.should_stop());
-        assert_eq!(
-            killed.local_flag().map(|f| Arc::as_ptr(&f)),
-            Some(Arc::as_ptr(&kill))
-        );
+        assert!(!killed.stop_requested());
 
         // Release: pairs with the Acquire loads in `stop_requested`.
         kill.store(true, Ordering::Release);
-        assert!(killed.should_stop());
         // A local kill reads as an externally requested stop...
         assert!(killed.stop_requested());
         // ...but never leaks into the sibling-shared control.
-        assert!(!shared.should_stop());
         assert!(!shared.stop_requested());
 
         // The shared flag still reaches the killed walk's control.
@@ -295,6 +207,6 @@ mod tests {
             c2.request_stop();
         });
         handle.join().unwrap();
-        assert!(c.should_stop());
+        assert!(c.stop_requested());
     }
 }

@@ -208,10 +208,9 @@ pub fn wallclock_exempt(rel_path: &str) -> bool {
 }
 
 /// Whether this file hosts the `monotonic_now` funnel.  Inside it the
-/// exemption is *structural*, not file-wide: `StopControl::remaining` and
-/// `deadline_passed` once read `Instant::now()` directly two screens below
-/// the funnel they were supposed to use, and the old file-level exemption
-/// hid that.
+/// exemption is *structural*, not file-wide: `StopControl::deadline_passed`
+/// once read `Instant::now()` directly two screens below the funnel it was
+/// supposed to use, and the old file-level exemption hid that.
 #[must_use]
 pub fn wallclock_funnel_file(rel_path: &str) -> bool {
     let p = rel_path.replace('\\', "/");

@@ -133,7 +133,7 @@ fn wallclock_rule_respects_the_exempt_files() {
     // The stop module is only *structurally* exempt: the `monotonic_now`
     // body (line 25) is the single permitted call site, while the same
     // calls elsewhere in the file still fire — this is the regression shape
-    // that let `remaining`/`deadline_passed` bypass the funnel unnoticed.
+    // that let `deadline_passed` bypass the funnel unnoticed.
     assert!(rules::wallclock_funnel_file("crates/core/src/stop.rs"));
     assert!(!rules::wallclock_exempt("crates/core/src/stop.rs"));
     let findings = cbls_lint::lint_source("crates/core/src/stop.rs", &source);

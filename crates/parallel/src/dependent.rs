@@ -138,7 +138,8 @@ struct WalkState {
     best_perm: Option<Vec<usize>>,
 }
 
-/// Run the dependent multi-walk scheme with one OS thread per walk.
+/// Run the dependent multi-walk scheme on [`ThreadsExecutor`]: one thread
+/// per walk, the calling thread running walk 0.
 ///
 /// The result is a deterministic function of `(factory, config)`: walks read
 /// the elite as of the segment start and publish through a sequential merge,

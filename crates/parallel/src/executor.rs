@@ -8,10 +8,10 @@
 //! with their [`WalkSeeds`] family, an optional wall-clock timeout and the
 //! stop semantics; a [`WalkExecutor`] back-end decides *where* the walks run:
 //!
-//! * [`ThreadsExecutor`] — one OS thread per walk (the paper's
-//!   one-engine-per-core deployment);
+//! * [`ThreadsExecutor`] — one thread per walk, the calling thread running
+//!   walk 0 (the paper's one-engine-per-core deployment);
 //! * [`SequentialExecutor`] — one walk after another on the calling thread
-//!   (the deterministic replay used by the figure harness).
+//!   (the deterministic replay behind the `speedup` binary's tables).
 //!
 //! Whatever the back-end, the semantics are identical: every walk draws the
 //! stream `WalkSeeds::rng_of(walk_id)`, the first walk to reach its target
@@ -482,8 +482,9 @@ pub trait WalkExecutor: Sync {
     }
 }
 
-/// One OS thread per walk — the closest analogue of the paper's
-/// one-MPI-process-per-core deployment.
+/// One thread per walk, the calling thread running walk 0 — the closest
+/// analogue of the paper's one-MPI-process-per-core deployment.  A `p`-walk
+/// batch starts `p − 1` scoped threads; a 1-walk batch starts none.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadsExecutor;
 
@@ -498,32 +499,35 @@ impl WalkExecutor for ThreadsExecutor {
         T: Send,
         W: Fn(usize, I) -> T + Sync,
     {
+        let mut items = items.into_iter().enumerate();
+        let Some((_, first)) = items.next() else {
+            return Vec::new();
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .into_iter()
-                .enumerate()
+            let helpers: Vec<_> = items
                 .map(|(i, item)| scope.spawn(move || work(i, item)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(record) => record,
-                    // Walk-level `catch_unwind` isolation means a panic can
-                    // only reach this join if it escaped the isolation wrapper
-                    // (e.g. a non-unwindable abort); re-raise it on the caller
-                    // thread instead of discarding the payload.
-                    Err(payload) => resume_unwind(payload),
-                })
-                .collect()
+            let mut results = Vec::with_capacity(helpers.len() + 1);
+            results.push(work(0, first));
+            results.extend(helpers.into_iter().map(|h| match h.join() {
+                Ok(record) => record,
+                // Walk-level `catch_unwind` isolation means a panic can only
+                // reach this join if it escaped the isolation wrapper (a panic
+                // from a sink, say); re-raise it on the caller thread instead
+                // of discarding the payload.
+                Err(payload) => resume_unwind(payload),
+            }));
+            results
         })
     }
 }
 
 /// One walk after another on the calling thread — the deterministic replay.
 ///
-/// With [`WalkBatch::run_to_completion`] this is the figure harness's replay
-/// back-end; with first-finisher semantics, walks after the first success
-/// stop at their first poll of the (already raised) flag.
+/// With [`WalkBatch::run_to_completion`] this is the replay back-end of the
+/// `speedup` binary's tables; with first-finisher semantics, walks after the
+/// first success stop at their first iteration, on the (already raised)
+/// flag.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 
@@ -579,6 +583,11 @@ where
     let stop_on_first_success = batch.stop_on_first_success;
     let stop = &stop;
     let mut records: Vec<WalkRecord> = executor.run_batch(items, &move |walk_id, (job, engine)| {
+        // A panic that escapes the isolation below (one from a sink) raises
+        // the batch's flag on its way out: the sibling walks stop at their
+        // next iteration, and the back-end hands the panic to the caller
+        // instead of waiting out their budgets.
+        let _stop_siblings = StopOnUnwind(stop);
         // Walk-level fault isolation: a panicking evaluator (or engine)
         // becomes a structured `WalkFault::Panicked` record instead of
         // unwinding through the back-end and killing the whole batch.
@@ -618,6 +627,17 @@ where
         incumbent,
         degradation,
         wall_time: started.elapsed(),
+    }
+}
+
+/// Raises a batch's stop flag when dropped by an unwinding panic.
+struct StopOnUnwind<'a>(&'a StopControl);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.request_stop();
+        }
     }
 }
 
@@ -801,6 +821,9 @@ mod tests {
     use super::*;
     use crate::telemetry::EventLog;
     use cbls_core::{Evaluator, TerminationReason};
+    use std::collections::HashSet;
+    use std::sync::mpsc;
+    use std::thread::{self, ThreadId};
 
     #[derive(Clone)]
     struct Sort(usize);
@@ -897,16 +920,92 @@ mod tests {
 
     #[test]
     fn run_batch_preserves_input_order_on_every_backend() {
+        let caller = thread::current().id();
         let items: Vec<usize> = (0..37).collect();
         let work = |i: usize, item: usize| {
             assert_eq!(i, item);
-            item * 2
+            (item * 2, thread::current().id())
         };
         let expected: Vec<usize> = (0..37).map(|i| i * 2).collect();
-        assert_eq!(ThreadsExecutor.run_batch(items.clone(), &work), expected);
-        assert_eq!(SequentialExecutor.run_batch(items, &work), expected);
+        let threaded = ThreadsExecutor.run_batch(items.clone(), &work);
+        let sequential = SequentialExecutor.run_batch(items, &work);
+        for results in [&threaded, &sequential] {
+            let values: Vec<usize> = results.iter().map(|&(value, _)| value).collect();
+            assert_eq!(values, expected);
+            // Item 0 runs on the calling thread, whatever the back-end.
+            assert_eq!(results[0].1, caller);
+        }
+        // On threads, every other item runs on a thread of its own.
+        let distinct: HashSet<ThreadId> = threaded.iter().map(|&(_, id)| id).collect();
+        assert_eq!(distinct.len(), threaded.len());
+        // A one-item batch starts no thread.
+        assert_eq!(ThreadsExecutor.run_batch(vec![0], &work), vec![(0, caller)]);
+        assert!(ThreadsExecutor.run_batch(Vec::new(), &work).is_empty());
         assert_eq!(ThreadsExecutor.name(), "threads");
         assert_eq!(SequentialExecutor.name(), "sequential");
+    }
+
+    /// Run `f` on a helper thread and wait at most ten seconds for it to
+    /// return or panic, so a batch that hangs fails the test instead of
+    /// hanging the suite.
+    fn within_ten_seconds<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> thread::Result<T> {
+        let (done, outcome) = mpsc::channel();
+        let helper = thread::spawn(move || {
+            let _ = done.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        match outcome.recv_timeout(Duration::from_secs(10)) {
+            Ok(result) => {
+                assert!(helper.join().is_ok(), "the helper catches the call's panic");
+                result
+            }
+            Err(_) => panic!("no return or panic within 10 s"),
+        }
+    }
+
+    #[test]
+    fn a_panic_escaping_a_walk_stops_its_siblings() {
+        /// Hopeless walks, except that walk `.0`'s evaluator panics.
+        struct PanicsOnWalk(usize);
+        impl EvaluatorFactory for PanicsOnWalk {
+            type Output = Hopeless;
+            fn build(&self) -> Hopeless {
+                Hopeless(8)
+            }
+            fn build_walk(&self, walk_id: usize, _attempt: u32) -> Hopeless {
+                assert_ne!(walk_id, self.0, "evaluator: injected panic");
+                Hopeless(8)
+            }
+        }
+        /// Panics on the fault event, outside the walk's isolation.
+        struct PanicsOnFault;
+        impl EventSink for PanicsOnFault {
+            fn record(&self, event: &WalkEvent) {
+                if matches!(event, WalkEvent::Faulted { .. }) {
+                    panic!("sink: refusing a fault event");
+                }
+            }
+        }
+        let search = SearchConfig::builder()
+            .max_iterations_per_restart(u64::MAX / 8)
+            .max_restarts(0)
+            .build();
+        // Walk 0 runs on the calling thread, walk 1 on a helper.
+        for panicking in [0, 1] {
+            let batch = WalkBatch::uniform(11, &search, 2);
+            let outcome = within_ten_seconds(move || {
+                ThreadsExecutor.execute_with_telemetry(
+                    &PanicsOnWalk(panicking),
+                    &batch,
+                    &PanicsOnFault,
+                )
+            });
+            assert!(
+                outcome.is_err(),
+                "walk {panicking}: the sink's panic reaches the caller"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! [`WalkSeeds`] family, stop semantics and an optional deadline, and a
 //! [`WalkExecutor`] back-end decides where the walks run:
 //!
-//! * [`ThreadsExecutor`] — one OS thread per walk with a shared atomic stop
-//!   flag, the closest analogue of the paper's one-MPI-process-per-core
-//!   setup;
+//! * [`ThreadsExecutor`] — one thread per walk, the calling thread running
+//!   walk 0, with a shared atomic stop flag: the closest analogue of the
+//!   paper's one-MPI-process-per-core setup;
 //! * [`SequentialExecutor`] — the deterministic replay back-end (one walk
 //!   after another on the calling thread).
 //!
@@ -24,11 +24,12 @@
 //! restart schedules and labels.  [`SimulatedMultiWalk`] replays any batch
 //! to completion and reports the *iteration count* a parallel run would have
 //! needed (the minimum over walks — exact for independent walks,
-//! reproducible and 256-core-free, which is why the figure harness uses it),
-//! together with the order-statistics predicted-vs-observed comparison.
-//! Every batch can emit a [`WalkEvent`] telemetry stream ([`telemetry`])
-//! consumed online, e.g. by a [`DistributionSink`] feeding `cbls-perfmodel`'s
-//! order-statistics machinery.
+//! reproducible and 256-core-free, which is why the `speedup` binary replays
+//! its batches on [`SequentialExecutor`]), together with the
+//! order-statistics predicted-vs-observed comparison.  Every batch can emit
+//! a [`WalkEvent`] telemetry stream ([`telemetry`]) consumed online, e.g. by
+//! a [`DistributionSink`] feeding `cbls-perfmodel`'s order-statistics
+//! machinery.
 //!
 //! ```
 //! use cbls_core::{Evaluator, SearchConfig};

@@ -181,7 +181,7 @@ impl<E> ChaosEvaluator<E> {
                 // Bounded spin standing in for a transiently hung evaluator:
                 // the thread is busy, heartbeats stop, the watchdog kills the
                 // walk, and the engine observes the kill at its next
-                // stop-poll once the spin releases.
+                // iteration once the spin releases.
                 let released = monotonic_now() + hold;
                 while monotonic_now() < released {
                     std::hint::spin_loop();

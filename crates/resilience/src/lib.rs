@@ -25,7 +25,7 @@
 //! The stall model is *cooperative*: a stalled walk is one whose evaluator
 //! transiently hangs (a long blocking call, a pathological neighbourhood),
 //! so the watchdog's per-walk kill flag takes effect at the walk's next
-//! stop-poll once the hang releases the thread.  A walk that never returns
+//! iteration once the hang releases the thread.  A walk that never returns
 //! cannot be reclaimed without unsafe thread cancellation, which this
 //! workspace forbids.
 

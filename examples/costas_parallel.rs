@@ -38,9 +38,10 @@ fn main() {
         walks *= 2;
     }
 
-    // The same experiment through the deterministic simulated runner, which is
-    // what the figure harness uses: identical per-walk trajectories, but every
-    // walk runs to completion so one replay covers all walk counts.
+    // The same experiment through the deterministic simulated runner, the
+    // replay on `SequentialExecutor` that the `speedup` binary's tables use:
+    // identical per-walk trajectories, but every walk runs to completion so
+    // one replay covers all walk counts.
     println!("\nSimulated multi-walk (iteration counts, machine-independent):");
     let batch = WalkBatch::uniform(2012, &search, max_walks);
     let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(order), &batch, &SequentialExecutor);
