@@ -11,20 +11,21 @@
 //!
 //! Concurrency contract: each slot has exactly **one writer** — its own
 //! walk — so publication is an uncontended atomic store plus a mutex the
-//! owner alone locks on the improvement cold edge.  Readers (the supervisor
-//! mid-run, the executor after the join) take the mutex briefly to copy the
-//! assignment out.  The fast path costs the hot loop nothing: publication
-//! only happens when the best cost strictly improves.
+//! owner alone locks on the improvement cold edge.  The reader (the
+//! executor, rebuilding a panicked walk's record) takes the mutex briefly to
+//! copy the assignment out.  The fast path costs the hot loop nothing:
+//! publication only happens when the best cost strictly improves.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-/// The best assignment any walk of a batch has published so far.
+/// A batch's best assignment: the walk that holds it, its cost and the
+/// assignment itself.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Incumbent {
-    /// The walk that published it.
+    /// The walk that holds it.
     pub walk_id: usize,
     /// Its cost.
     pub cost: i64,
@@ -82,7 +83,7 @@ impl BestSoFar {
             stored.clear();
             stored.extend_from_slice(assignment);
         }
-        // Release: pairs with the Acquire load in `best_of`/`incumbent` so a
+        // Release: pairs with the Acquire load in `best_cost_of` so a
         // reader that observes the new cost also observes the assignment
         // written under the mutex above.
         slot.cost.store(cost, Ordering::Release);
@@ -109,21 +110,6 @@ impl BestSoFar {
             .to_vec();
         Some((cost, assignment))
     }
-
-    /// The best published assignment across all walks, ties broken towards
-    /// the lowest walk id (deterministic for deterministic trajectories).
-    #[must_use]
-    pub fn incumbent(&self) -> Option<Incumbent> {
-        let (walk_id, cost) = (0..self.slots.len())
-            .filter_map(|walk| self.best_cost_of(walk).map(|cost| (walk, cost)))
-            .min_by_key(|&(walk, cost)| (cost, walk))?;
-        let (_, assignment) = self.best_of(walk_id)?;
-        Some(Incumbent {
-            walk_id,
-            cost,
-            assignment,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +120,6 @@ mod tests {
     fn empty_table_has_no_incumbent() {
         let best = BestSoFar::new(3);
         assert_eq!(best.walks(), 3);
-        assert_eq!(best.incumbent(), None);
         assert_eq!(best.best_cost_of(0), None);
         assert_eq!(best.best_of(2), None);
     }
@@ -151,28 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn incumbent_is_the_cross_walk_minimum_with_walk_id_tie_break() {
-        let best = BestSoFar::new(3);
-        best.publish(2, 5, &[1, 0]);
-        best.publish(0, 7, &[0, 1]);
-        assert_eq!(
-            best.incumbent(),
-            Some(Incumbent {
-                walk_id: 2,
-                cost: 5,
-                assignment: vec![1, 0],
-            })
-        );
-        // A tie at cost 5 resolves to the lowest walk id.
-        best.publish(1, 5, &[0, 1]);
-        assert_eq!(best.incumbent().unwrap().walk_id, 1);
-    }
-
-    #[test]
     fn out_of_range_walks_are_ignored() {
         let best = BestSoFar::new(1);
         best.publish(9, 1, &[0]);
-        assert_eq!(best.incumbent(), None);
+        assert_eq!(best.best_cost_of(0), None);
         assert_eq!(best.best_cost_of(9), None);
     }
 }

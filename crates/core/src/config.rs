@@ -47,7 +47,7 @@ pub struct SearchConfig {
     /// Cost at or below which the problem counts as solved (0 for pure CSPs).
     pub target_cost: i64,
     /// How many iterations pass between heartbeats and deadline checks.
-    /// The stop flags themselves are read every iteration.
+    /// The stop bound and kill flag themselves are read every iteration.
     pub stop_check_interval: u64,
 }
 

@@ -105,8 +105,10 @@ impl Default for AdaptiveSearch {
 #[derive(Default)]
 pub struct Run<'a> {
     /// Lets a sibling walk, a supervisor or a deadline interrupt the run;
-    /// `None` never stops it.  Its flags are read every iteration, its
-    /// deadline every `stop_check_interval` iterations.
+    /// `None` never stops it.  Its iteration bound and kill flag are read
+    /// every iteration, after the solved check, so a run that solves at the
+    /// bound still reports its solve.  Its deadline is read every
+    /// `stop_check_interval` iterations.
     pub stop: Option<&'a StopControl>,
     /// The first restart's configuration, in place of a random one: the
     /// dependent multi-walk scheme restarts a walk from a shared elite this
@@ -320,11 +322,12 @@ impl AdaptiveSearch {
                     observer.on_heartbeat(stats.iterations);
                 }
                 if let Some(stop) = stop {
-                    // The flags are one Acquire load each, so they are read
-                    // every iteration: a losing walk stops within one
-                    // iteration of the winner.  The deadline reads the clock,
-                    // so it keeps the poll's cadence.
-                    if stop.stop_requested() {
+                    // The bound and the kill flag are one Acquire load each,
+                    // so they are read every iteration: a losing walk stops
+                    // as soon as it has done the winner's count.  The
+                    // deadline reads the clock, so it keeps the poll's
+                    // cadence.
+                    if stop.should_stop(stats.iterations) {
                         reason = TerminationReason::ExternallyStopped;
                         break 'restarts;
                     }
@@ -678,20 +681,23 @@ mod tests {
             .stop_check_interval(1)
             .build();
         let engine = AdaptiveSearch::new(config);
-        let stop = StopControl::new();
-        stop.request_stop();
-        let mut p = Unsatisfiable { n: 8 };
-        let run = Run {
-            stop: Some(&stop),
-            ..Run::default()
-        };
-        let out = engine.run(&mut p, &mut rng(2), run);
-        assert_eq!(out.reason, TerminationReason::ExternallyStopped);
-        assert!(out.stats.iterations <= 1);
+        // A bound stops the run once it has done that many iterations.
+        for bound in [0, 30] {
+            let stop = StopControl::new();
+            stop.stop_at(bound);
+            let mut p = Unsatisfiable { n: 8 };
+            let run = Run {
+                stop: Some(&stop),
+                ..Run::default()
+            };
+            let out = engine.run(&mut p, &mut rng(2), run);
+            assert_eq!(out.reason, TerminationReason::ExternallyStopped);
+            assert_eq!(out.stats.iterations, bound);
+        }
 
-        // Raised mid-run, the flag stops the walk at the next iteration,
-        // while heartbeats keep the `stop_check_interval` cadence.
-        /// Constant cost; raises `stop` during iteration `at`.  An exhaustive
+        // Lowered to 0 mid-run, the bound stops the walk at the next
+        // iteration, while heartbeats keep the `stop_check_interval` cadence.
+        /// Constant cost; stops `stop` during iteration `at`.  An exhaustive
         /// scan of `n` variables probes `n(n-1)/2` swaps per iteration.
         struct RaiseAt {
             n: usize,
@@ -715,7 +721,7 @@ mod tests {
             fn cost_if_swap(&self, _perm: &[usize], _cost: i64, _i: usize, _j: usize) -> i64 {
                 let per_iteration = (self.n * (self.n - 1) / 2) as u64;
                 if self.probes.get() / per_iteration + 1 == self.at {
-                    self.stop.request_stop();
+                    self.stop.stop_at(0);
                 }
                 self.probes.set(self.probes.get() + 1);
                 1
@@ -759,7 +765,7 @@ mod tests {
             assert_eq!(out.stats.iterations, at);
             assert_eq!(heartbeats, vec![0]);
         }
-        // Never raised: the whole budget, a heartbeat every 1 000.
+        // Never lowered: the whole budget, a heartbeat every 1 000.
         let (out, heartbeats) = solve(u64::MAX);
         assert_eq!(out.reason, TerminationReason::IterationBudgetExhausted);
         assert_eq!(out.stats.iterations, 2_500);

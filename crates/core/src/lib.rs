@@ -43,9 +43,9 @@
 //!   observer).
 //! * [`SearchOutcome`] / [`SearchStats`] / [`TerminationReason`] — per-run
 //!   results and counters.
-//! * [`StopControl`] — cooperative termination (stop flag + monotonic
-//!   deadline), the only communication the paper's independent walks ever
-//!   perform.
+//! * [`StopControl`] — cooperative termination (a shared iteration bound
+//!   plus a monotonic deadline), the only communication the paper's
+//!   independent walks ever perform.
 //! * [`SearchObserver`] / [`SearchPhase`] — passive restart / improvement
 //!   hooks consumed by the multi-walk executor's telemetry stream, plus the
 //!   opt-in per-iteration phase spans behind the observability layer.

@@ -16,7 +16,8 @@ pub enum TerminationReason {
     Solved,
     /// Every restart exhausted its iteration budget.
     IterationBudgetExhausted,
-    /// The external stop flag was raised (another walk finished first).
+    /// The stop control's iteration bound was reached (another walk solved
+    /// in at most as many iterations) or its kill flag was raised.
     ExternallyStopped,
     /// The wall-clock deadline attached to the stop control passed.
     TimedOut,

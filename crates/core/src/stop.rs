@@ -1,12 +1,13 @@
 //! Cooperative termination of search engines.
 //!
 //! The paper's multi-walk scheme has "no communication between the
-//! simultaneous computations *except for completion*": the only signal a walk
-//! ever receives is "someone else finished, stop now".  [`StopControl`]
-//! carries exactly that signal (a shared atomic flag), plus an optional
-//! wall-clock deadline (a batch's timeout).
+//! simultaneous computations *except for completion*".  [`StopControl`]
+//! carries completion as a shared iteration bound: a walk that solves at
+//! iteration `t` lowers the bound to `t`, and every sibling stops once it has
+//! done `t` iterations, when it can no longer beat the solver.  A control
+//! also carries an optional wall-clock deadline (a batch's timeout).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,17 +24,20 @@ pub fn monotonic_now() -> Instant {
     Instant::now()
 }
 
-/// Shared, cheaply clonable stop signal: the engine reads its flags every
-/// iteration and its deadline every `stop_check_interval` iterations.
+/// Shared, cheaply clonable stop signal: the engine reads its bound and
+/// flag every iteration and its deadline every `stop_check_interval`
+/// iterations.
 ///
-/// Besides the *shared* flag (raised by [`request_stop`](Self::request_stop)
-/// for every sibling walk at once), a control can carry a *local* flag
-/// attached with [`and_local_flag`](Self::and_local_flag): a kill switch for
-/// this one walk that a supervisor raises to cancel a stalled search without
-/// disturbing its siblings.  Both flags read as an externally requested stop.
+/// The *shared* bound starts at `u64::MAX` and only falls:
+/// [`stop_at(t)`](Self::stop_at) stops every sibling walk once it has done
+/// `t` iterations, and `stop_at(0)` stops them all at their next iteration.
+/// A control can also carry a *local* flag attached with
+/// [`and_local_flag`](Self::and_local_flag): a kill switch for this one walk
+/// that a supervisor raises to cancel a stalled search without disturbing
+/// its siblings.  Both read as an externally requested stop.
 #[derive(Debug, Clone)]
 pub struct StopControl {
-    flag: Arc<AtomicBool>,
+    bound: Arc<AtomicU64>,
     local: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
 }
@@ -49,7 +53,7 @@ impl StopControl {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            flag: Arc::new(AtomicBool::new(false)),
+            bound: Arc::new(AtomicU64::new(u64::MAX)),
             local: None,
             deadline: None,
         }
@@ -71,9 +75,8 @@ impl StopControl {
     #[must_use]
     pub fn with_deadline(deadline: Instant) -> Self {
         Self {
-            flag: Arc::new(AtomicBool::new(false)),
-            local: None,
             deadline: Some(deadline),
+            ..Self::new()
         }
     }
 
@@ -82,16 +85,16 @@ impl StopControl {
     /// The supervision layer gives each walk its own flag on top of the
     /// batch-shared one: raising it cancels exactly that walk (the engine
     /// reports [`ExternallyStopped`](crate::TerminationReason)) while its
-    /// siblings keep running.  [`request_stop`](Self::request_stop) still
-    /// raises only the shared flag.
+    /// siblings keep running.  [`stop_at`](Self::stop_at) still lowers only
+    /// the shared bound.
     #[must_use]
     pub fn and_local_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.local = Some(flag);
         self
     }
 
-    /// Whether the deadline (and only the deadline — the flag is ignored)
-    /// has passed.
+    /// Whether the deadline (and only the deadline — the bound and the flag
+    /// are ignored) has passed.
     #[must_use]
     pub fn deadline_passed(&self) -> bool {
         match self.deadline {
@@ -100,24 +103,27 @@ impl StopControl {
         }
     }
 
-    /// Request that every engine sharing this control stop at its next
-    /// iteration.
-    pub fn request_stop(&self) {
-        // Release: pairs with the Acquire loads below so a stopping walk's
-        // writes (its outcome) happen-before any walk that observes the flag.
-        self.flag.store(true, Ordering::Release);
+    /// Stop every engine sharing this control once it has done `iterations`
+    /// iterations.  The bound only falls: a later, larger `iterations`
+    /// leaves it where it is.
+    pub fn stop_at(&self, iterations: u64) {
+        // Release: pairs with the Acquire load in `should_stop`, so a walk
+        // that lowers the bound publishes its writes (its outcome) to every
+        // walk that stops on it.
+        self.bound.fetch_min(iterations, Ordering::Release);
     }
 
-    /// Whether a stop has been requested (does not consider the deadline).
-    /// Either flag counts: a batch-wide stop and a walk-local kill both read
-    /// as an external request, so the engine reports `ExternallyStopped`
-    /// rather than `TimedOut` for a supervisor-cancelled walk.
+    /// Whether an engine that has done `iterations` iterations must stop:
+    /// the shared bound is at or below `iterations`, or the local flag is
+    /// raised.  The deadline is not considered.  Both read as an external
+    /// request, so the engine reports `ExternallyStopped` rather than
+    /// `TimedOut` for a supervisor-cancelled walk.
     #[must_use]
-    pub fn stop_requested(&self) -> bool {
-        // Acquire: pairs with the Release store in `request_stop` (and in a
-        // supervisor raising the local kill flag).
-        self.flag.load(Ordering::Acquire)
-            // Acquire: same pairing as the shared flag above.
+    pub fn should_stop(&self, iterations: u64) -> bool {
+        // Acquire: pairs with the Release `fetch_min` in `stop_at`.
+        iterations >= self.bound.load(Ordering::Acquire)
+            // Acquire: pairs with the Release store of a supervisor raising
+            // the local kill flag.
             || self.local.as_ref().is_some_and(|f| f.load(Ordering::Acquire))
     }
 }
@@ -130,25 +136,35 @@ mod tests {
     #[test]
     fn fresh_control_does_not_stop() {
         let c = StopControl::new();
-        assert!(!c.stop_requested());
+        assert!(!c.should_stop(0));
+        assert!(!c.should_stop(u64::MAX - 1));
         assert!(!c.deadline_passed());
     }
 
     #[test]
-    fn request_stop_is_visible() {
+    fn a_bound_stops_at_its_count_and_only_falls() {
         let c = StopControl::new();
-        c.request_stop();
-        assert!(c.stop_requested());
+        c.stop_at(20);
+        assert!(!c.should_stop(19));
+        assert!(c.should_stop(20));
+        assert!(c.should_stop(21));
+        // A larger bound leaves the lower one in place.
+        c.stop_at(50);
+        assert!(c.should_stop(20));
+        // Zero stops an engine at any count.
+        c.stop_at(0);
+        assert!(c.should_stop(0));
     }
 
     #[test]
-    fn clones_share_the_flag() {
+    fn clones_share_the_bound() {
         let a = StopControl::new();
         let b = a.clone();
         let c = b.clone();
-        b.request_stop();
-        assert!(a.stop_requested());
-        assert!(c.stop_requested());
+        b.stop_at(7);
+        assert!(a.should_stop(7));
+        assert!(c.should_stop(7));
+        assert!(!c.should_stop(6));
     }
 
     #[test]
@@ -157,8 +173,8 @@ mod tests {
         assert!(!c.deadline_passed());
         thread::sleep(Duration::from_millis(20));
         assert!(c.deadline_passed());
-        // the flag itself is still untouched: only the deadline fired
-        assert!(!c.stop_requested());
+        // the bound itself is still untouched: only the deadline fired
+        assert!(!c.should_stop(0));
     }
 
     #[test]
@@ -175,9 +191,9 @@ mod tests {
 
         let past = StopControl::with_deadline(monotonic_now() - Duration::from_millis(1));
         assert!(past.deadline_passed());
-        // A deadline never raises the flag, for the control or its clones.
-        assert!(!past.stop_requested());
-        assert!(!past.clone().stop_requested());
+        // A deadline never lowers the bound, for the control or its clones.
+        assert!(!past.should_stop(0));
+        assert!(!past.clone().should_stop(0));
     }
 
     #[test]
@@ -185,18 +201,22 @@ mod tests {
         let shared = StopControl::new();
         let kill = Arc::new(AtomicBool::new(false));
         let killed = shared.clone().and_local_flag(Arc::clone(&kill));
-        assert!(!killed.stop_requested());
+        assert!(!killed.should_stop(0));
 
-        // Release: pairs with the Acquire loads in `stop_requested`.
+        // Release: pairs with the Acquire loads in `should_stop`.
         kill.store(true, Ordering::Release);
         // A local kill reads as an externally requested stop...
-        assert!(killed.stop_requested());
+        assert!(killed.should_stop(0));
         // ...but never leaks into the sibling-shared control.
-        assert!(!shared.stop_requested());
+        assert!(!shared.should_stop(0));
 
-        // The shared flag still reaches the killed walk's control.
-        shared.request_stop();
-        assert!(killed.stop_requested());
+        // The shared bound still reaches the killed walk's control.
+        let unkilled = shared
+            .clone()
+            .and_local_flag(Arc::new(AtomicBool::new(false)));
+        shared.stop_at(3);
+        assert!(unkilled.should_stop(3));
+        assert!(!unkilled.should_stop(2));
     }
 
     #[test]
@@ -204,9 +224,9 @@ mod tests {
         let c = StopControl::new();
         let c2 = c.clone();
         let handle = thread::spawn(move || {
-            c2.request_stop();
+            c2.stop_at(0);
         });
         handle.join().unwrap();
-        assert!(c.stop_requested());
+        assert!(c.should_stop(0));
     }
 }

@@ -132,6 +132,13 @@ fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
     if !matches!(backend.as_str(), "sequential" | "threads") {
         return Err(format!("unknown backend {backend:?}"));
     }
+    // The recorder needs a walk to record and room for one event.
+    if walks == 0 {
+        return Err("--walks must be at least 1".to_string());
+    }
+    if capacity == 0 {
+        return Err("--capacity must be at least 1".to_string());
+    }
     Ok(RecordArgs {
         bench,
         walks,
@@ -302,5 +309,31 @@ fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => fail(&message),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record_args(flags: &[&str]) -> Vec<String> {
+        ["--bench", "queens-8"]
+            .iter()
+            .chain(flags)
+            .map(|s| s.to_string())
+            .collect()
+    }
+
+    #[test]
+    fn record_rejects_zero_walks_and_zero_capacity() {
+        for flag in ["--walks", "--capacity"] {
+            let error = parse_record(&record_args(&[flag, "0"]))
+                .err()
+                .unwrap_or_else(|| panic!("{flag} 0 is rejected"));
+            assert!(error.contains(flag), "{flag}: {error}");
+        }
+        let smallest = parse_record(&record_args(&["--walks", "1", "--capacity", "1"]))
+            .expect("one walk and one slot are legal");
+        assert_eq!((smallest.walks, smallest.capacity), (1, 1));
     }
 }

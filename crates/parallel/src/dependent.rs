@@ -24,9 +24,9 @@
 //! matter how the segment's walks are scheduled onto threads.
 //!
 //! The paper warns that beating independent walks is hard because "the global
-//! cost of a configuration is not a reliable information"; the ablation bench
-//! (`cargo bench -p cbls-bench --bench ablation`) measures exactly that
-//! trade-off.
+//! cost of a configuration is not a reliable information".  Whether this
+//! scheme beats independent walks is unmeasured: no bench or table compares
+//! the two (ROADMAP item 9 asks for that comparison).
 
 use as_rng::RandomSource;
 use cbls_core::{

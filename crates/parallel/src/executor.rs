@@ -14,14 +14,18 @@
 //!   (the deterministic replay behind the `speedup` binary's tables).
 //!
 //! Whatever the back-end, the semantics are identical: every walk draws the
-//! stream `WalkSeeds::rng_of(walk_id)`, the first walk to reach its target
-//! cost raises the shared [`StopControl`] flag (unless the batch
-//! [runs to completion](WalkBatch::run_to_completion)), a timeout becomes a
+//! stream `WalkSeeds::rng_of(walk_id)`; a walk that reaches its target cost
+//! at iteration `t` lowers the shared [`StopControl`] bound to `t` (unless
+//! the batch [runs to completion](WalkBatch::run_to_completion)), and every
+//! other walk stops once it has done `t` iterations; a timeout becomes a
 //! *monotonic deadline* computed once per batch so every walk self-cancels at
-//! the same instant, and the winner is resolved by [`select_winner`] —
-//! smallest recorded elapsed time, ties broken by walk id — so the choice is
-//! deterministic across schedulers.  Flat multi-walk runs, portfolios
-//! ([`WalkJob`]s with per-walk configurations and labels) and replays
+//! the same instant; and [`select_winner`] picks the solved walk with the
+//! fewest iterations, ties broken by walk id.  No walk stops before the
+//! fewest-iteration solve, and a walk checks for a solution before it checks
+//! the bound, so the winner and its record are a function of the seeds on
+//! every back-end.  Which losing walks solved, and where they stopped, still
+//! depend on the scheduler.  Flat multi-walk runs, portfolios ([`WalkJob`]s
+//! with per-walk configurations and labels) and replays
 //! ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk)) are all batches
 //! executed here.
 
@@ -146,7 +150,6 @@ pub struct WalkBatch {
     jobs: Vec<WalkJob>,
     timeout: Option<Duration>,
     stop_on_first_success: bool,
-    winner_rule: WinnerRule,
 }
 
 impl WalkBatch {
@@ -166,7 +169,6 @@ impl WalkBatch {
             jobs,
             timeout: None,
             stop_on_first_success: true,
-            winner_rule: WinnerRule::WallClockFirst,
         }
     }
 
@@ -201,9 +203,9 @@ impl WalkBatch {
         self
     }
 
-    /// Let every walk run to completion instead of stopping the batch at the
-    /// first success (the deterministic-replay semantics: one replay answers
-    /// "what would a `p`-walk run have cost?" for every prefix `p`).
+    /// Let every walk run to completion instead of stopping a walk once a
+    /// sibling has solved in no more iterations than it has done (the replay
+    /// semantics: every walk's full run length is a sample).
     #[must_use]
     pub fn run_to_completion(mut self) -> Self {
         self.stop_on_first_success = false;
@@ -242,24 +244,10 @@ impl WalkBatch {
         self.timeout
     }
 
-    /// Whether the first successful walk stops the others.
+    /// Whether a solving walk stops the walks that can no longer beat it.
     #[must_use]
     pub fn stops_on_first_success(&self) -> bool {
         self.stop_on_first_success
-    }
-
-    /// Resolve winners with `rule` instead of the wall-clock default (see
-    /// [`WinnerRule`]).
-    #[must_use]
-    pub fn with_winner_rule(mut self, rule: WinnerRule) -> Self {
-        self.winner_rule = rule;
-        self
-    }
-
-    /// The batch's winner-resolution rule.
-    #[must_use]
-    pub fn winner_rule(&self) -> WinnerRule {
-        self.winner_rule
     }
 }
 
@@ -286,13 +274,14 @@ pub struct WalkRecord {
 /// The aggregate result of executing a [`WalkBatch`].
 #[derive(Debug, Clone)]
 pub struct BatchExecution {
-    /// The winning walk per the batch's [`WinnerRule`], if any walk solved.
+    /// The winning walk per [`select_winner`], if any walk solved.
     pub winner: Option<usize>,
     /// Per-walk records, ordered by walk index.
     pub records: Vec<WalkRecord>,
-    /// The best assignment any walk reported or published — the anytime
-    /// result that survives deadlines and faults.  `None` only when no walk
-    /// got far enough to hold a configuration (degenerate batches).
+    /// The best assignment the batch holds — the anytime result that
+    /// survives deadlines and faults: the winning record's when a walk
+    /// solved, else the best any record holds.  `None` only when no walk got
+    /// far enough to hold a configuration (degenerate batches).
     pub incumbent: Option<Incumbent>,
     /// Why the batch degraded to a partial result, if it did.
     pub degradation: Option<DegradationReason>,
@@ -301,6 +290,42 @@ pub struct BatchExecution {
 }
 
 impl BatchExecution {
+    /// Resolve a batch from its per-walk records, ordered by walk index:
+    ///
+    /// * the winner, per [`select_winner`];
+    /// * the incumbent: the winning record when a walk solved, otherwise
+    ///   the lowest `(best cost, walk id)` record that holds a
+    ///   configuration (a panicked walk's record holds what it published);
+    /// * the degradation: faults always degrade, and a blown deadline
+    ///   degrades only when it cost the batch its winner.
+    ///
+    /// The executor resolves every batch here, and the supervisor resolves
+    /// again after merging its retries.
+    #[must_use]
+    pub fn from_records(records: Vec<WalkRecord>, wall_time: Duration) -> Self {
+        let winner = select_winner(&records);
+        let incumbent = match winner {
+            Some(w) => Some(&records[w]),
+            None => records
+                .iter()
+                .filter(|r| !r.outcome.solution.is_empty())
+                .min_by_key(|r| (r.outcome.best_cost, r.walk_id)),
+        }
+        .map(|r| Incumbent {
+            walk_id: r.walk_id,
+            cost: r.outcome.best_cost,
+            assignment: r.outcome.solution.clone(),
+        });
+        let degradation = degradation_of(winner, &records);
+        Self {
+            winner,
+            records,
+            incumbent,
+            degradation,
+            wall_time,
+        }
+    }
+
     /// The winning walk's record, if any walk solved.
     #[must_use]
     pub fn winning_record(&self) -> Option<&WalkRecord> {
@@ -333,45 +358,20 @@ impl BatchExecution {
     }
 }
 
-/// How a batch resolves its winner among the solved walks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WinnerRule {
-    /// Smallest recorded elapsed time, ties broken by walk id — the
-    /// historical default.  Deterministic across *schedulers* for a fixed
-    /// set of records, but the elapsed times themselves are wall-clock
-    /// measurements, so under run-to-completion semantics the winner can
-    /// differ run to run and back-end to back-end.
-    #[default]
-    WallClockFirst,
-    /// Fewest engine iterations, ties broken by walk id.  Iteration counts
-    /// are a pure function of (seed, configuration), so the winner is
-    /// bit-reproducible across runs and back-ends — the rule the
-    /// cross-backend agreement suite pins.
-    IterationsFirst,
-}
-
-/// Resolve the winner of a multi-walk run under the historical
-/// wall-clock-first rule (see [`WinnerRule::WallClockFirst`]).
+/// Resolve the winner of a batch: the solved walk with the fewest
+/// iterations, ties broken towards the lower walk id; `None` when no walk
+/// solved.
 ///
-/// Using the recorded elapsed time (rather than wall-clock arrival order)
-/// keeps the choice deterministic across schedulers; the tie-break makes it
-/// total.  Returns `None` when no walk solved.
+/// Iteration counts are a function of each walk's seed and configuration,
+/// so the choice is the same on every back-end.  Under first-finisher
+/// semantics no walk is stopped before it has done the winner's count, so
+/// the winner is the one a run to completion picks.
 pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
-    select_winner_by(records, WinnerRule::WallClockFirst)
-}
-
-/// Resolve the winner of a multi-walk run under `rule`; returns `None` when
-/// no walk solved.
-pub fn select_winner_by(records: &[WalkRecord], rule: WinnerRule) -> Option<usize> {
-    let solved = records.iter().filter(|r| r.outcome.solved());
-    match rule {
-        WinnerRule::WallClockFirst => solved
-            .min_by_key(|r| (r.outcome.elapsed, r.walk_id))
-            .map(|r| r.walk_id),
-        WinnerRule::IterationsFirst => solved
-            .min_by_key(|r| (r.outcome.stats.iterations, r.walk_id))
-            .map(|r| r.walk_id),
-    }
+    records
+        .iter()
+        .filter(|r| r.outcome.solved())
+        .min_by_key(|r| (r.outcome.stats.iterations, r.walk_id))
+        .map(|r| r.walk_id)
 }
 
 /// An execution back-end for walk batches.
@@ -380,7 +380,7 @@ pub fn select_winner_by(records: &[WalkRecord], rule: WinnerRule) -> Option<usiz
 /// these independent tasks and give me their results in input order" — and
 /// inherit [`execute`](WalkExecutor::execute) /
 /// [`execute_with_telemetry`](WalkExecutor::execute_with_telemetry), which
-/// layer the multi-walk semantics (seed derivation, shared stop flag,
+/// layer the multi-walk semantics (seed derivation, shared stop bound,
 /// deadline, events, winner selection) on top.  Every back-end therefore
 /// produces bit-identical per-walk trajectories; only scheduling differs.
 ///
@@ -525,9 +525,10 @@ impl WalkExecutor for ThreadsExecutor {
 /// One walk after another on the calling thread — the deterministic replay.
 ///
 /// With [`WalkBatch::run_to_completion`] this is the replay back-end of the
-/// `speedup` binary's tables; with first-finisher semantics, walks after the
-/// first success stop at their first iteration, on the (already raised)
-/// flag.
+/// `speedup` binary's tables.  With first-finisher semantics each walk stops
+/// once it has done as many iterations as the fastest earlier solve, so a
+/// `p`-walk batch returns the exact minimum of the `p` walks' run lengths for
+/// about mean · H_p iterations in all (H_p the `p`-th harmonic number).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 
@@ -583,16 +584,16 @@ where
     let stop_on_first_success = batch.stop_on_first_success;
     let stop = &stop;
     let mut records: Vec<WalkRecord> = executor.run_batch(items, &move |walk_id, (job, engine)| {
-        // A panic that escapes the isolation below (one from a sink) raises
-        // the batch's flag on its way out: the sibling walks stop at their
-        // next iteration, and the back-end hands the panic to the caller
-        // instead of waiting out their budgets.
+        // A panic that escapes the isolation below (one from a sink) drops
+        // the batch's bound to 0 on its way out: the sibling walks stop at
+        // their next iteration, and the back-end hands the panic to the
+        // caller instead of waiting out their budgets.
         let _stop_siblings = StopOnUnwind(stop);
         // Walk-level fault isolation: a panicking evaluator (or engine)
         // becomes a structured `WalkFault::Panicked` record instead of
         // unwinding through the back-end and killing the whole batch.
         // `AssertUnwindSafe` is sound here: the closure's captures are only
-        // shared state designed for concurrent access (stop flags, sinks,
+        // shared state designed for concurrent access (the stop bound, sinks,
         // supervision atomics) plus the walk's own engine/evaluator, which
         // are discarded on the panic path.
         let record = catch_unwind(AssertUnwindSafe(|| {
@@ -617,53 +618,17 @@ where
         record
     });
     records.sort_by_key(|r| r.walk_id);
-
-    let winner = select_winner_by(&records, batch.winner_rule);
-    let incumbent = batch_incumbent(&records, supervision);
-    let degradation = degradation_of(winner, &records);
-    BatchExecution {
-        winner,
-        records,
-        incumbent,
-        degradation,
-        wall_time: started.elapsed(),
-    }
+    BatchExecution::from_records(records, started.elapsed())
 }
 
-/// Raises a batch's stop flag when dropped by an unwinding panic.
+/// Stops every walk of a batch when dropped by an unwinding panic.
 struct StopOnUnwind<'a>(&'a StopControl);
 
 impl Drop for StopOnUnwind<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.request_stop();
+            self.0.stop_at(0);
         }
-    }
-}
-
-/// The best assignment the batch holds: the best over every record's final
-/// outcome, falling back to the supervision table's published incumbents for
-/// walks whose outcome carries no configuration (faulted before solving
-/// anything).  Ties break towards the lower cost, then the lower walk id —
-/// deterministic for deterministic records.
-fn batch_incumbent(records: &[WalkRecord], supervision: Option<&Supervision>) -> Option<Incumbent> {
-    let from_records = records
-        .iter()
-        .filter(|r| !r.outcome.solution.is_empty())
-        .min_by_key(|r| (r.outcome.best_cost, r.walk_id))
-        .map(|r| Incumbent {
-            walk_id: r.walk_id,
-            cost: r.outcome.best_cost,
-            assignment: r.outcome.solution.clone(),
-        });
-    let published = supervision.and_then(Supervision::incumbent);
-    match (from_records, published) {
-        (Some(a), Some(b)) => Some(if (b.cost, b.walk_id) < (a.cost, a.walk_id) {
-            b
-        } else {
-            a
-        }),
-        (a, b) => a.or(b),
     }
 }
 
@@ -743,8 +708,9 @@ fn panicked_record(
     }
 }
 
-/// Run one walk of a batch: derive its stream, solve, raise the shared flag
-/// on success (under first-finisher semantics) and emit its events.
+/// Run one walk of a batch: derive its stream, solve, lower the shared bound
+/// to its count on success (under first-finisher semantics) and emit its
+/// events.
 #[allow(clippy::too_many_arguments)]
 fn run_walk<F>(
     factory: &F,
@@ -795,8 +761,9 @@ where
     };
     let outcome = engine.run(&mut evaluator, &mut rng, run);
     if stop_on_first_success && outcome.solved() {
-        // Completion is the only message the walks ever exchange.
-        stop.request_stop();
+        // Completion is the only message the walks ever exchange: no sibling
+        // can beat this walk once it has done as many iterations.
+        stop.stop_at(outcome.stats.iterations);
     }
     if let Some(sink) = sink {
         sink.record(&WalkEvent::Finished {
@@ -859,6 +826,40 @@ mod tests {
         }
     }
 
+    /// Solves after exactly `.0` iterations: the cost starts there and every
+    /// probe offers one less.
+    #[derive(Clone)]
+    struct Countdown(i64);
+    impl Evaluator for Countdown {
+        fn size(&self) -> usize {
+            4
+        }
+        fn init(&mut self, _perm: &[usize]) -> i64 {
+            self.0
+        }
+        fn cost(&self, _perm: &[usize]) -> i64 {
+            self.0
+        }
+        fn cost_on_variable(&self, _perm: &[usize], _i: usize) -> i64 {
+            1
+        }
+        fn cost_if_swap(&self, _perm: &[usize], cost: i64, _i: usize, _j: usize) -> i64 {
+            cost - 1
+        }
+    }
+
+    /// Builds walk `w` a [`Countdown`] of `self.0[w]` iterations.
+    struct Countdowns(Vec<i64>);
+    impl EvaluatorFactory for Countdowns {
+        type Output = Countdown;
+        fn build(&self) -> Countdown {
+            Countdown(self.0[0])
+        }
+        fn build_walk(&self, walk_id: usize, _attempt: u32) -> Countdown {
+            Countdown(self.0[walk_id])
+        }
+    }
+
     fn quick_search() -> SearchConfig {
         SearchConfig::builder()
             .max_iterations_per_restart(10_000)
@@ -867,7 +868,7 @@ mod tests {
             .build()
     }
 
-    fn outcome_with(walk_id: usize, solved: bool, elapsed_ms: u64) -> WalkRecord {
+    fn outcome_with(walk_id: usize, solved: bool, iterations: u64) -> WalkRecord {
         WalkRecord {
             walk_id,
             label: String::new(),
@@ -880,8 +881,12 @@ mod tests {
                 },
                 best_cost: i64::from(!solved),
                 solution: Vec::new(),
-                stats: Default::default(),
-                elapsed: Duration::from_millis(elapsed_ms),
+                stats: SearchStats {
+                    iterations,
+                    ..SearchStats::default()
+                },
+                // The reverse of the iteration order: elapsed time is ignored.
+                elapsed: Duration::from_millis(1_000 - iterations),
             },
             fault: None,
             attempt: 0,
@@ -889,7 +894,7 @@ mod tests {
     }
 
     #[test]
-    fn select_winner_prefers_smallest_elapsed() {
+    fn select_winner_prefers_fewest_iterations() {
         let reports = vec![
             outcome_with(0, true, 30),
             outcome_with(1, true, 10),
@@ -900,7 +905,7 @@ mod tests {
 
     #[test]
     fn select_winner_breaks_ties_by_walk_id() {
-        // identical elapsed times: the smaller walk id wins, whatever the
+        // identical iteration counts: the smaller walk id wins, whatever the
         // report order
         let reports = vec![
             outcome_with(2, true, 10),
@@ -1009,15 +1014,55 @@ mod tests {
     }
 
     #[test]
+    fn the_fewest_iteration_walk_wins_and_bounds_the_others() {
+        let factory = Countdowns(vec![50, 20, 20, 90]);
+        let search = SearchConfig::builder()
+            .max_iterations_per_restart(1_000)
+            .max_restarts(0)
+            .build();
+        let batch = WalkBatch::uniform(1, &search, 4);
+        let seq = SequentialExecutor.execute(&factory, &batch);
+        for (name, exec) in [
+            ("threads", &ThreadsExecutor.execute(&factory, &batch)),
+            ("sequential", &seq),
+        ] {
+            assert_eq!(exec.winner, Some(1), "{name}");
+            assert_eq!(exec.winning_iterations(), Some(20), "{name}");
+            assert_eq!(exec.incumbent.as_ref().map(|i| i.walk_id), Some(1));
+            // No bound falls below 20, and a walk checks for a solution
+            // before it checks the bound: walk 2 ties at 20 and solves too.
+            let tied = &exec.records[2].outcome;
+            assert!(tied.solved(), "{name}");
+            assert_eq!(tied.stats.iterations, 20, "{name}");
+        }
+        // One walk after another, each against the bound of the walks
+        // before it: walk 0 solves at 50, walk 3 stops at exactly 20.
+        let counts: Vec<(TerminationReason, u64)> = seq
+            .records
+            .iter()
+            .map(|r| (r.outcome.reason, r.outcome.stats.iterations))
+            .collect();
+        assert_eq!(
+            counts,
+            vec![
+                (TerminationReason::Solved, 50),
+                (TerminationReason::Solved, 20),
+                (TerminationReason::Solved, 20),
+                (TerminationReason::ExternallyStopped, 20),
+            ]
+        );
+    }
+
+    #[test]
     fn all_backends_agree_on_a_run_to_completion_batch() {
         let batch = WalkBatch::uniform(42, &quick_search(), 4).run_to_completion();
         let factory = || Sort(20);
         let seq = SequentialExecutor.execute(&factory, &batch);
         let thr = ThreadsExecutor.execute(&factory, &batch);
-        // Per-walk trajectories are bit-identical across back-ends.  (The
-        // elapsed-based winner is only meaningful under first-finisher
-        // semantics: in a replay every walk runs to completion and the
-        // fastest wall-clock finisher depends on the scheduler.)
+        // Per-walk trajectories, and with them the winner and the
+        // incumbent, are bit-identical across back-ends.
+        assert_eq!(seq.winner, thr.winner);
+        assert_eq!(seq.incumbent, thr.incumbent);
         for (a, b) in seq.records.iter().zip(thr.records.iter()) {
             assert_eq!(a.walk_id, b.walk_id);
             assert_eq!(a.seed, b.seed);
@@ -1141,12 +1186,10 @@ mod tests {
     fn reseeded_batches_share_shape_but_not_seeds() {
         let proto = WalkBatch::uniform(5, &SearchConfig::default(), 3)
             .with_timeout(Duration::from_secs(1))
-            .run_to_completion()
-            .with_winner_rule(WinnerRule::IterationsFirst);
+            .run_to_completion();
         let derived = proto.reseeded(99);
         assert_eq!(derived.walks(), proto.walks());
         assert_eq!(derived.timeout(), proto.timeout());
-        assert_eq!(derived.winner_rule(), proto.winner_rule());
         assert_eq!(
             derived.stops_on_first_success(),
             proto.stops_on_first_success()

@@ -2,9 +2,10 @@
 //!
 //! This crate implements the parallelisation scheme the paper evaluates:
 //! launch `p` Adaptive Search engines from different random initial
-//! configurations, let them run **without any communication**, and stop every
-//! walk as soon as one of them finds a solution ("no communication between
-//! the simultaneous computations except for completion").
+//! configurations, let them run **without any communication**, and stop each
+//! walk once a sibling has found a solution in no more iterations than it has
+//! done ("no communication between the simultaneous computations except for
+//! completion").
 //!
 //! All execution flows through one layer — the [`executor`] module: a
 //! [`WalkJob`] describes one walk, a [`WalkBatch`] bundles jobs with their
@@ -12,8 +13,8 @@
 //! [`WalkExecutor`] back-end decides where the walks run:
 //!
 //! * [`ThreadsExecutor`] — one thread per walk, the calling thread running
-//!   walk 0, with a shared atomic stop flag: the closest analogue of the
-//!   paper's one-MPI-process-per-core setup;
+//!   walk 0, with a shared atomic iteration bound: the closest analogue of
+//!   the paper's one-MPI-process-per-core setup;
 //! * [`SequentialExecutor`] — the deterministic replay back-end (one walk
 //!   after another on the calling thread).
 //!
@@ -49,7 +50,7 @@
 //!     }
 //! }
 //!
-//! // Four walks, first finisher wins.
+//! // Four walks; the walk that solves in the fewest iterations wins.
 //! let batch = WalkBatch::uniform(42, &SearchConfig::default(), 4);
 //! let run = ThreadsExecutor.execute(&|| Sort(16), &batch);
 //! assert!(run.winning_iterations().is_some());
@@ -74,8 +75,8 @@ pub mod supervision;
 pub mod telemetry;
 
 pub use executor::{
-    select_winner, select_winner_by, BatchExecution, SequentialExecutor, ThreadsExecutor,
-    WalkBatch, WalkBudget, WalkExecutor, WalkJob, WalkRecord, WalkStream, WinnerRule,
+    select_winner, BatchExecution, SequentialExecutor, ThreadsExecutor, WalkBatch, WalkBudget,
+    WalkExecutor, WalkJob, WalkRecord, WalkStream,
 };
 pub use seeds::WalkSeeds;
 pub use simulate::{SimulatedMultiWalk, SpeedupComparison};

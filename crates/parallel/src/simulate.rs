@@ -2,11 +2,11 @@
 //! speedup pipeline.
 //!
 //! Because the paper's walks are fully independent, a `p`-walk parallel run
-//! is *exactly* "run the same `p` seeded walks and keep the one that finishes
-//! first".  [`SimulatedMultiWalk`] therefore runs every walk of a batch to
-//! completion and reports, for every requested walk count `p`, the iteration
-//! count of the fastest of the first `p` walks — the machine-independent cost
-//! the paper's parallel runs would have paid.  The `cbls-bench` speedup
+//! is *exactly* "run the same `p` seeded walks and keep the one that solves
+//! in the fewest iterations".  [`SimulatedMultiWalk`] therefore runs every
+//! walk of a batch to completion and reports, for every requested walk count
+//! `p`, the iteration count of the fastest of the first `p` walks — the
+//! machine-independent cost the paper's parallel runs would have paid.  The `cbls-bench` speedup
 //! tables read the solved walks' counts as one empirical distribution and
 //! compute every speedup from its order statistics, in iterations.
 //!
@@ -24,7 +24,7 @@ use cbls_core::EvaluatorFactory;
 use cbls_perfmodel::{DistributionAccumulator, EmpiricalDistribution};
 use serde::{Deserialize, Serialize};
 
-use crate::executor::{WalkBatch, WalkExecutor, WalkRecord};
+use crate::executor::{select_winner, WalkBatch, WalkExecutor, WalkRecord};
 
 /// A deterministic run-to-completion replay of every walk of a batch.
 #[derive(Debug, Clone)]
@@ -112,16 +112,12 @@ impl SimulatedMultiWalk {
             .map(|w| self.records[w].outcome.stats.iterations)
     }
 
-    /// Index of the walk that would win a `p`-walk run (fewest iterations,
-    /// ties broken by walk id).
+    /// Index of the walk that wins a `p`-walk run, per [`select_winner`]:
+    /// the first-finisher batch of the first `p` walks picks this walk, with
+    /// this record, on every back-end.
     #[must_use]
     pub fn winner(&self, p: usize) -> Option<usize> {
-        self.records
-            .iter()
-            .take(p)
-            .filter(|r| r.outcome.solved())
-            .min_by_key(|r| (r.outcome.stats.iterations, r.walk_id))
-            .map(|r| r.walk_id)
+        select_winner(&self.records[..p.min(self.records.len())])
     }
 
     /// Mean sequential iterations-to-solution over the solved walks (the

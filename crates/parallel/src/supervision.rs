@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cbls_core::{BestSoFar, Incumbent};
+use cbls_core::BestSoFar;
 use serde::{Deserialize, Serialize};
 
 /// A structured fault attached to a [`WalkRecord`](crate::WalkRecord).
@@ -111,12 +111,6 @@ impl Supervision {
     #[must_use]
     pub fn best(&self) -> &BestSoFar {
         &self.best
-    }
-
-    /// The best published assignment across all walks, if any.
-    #[must_use]
-    pub fn incumbent(&self) -> Option<Incumbent> {
-        self.best.incumbent()
     }
 
     /// Tick walk `walk_id`'s heartbeat (called from the engine's stop-poll
@@ -285,9 +279,9 @@ mod tests {
     #[test]
     fn incumbents_flow_through_the_best_table() {
         let sup = Supervision::new(2);
-        assert!(sup.incumbent().is_none());
+        assert_eq!(sup.best().best_of(1), None);
         sup.best().publish(1, 4, &[1, 0]);
-        let inc = sup.incumbent().unwrap();
-        assert_eq!((inc.walk_id, inc.cost), (1, 4));
+        assert_eq!(sup.best().best_of(1), Some((4, vec![1, 0])));
+        assert_eq!(sup.best().best_of(0), None);
     }
 }

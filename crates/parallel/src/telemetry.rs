@@ -545,8 +545,7 @@ mod tests {
         obs.on_new_best(9, 2, &[2, 0, 1]);
         assert_eq!(supervision.heartbeat_of(1), 2);
         assert_eq!(supervision.heartbeat_of(0), 0);
-        let inc = supervision.incumbent().unwrap();
-        assert_eq!((inc.walk_id, inc.cost), (1, 2));
-        assert_eq!(inc.assignment, vec![2, 0, 1]);
+        assert_eq!(supervision.best().best_of(1), Some((2, vec![2, 0, 1])));
+        assert_eq!(supervision.best().best_of(0), None);
     }
 }

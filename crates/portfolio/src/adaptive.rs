@@ -221,9 +221,9 @@ impl AdaptiveScheduler {
     ///
     /// The richest signal is a run-to-completion replay
     /// ([`SimulatedMultiWalk::records`](cbls_parallel::SimulatedMultiWalk::records)),
-    /// one observation per solved walk.  In a first-finisher run every
-    /// non-winning walk is stopped early, so mostly the winner contributes an
-    /// observation.
+    /// one observation per solved walk.  In a first-finisher run a walk
+    /// stops once it has done the best count solved so far, so mostly the
+    /// winner contributes an observation.
     pub fn record(&mut self, records: &[WalkRecord]) {
         for walk in records {
             let Some(idx) = self.strategies.iter().position(|s| s.label == walk.label) else {

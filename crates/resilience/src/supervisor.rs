@@ -16,9 +16,10 @@
 //!    ([`WalkSeeds::seed_of_attempt`]), under the [`RetryPolicy`]'s attempt
 //!    bound, with the original batch deadline carried over;
 //! 3. **anytime degradation**: after merging retries, the winner, incumbent
-//!    and degradation reason are recomputed over the final records, so a
-//!    partially-faulted or deadline-expired batch still reports its best
-//!    incumbent and a structured account of what went wrong.
+//!    and degradation reason are resolved again over the final records
+//!    ([`BatchExecution::from_records`]), so a partially-faulted or
+//!    deadline-expired batch still reports its best incumbent and a
+//!    structured account of what went wrong.
 //!
 //! Retry events ([`WalkEvent::Retried`]) and post-hoc fault classifications
 //! ([`WalkEvent::Faulted`]) are emitted to the run's sink under the walk's
@@ -31,8 +32,8 @@ use std::time::Duration;
 
 use cbls_core::{monotonic_now, EvaluatorFactory, Incumbent, TerminationReason};
 use cbls_parallel::{
-    select_winner_by, BatchExecution, DegradationReason, EventSink, FaultKind, Supervision,
-    WalkBatch, WalkEvent, WalkExecutor, WalkFault,
+    BatchExecution, EventSink, FaultKind, Supervision, WalkBatch, WalkEvent, WalkExecutor,
+    WalkFault,
 };
 
 use crate::retry::RetryPolicy;
@@ -82,7 +83,7 @@ pub struct RetryOutcome {
 #[derive(Debug, Clone)]
 pub struct SupervisedExecution {
     /// The batch's execution with retried walks' final records merged in,
-    /// and winner / incumbent / degradation recomputed over them.
+    /// and winner / incumbent / degradation resolved again over them.
     pub execution: BatchExecution,
     /// Per-walk retry history (empty when no walk faulted).
     pub retries: Vec<RetryOutcome>,
@@ -193,8 +194,7 @@ impl<X: WalkExecutor> Supervisor<X> {
             retries.push(outcome);
         }
 
-        recompute(&mut execution, batch);
-        execution.wall_time = started.elapsed();
+        let execution = BatchExecution::from_records(execution.records, started.elapsed());
         SupervisedExecution { execution, retries }
     }
 
@@ -232,8 +232,7 @@ impl<X: WalkExecutor> Supervisor<X> {
             }
 
             let job = batch.jobs()[walk_id].clone().with_stream(walk_id, attempt);
-            let mut retry_batch =
-                WalkBatch::new(seeds, vec![job]).with_winner_rule(batch.winner_rule());
+            let mut retry_batch = WalkBatch::new(seeds, vec![job]);
             if let Some(left) = left {
                 retry_batch = retry_batch.with_timeout(left);
             }
@@ -358,40 +357,12 @@ fn classify_stalls(
     }
 }
 
-/// Recompute winner, incumbent and degradation over the (possibly merged)
-/// final records, mirroring the executor's own resolution.
-fn recompute(execution: &mut BatchExecution, batch: &WalkBatch) {
-    execution.winner = select_winner_by(&execution.records, batch.winner_rule());
-    execution.incumbent = execution
-        .records
-        .iter()
-        .filter(|r| !r.outcome.solution.is_empty())
-        .min_by_key(|r| (r.outcome.best_cost, r.walk_id))
-        .map(|r| Incumbent {
-            walk_id: r.walk_id,
-            cost: r.outcome.best_cost,
-            assignment: r.outcome.solution.clone(),
-        });
-    let faulted = execution.records.iter().any(|r| r.fault.is_some());
-    let deadline_expired = execution.winner.is_none()
-        && execution
-            .records
-            .iter()
-            .any(|r| r.outcome.reason == TerminationReason::TimedOut);
-    execution.degradation = match (deadline_expired, faulted) {
-        (true, true) => Some(DegradationReason::DeadlineExpiredWithFaults),
-        (true, false) => Some(DegradationReason::DeadlineExpired),
-        (false, true) => Some(DegradationReason::WalkFaults),
-        (false, false) => None,
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{ChaosFactory, FaultPlan};
     use cbls_core::{Evaluator, SearchConfig};
-    use cbls_parallel::{SequentialExecutor, ThreadsExecutor, WalkSeeds};
+    use cbls_parallel::{DegradationReason, SequentialExecutor, ThreadsExecutor, WalkSeeds};
     use cbls_problems::NQueens;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -500,11 +471,9 @@ mod tests {
 
     #[test]
     fn retries_reproduce_bit_identically_across_backends() {
-        use cbls_parallel::WinnerRule;
         let plan = || FaultPlan::new().panic_once(1, 5);
         let policy = RetryPolicy::retries(1);
-        // iteration-first winner resolution: reproducible across back-ends
-        let batch = batch(3).with_winner_rule(WinnerRule::IterationsFirst);
+        let batch = batch(3);
         let seq = Supervisor::new(SequentialExecutor)
             .with_policy(policy)
             .run(&ChaosFactory::new(|| Sort(16), plan()), &batch);

@@ -6,9 +6,9 @@
 //! Each admitted job runs on **one** worker thread as a *sequential* batch
 //! ([`SequentialExecutor`]) under a [`Supervisor`]: concurrency comes from
 //! running many jobs side by side, not from parallelizing a single job's
-//! walks.  That choice is what makes service results *bit-identical* to a
-//! direct executor run: a sequential batch under the iterations-first
-//! winner rule is a pure function of `(request shape, master seed)`, so two
+//! walks.  A job returns its fewest-iteration walk, the `p`-walk minimum its
+//! [`RuntimeQuote`](cbls_perfmodel::RuntimeQuote) prices.  That winner is a
+//! pure function of `(request shape, master seed)` on every back-end, so two
 //! tenants submitting the same request get the same winner regardless of
 //! how loaded the service is — and a client can audit any result by
 //! replaying the batch locally (see [`SolveService::batch_for`]).
@@ -40,9 +40,7 @@ use std::time::{Duration, Instant};
 
 use cbls_core::monotonic_now;
 use cbls_obs::{MetricsRegistry, MetricsSnapshot, ServiceMetrics};
-use cbls_parallel::{
-    EventSink, SequentialExecutor, WalkBatch, WalkEvent, WalkJob, WalkSeeds, WinnerRule,
-};
+use cbls_parallel::{EventSink, SequentialExecutor, WalkBatch, WalkEvent, WalkJob, WalkSeeds};
 use cbls_perfmodel::DistributionAccumulator;
 use cbls_problems::Benchmark;
 use cbls_resilience::{SupervisedExecution, Supervisor};
@@ -313,9 +311,8 @@ impl SolveService {
         })
     }
 
-    /// The exact batch a request executes as — reseeded with the request's
-    /// master seed, winner resolved iterations-first.  `None` for an
-    /// unknown benchmark id.
+    /// The exact batch a request executes as, reseeded with the request's
+    /// master seed.  `None` for an unknown benchmark id.
     ///
     /// Running this batch on any back-end yields the same winner the
     /// service reports for the request: the audit path for bit-identical
@@ -384,27 +381,34 @@ impl Shared {
         }
     }
 
-    /// Feed a completed execution into the per-benchmark runtime history.
+    /// Feed a completed execution into the per-benchmark runtime history:
+    /// one draw per job, its first solved walk in walk order.  That walk ran
+    /// before any sibling set a bound, so its count is an unbiased draw; a
+    /// later walk solves only by beating the bound, so its count is a
+    /// minimum, not a draw.
     fn add_to_history(&self, benchmark: &str, execution: &SupervisedExecution) {
+        let Some(first) = execution
+            .execution
+            .records
+            .iter()
+            .find(|r| r.outcome.solved())
+        else {
+            return;
+        };
         let mut history = self.history.lock().expect("history mutex poisoned");
         let acc = history.entry(benchmark.to_string()).or_default();
-        for record in &execution.execution.records {
-            if record.outcome.solved() {
-                acc.record(record.outcome.stats.iterations as f64);
-            }
-        }
+        acc.record(first.outcome.stats.iterations as f64);
     }
 }
 
 /// A fresh prototype batch: the benchmark's tuned configuration, the total
-/// per-walk budget sliced over its restart schedule, winner resolution
-/// pinned to the bit-reproducible iterations-first rule.
+/// per-walk budget sliced over its restart schedule.
 fn build_prototype(bench: &Benchmark, walks: usize, iteration_budget: u64) -> WalkBatch {
     let config = bench.tuned_config();
     let jobs = (0..walks)
         .map(|_| WalkJob::new(config.clone()).with_budget(config.sliced_budget(iteration_budget)))
         .collect();
-    WalkBatch::new(WalkSeeds::new(0), jobs).with_winner_rule(WinnerRule::IterationsFirst)
+    WalkBatch::new(WalkSeeds::new(0), jobs)
 }
 
 fn worker_loop(shared: &Shared) {
@@ -678,17 +682,26 @@ mod tests {
     #[test]
     fn completed_jobs_warm_the_quote_for_their_benchmark() {
         let service = quick_service(1);
-        let request = SolveRequest::new("queens-12", 2, 100_000);
+        // Master seed 13: walk 0 solves in 51 iterations and walk 1 in 11,
+        // under walk 0's bound, so both walks of the job solve.
+        let request = SolveRequest::new("queens-12", 2, 100_000).with_master_seed(13);
         let first = service.submit(request.clone()).expect("admitted");
-        assert!(first.wait().expect("ran").result.solved);
-        // The first job had no history; the second is quoted from it.
+        let first = first.wait().expect("ran");
+        assert_eq!(first.result.winner, Some(1));
+        let records = &first.execution.execution.records;
+        assert!(records.iter().all(|r| r.outcome.solved()));
+        let walk0 = records[0].outcome.stats.iterations;
+        assert!(records[1].outcome.stats.iterations < walk0);
+        // The first job had no history; the second is quoted from it, with
+        // one draw per job: walk 0's count, the one walk that ran before
+        // any bound was set.
         let mut second = service.submit(request).expect("admitted");
         let admitted = second.next_frame().expect("stream open");
         match admitted.event {
             JobEvent::Admitted { quote, .. } => {
                 let quote = quote.expect("history exists after a solved job");
-                assert!(quote.expected > 0.0);
-                assert!(quote.samples >= 1);
+                assert_eq!(quote.samples, 1);
+                assert_eq!(quote.expected, walk0 as f64);
             }
             other => panic!("first frame is {other:?}"),
         }

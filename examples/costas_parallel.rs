@@ -6,6 +6,9 @@
 //! cargo run --release --example costas_parallel            # CAP 12
 //! cargo run --release --example costas_parallel 13 8       # CAP 13, up to 8 walks
 //! ```
+//!
+//! Every threaded batch must return the deterministic replay's `p`-walk
+//! minimum, so a divergence between the back-ends fails the run.
 
 use parallel_cbls::prelude::*;
 
@@ -14,13 +17,20 @@ fn main() {
     let order: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(12);
     let max_walks: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
 
+    // The deterministic simulated runner, the replay on `SequentialExecutor`
+    // that the `speedup` binary's tables use: every walk runs to completion,
+    // so one replay covers all walk counts.  Walk `i` draws the same stream
+    // whatever the batch size, so its prefix minima are what the threaded
+    // batches below must return.
+    let search = Benchmark::CostasArray(order).tuned_config();
+    let batch = WalkBatch::uniform(2012, &search, max_walks);
+    let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(order), &batch, &SequentialExecutor);
+
     println!("Costas Array Problem, order {order} — independent multi-walk\n");
     println!(
         "{:>6} {:>10} {:>16} {:>16} {:>12}",
         "walks", "solved", "winner-iters", "total-iters", "wall-time"
     );
-
-    let search = Benchmark::CostasArray(order).tuned_config();
     let mut walks = 1;
     while walks <= max_walks {
         let batch = WalkBatch::uniform(2012, &search, walks);
@@ -35,16 +45,15 @@ fn main() {
             result.total_iterations(),
             result.wall_time
         );
+        assert_eq!(
+            result.winning_iterations(),
+            sim.parallel_iterations(walks),
+            "{walks} walks on threads disagree with the replay"
+        );
         walks *= 2;
     }
 
-    // The same experiment through the deterministic simulated runner, the
-    // replay on `SequentialExecutor` that the `speedup` binary's tables use:
-    // identical per-walk trajectories, but every walk runs to completion so
-    // one replay covers all walk counts.
     println!("\nSimulated multi-walk (iteration counts, machine-independent):");
-    let batch = WalkBatch::uniform(2012, &search, max_walks);
-    let sim = SimulatedMultiWalk::replay(&|| CostasArray::new(order), &batch, &SequentialExecutor);
     println!("{:>6} {:>16} {:>10}", "walks", "winner-iters", "speedup");
     let mut walks = 1;
     while walks <= max_walks {

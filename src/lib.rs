@@ -72,9 +72,9 @@ pub mod prelude {
     pub use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta, TraceRecording};
     pub use cbls_parallel::{
         dependent::{run_dependent, run_dependent_on, DependentWalkConfig},
-        select_winner, select_winner_by, BatchExecution, DegradationReason, DistributionSink,
-        EventLog, SequentialExecutor, SimulatedMultiWalk, Supervision, ThreadsExecutor, WalkBatch,
-        WalkEvent, WalkExecutor, WalkFault, WalkJob, WalkSeeds, WinnerRule,
+        select_winner, BatchExecution, DegradationReason, DistributionSink, EventLog,
+        SequentialExecutor, SimulatedMultiWalk, Supervision, ThreadsExecutor, WalkBatch, WalkEvent,
+        WalkExecutor, WalkFault, WalkJob, WalkSeeds,
     };
     pub use cbls_perfmodel::EmpiricalDistribution;
     pub use cbls_portfolio::{

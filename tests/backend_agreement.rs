@@ -1,100 +1,136 @@
 //! Regression: both execution back-ends (`ThreadsExecutor` and
 //! `SequentialExecutor` — running flat batches, portfolio batches,
 //! `SimulatedMultiWalk` replays and the dependent-walk runner) must agree on
-//! the winning walk's identity, seed and iteration count for a fixed
+//! the winning walk's identity, seed, statistics and solution for a fixed
 //! `(master_seed, walks)` pair.
 //!
-//! First-finisher runs resolve their winner by wall-clock arrival, which is
-//! only comparable to the simulation's iteration-minimum when a unique walk
-//! can finish at all.  Each flat multi-walk scenario therefore caps the
-//! iteration budget *between* the fastest walk's iterations-to-solution and
-//! the runner-up's (values established by a deterministic replay), so
-//! exactly one walk can solve and scheduling noise cannot change the winner.
-//! The heterogeneous portfolio scenarios calibrate that budget in-test from
-//! a probe replay; the dependent-walk scheme is deterministic by design, so
-//! its back-ends must agree on *everything*.
+//! A first-finisher batch stops each losing walk once it has done the
+//! winner's iteration count, and a walk checks for a solution before it
+//! checks that bound.  So the winner is the fewest-iteration walk on every
+//! back-end, the one a run-to-completion replay picks, and the batches below
+//! run uncapped.  Which losing walks solved, and where they stopped, may
+//! differ between back-ends and are not compared.  The dependent-walk scheme
+//! is deterministic by design, so its back-ends must agree on *everything*.
 
+use parallel_cbls::parallel::WalkRecord;
 use parallel_cbls::prelude::*;
 
-fn assert_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize, budget: u64) {
-    let mut search = bench.tuned_config();
-    search.max_restarts = 0;
-    search.max_iterations_per_restart = budget;
-    let factory = || bench.build();
+/// The largest batch of the flat scenarios; every smaller one is a prefix.
+const MAX_WALKS: usize = 8;
 
-    let batch = WalkBatch::uniform(master_seed, &search, walks);
-    let sim = SimulatedMultiWalk::replay(&factory, &batch, &SequentialExecutor);
-    let solved = sim.solved_iterations().len();
+/// The batch sizes also run on threads.
+const THREADED_WALKS: [usize; 3] = [2, 4, 8];
+
+/// Every deterministic field of a winning record: all but the elapsed time.
+fn assert_same_winner(context: &str, execution: &BatchExecution, expect: Option<&WalkRecord>) {
     assert_eq!(
-        solved,
-        1,
-        "{}: the scenario must isolate a unique winner, got {solved} solved walks",
-        bench.id()
+        execution.winner,
+        expect.map(|r| r.walk_id),
+        "{context}: winner"
     );
-    let expect_winner = sim.winner(walks).expect("one walk solved");
-    let expect = &sim.records()[expect_winner];
+    let (Some(got), Some(expect)) = (execution.winning_record(), expect) else {
+        return;
+    };
+    assert_eq!(got.seed, expect.seed, "{context}: seed");
+    assert_eq!(got.label, expect.label, "{context}: label");
+    assert_eq!(got.attempt, expect.attempt, "{context}: attempt");
+    assert_eq!(got.outcome.reason, expect.outcome.reason, "{context}");
+    assert_eq!(got.outcome.best_cost, expect.outcome.best_cost, "{context}");
+    assert_eq!(got.outcome.stats, expect.outcome.stats, "{context}: stats");
+    assert_eq!(
+        got.outcome.solution, expect.outcome.solution,
+        "{context}: solution"
+    );
+}
 
-    let backends = [
-        ("threads", ThreadsExecutor.execute(&factory, &batch)),
-        ("sequential", SequentialExecutor.execute(&factory, &batch)),
-    ];
-    for (label, result) in backends {
-        let winner = result
-            .winner
-            .unwrap_or_else(|| panic!("{}: {label} backend found no winner", bench.id()));
-        assert_eq!(
-            winner,
-            expect_winner,
-            "{}: {label} winner disagrees with the replay",
-            bench.id()
+/// Uncapped first-finisher batches of `bench`'s tuned configuration over ten
+/// master seeds.  Every `p`-walk batch with `p ≤ 8` on `SequentialExecutor`,
+/// and the 2-, 4- and 8-walk batches on `ThreadsExecutor`, must return the
+/// winner, and the winning record, of one run-to-completion replay of 8
+/// walks: walk `i` draws the same stream whatever the batch size, so
+/// `replay.winner(p)` is the `p`-walk minimum.
+fn assert_backends_agree(bench: &Benchmark) {
+    let factory = || bench.build();
+    let search = bench.tuned_config();
+    let mut solved = 0;
+    for master_seed in 0..10 {
+        let sim = SimulatedMultiWalk::replay(
+            &factory,
+            &WalkBatch::uniform(master_seed, &search, MAX_WALKS),
+            &SequentialExecutor,
         );
-        let report = &result.records[winner];
-        assert_eq!(report.seed, expect.seed);
-        assert_eq!(report.seed, WalkSeeds::new(master_seed).seed_of(winner));
-        assert_eq!(
-            report.outcome.stats.iterations,
-            expect.outcome.stats.iterations,
-            "{}: {label} winner iteration count disagrees with the replay",
-            bench.id()
-        );
-        assert_eq!(report.outcome.solution, expect.outcome.solution);
-        assert_eq!(result.records.len(), walks);
+        for walks in 1..=MAX_WALKS {
+            let batch = WalkBatch::uniform(master_seed, &search, walks);
+            let expect = sim.winner(walks).map(|w| &sim.records()[w]);
+            let sequential = SequentialExecutor.execute(&factory, &batch);
+            let context = format!("{} seed {master_seed}, {walks} walks", bench.id());
+            assert_eq!(
+                sequential.winning_iterations(),
+                sim.parallel_iterations(walks),
+                "{context}: sequential prefix minimum"
+            );
+            assert_same_winner(&format!("{context}, sequential"), &sequential, expect);
+            if THREADED_WALKS.contains(&walks) {
+                let threads = ThreadsExecutor.execute(&factory, &batch);
+                assert_same_winner(&format!("{context}, threads"), &threads, expect);
+                assert_eq!(threads.records.len(), walks);
+                assert_eq!(threads.incumbent, sequential.incumbent, "{context}");
+            }
+            solved += usize::from(expect.is_some());
+        }
     }
+    assert!(solved > 0, "{}: no batch solved", bench.id());
 }
 
 #[test]
 fn backends_agree_on_nqueens_32() {
-    // Replay of (seed 4, 4 walks, unlimited budget): walk 0 solves after 9
-    // iterations, the runner-up needs 14 — a budget of 11 isolates walk 0.
-    assert_backends_agree(&Benchmark::NQueens(32), 4, 4, 11);
+    assert_backends_agree(&Benchmark::NQueens(32));
 }
 
 #[test]
 fn backends_agree_on_costas_9() {
-    // Replay of (seed 7, 4 walks, unlimited budget): walk 0 solves after 5
-    // iterations, the runner-up needs 28 — a budget of 16 isolates walk 0.
-    assert_backends_agree(&Benchmark::CostasArray(9), 7, 4, 16);
+    assert_backends_agree(&Benchmark::CostasArray(9));
 }
 
-/// The winner-rule option: under run-to-completion semantics several walks
-/// solve, so the historical `WallClockFirst` rule resolves the winner by a
-/// wall-clock measurement that can differ back-end to back-end.  Pinning
-/// `WinnerRule::IterationsFirst` on the batch makes the winner a pure
-/// function of `(master_seed, walks)` — the same walk on every executor,
-/// equal to the iteration-minimum over the solved records.
+#[test]
+fn backends_agree_on_langford_2_12() {
+    assert_backends_agree(&Benchmark::Langford(12));
+}
+
+#[test]
+fn backends_agree_on_all_interval_12() {
+    assert_backends_agree(&Benchmark::AllInterval(12));
+}
+
+#[test]
+fn backends_agree_on_magic_square_4() {
+    assert_backends_agree(&Benchmark::MagicSquare(4));
+}
+
+#[test]
+fn backends_agree_on_perfect_square_order9() {
+    assert_backends_agree(&Benchmark::PerfectSquareOrder9);
+}
+
+#[test]
+fn backends_agree_on_golomb_6() {
+    assert_backends_agree(&Benchmark::GolombRuler(6));
+}
+
+#[test]
+fn backends_agree_on_magic_sequence_8() {
+    assert_backends_agree(&Benchmark::MagicSequence(8));
+}
+
+/// Under run-to-completion semantics several walks solve, and the winner is
+/// still the iteration minimum over the solved records: the same walk on
+/// every executor, with every record bit-identical.
 #[test]
 fn iterations_first_winner_rule_is_deterministic_across_backends() {
     let bench = Benchmark::CostasArray(9);
     let factory = || bench.build();
     let jobs: Vec<WalkJob> = (0..4).map(|_| WalkJob::new(bench.tuned_config())).collect();
-    let batch = WalkBatch::new(WalkSeeds::new(7), jobs)
-        .run_to_completion()
-        .with_winner_rule(WinnerRule::IterationsFirst);
-    // the rule is opt-in: a fresh batch keeps the historical default
-    assert_eq!(
-        WalkBatch::new(WalkSeeds::new(7), vec![WalkJob::new(bench.tuned_config())]).winner_rule(),
-        WinnerRule::WallClockFirst
-    );
+    let batch = WalkBatch::new(WalkSeeds::new(7), jobs).run_to_completion();
 
     let runs = [
         ("sequential", SequentialExecutor.execute(&factory, &batch)),
@@ -115,12 +151,7 @@ fn iterations_first_winner_rule_is_deterministic_across_backends() {
     for (label, run) in &runs {
         assert_eq!(
             run.winner, by_iterations,
-            "{label}: IterationsFirst must pick the iteration-minimum walk"
-        );
-        assert_eq!(
-            select_winner_by(&run.records, WinnerRule::IterationsFirst),
-            run.winner,
-            "{label}: the batch winner matches the standalone selector"
+            "{label}: the winner is the iteration-minimum walk"
         );
         for (a, b) in expect.records.iter().zip(run.records.iter()) {
             assert_eq!(
@@ -131,6 +162,39 @@ fn iterations_first_winner_rule_is_deterministic_across_backends() {
             assert_eq!(a.outcome.solution, b.outcome.solution, "{label}");
         }
     }
+}
+
+/// A solved batch's incumbent is its winning record, plain or supervised, on
+/// every back-end.  In this scenario both walks solve and walk 1 wins, so a
+/// lowest-walk-id rule at the best cost would name walk 0 instead.
+#[test]
+fn incumbent_follows_the_winner_on_every_backend() {
+    let bench = Benchmark::NQueens(32);
+    let factory = || bench.build();
+    let batch = WalkBatch::uniform(0, &bench.tuned_config(), 2).run_to_completion();
+    fn check(label: &str, execution: &BatchExecution) {
+        assert_eq!(execution.winner, Some(1), "{label}: walk 1 wins");
+        assert!(execution.records[0].outcome.solved(), "{label}");
+        let winning = execution.winning_record().expect("a winner");
+        let incumbent = execution.incumbent.as_ref().expect("an incumbent");
+        assert_eq!(incumbent.walk_id, winning.walk_id, "{label}");
+        assert_eq!(incumbent.cost, winning.outcome.best_cost, "{label}");
+        assert_eq!(incumbent.assignment, winning.outcome.solution, "{label}");
+    }
+    check("sequential", &SequentialExecutor.execute(&factory, &batch));
+    check("threads", &ThreadsExecutor.execute(&factory, &batch));
+    check(
+        "supervised sequential",
+        &Supervisor::new(SequentialExecutor)
+            .run(&factory, &batch)
+            .execution,
+    );
+    check(
+        "supervised threads",
+        &Supervisor::new(ThreadsExecutor)
+            .run(&factory, &batch)
+            .execution,
+    );
 }
 
 /// Three strategy variants of a benchmark's tuned configuration, each under
@@ -156,97 +220,32 @@ fn heterogeneous_portfolio(
     Portfolio::cycled(&protos, walks).with_master_seed(master_seed)
 }
 
-/// Check that both executors agree on a heterogeneous portfolio: the replay
-/// is bit-identical on every back-end, and first-finisher runs pick the
-/// replay's winner (same walk, seed and iteration count).
-///
-/// The isolating budget is calibrated in-test: a probe replay with a huge
-/// budget establishes each walk's iterations-to-solution, and the scenario
-/// then caps every schedule strictly between the fastest walk and the
-/// runner-up, so exactly one walk can solve.
+/// Check that both executors agree on a heterogeneous portfolio: its replay
+/// is bit-identical on every back-end, and first-finisher runs return the
+/// replay's winner with its record.
 fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize) {
     let factory = || bench.build();
-
-    // --- probe: every walk to completion, find the unique fastest walk ---
-    let probe = heterogeneous_portfolio(bench, master_seed, walks, 2_000_000);
-    let sim = SimulatedMultiWalk::replay(&factory, &probe.batch(), &ThreadsExecutor);
+    let batch = heterogeneous_portfolio(bench, master_seed, walks, 2_000_000).batch();
+    let sim = SimulatedMultiWalk::replay(&factory, &batch, &SequentialExecutor);
     assert!(
         (sim.success_rate() - 1.0).abs() < 1e-12,
-        "{}: the probe portfolio must solve on every walk",
+        "{}: every walk of the portfolio must solve",
         bench.id()
     );
-    let mut iters: Vec<u64> = sim.solved_iterations();
-    let expect_winner = sim.winner(walks).expect("all walks solved");
-    let expect = &sim.records()[expect_winner];
-    iters.sort_unstable();
-    assert!(
-        iters[0] < iters[1],
-        "{}: the scenario needs a unique fastest walk, got {iters:?}",
-        bench.id()
-    );
-    let budget = (iters[0] + iters[1]) / 2;
-
-    // --- capped portfolio: the replays agree bit for bit ---
-    let capped = heterogeneous_portfolio(bench, master_seed, walks, budget).batch();
-    let replays = [
-        (
-            "threads",
-            SimulatedMultiWalk::replay(&factory, &capped, &ThreadsExecutor),
-        ),
-        (
-            "sequential",
-            SimulatedMultiWalk::replay(&factory, &capped, &SequentialExecutor),
-        ),
-    ];
-    for (label, replay) in &replays {
-        assert_eq!(
-            replay.winner(walks),
-            Some(expect_winner),
-            "{}: {label} replay winner disagrees with the probe",
-            bench.id()
-        );
-        assert_eq!(
-            replay.solved_iterations().len(),
-            1,
-            "{}: {label}",
-            bench.id()
-        );
-        for (r, p) in replay.records().iter().zip(sim.records().iter()) {
-            assert_eq!(r.seed, p.seed);
-            assert_eq!(r.label, p.label);
-            if r.outcome.solved() {
-                assert_eq!(r.outcome.stats.iterations, p.outcome.stats.iterations);
-                assert_eq!(r.outcome.solution, p.outcome.solution);
-            }
-        }
+    let threaded_replay = SimulatedMultiWalk::replay(&factory, &batch, &ThreadsExecutor);
+    for (r, p) in threaded_replay.records().iter().zip(sim.records().iter()) {
+        assert_eq!(r.seed, p.seed, "{}", bench.id());
+        assert_eq!(r.label, p.label, "{}", bench.id());
+        assert_eq!(r.outcome.stats, p.outcome.stats, "{}", bench.id());
+        assert_eq!(r.outcome.solution, p.outcome.solution, "{}", bench.id());
     }
 
-    // --- first-finisher runs: the winner is the replay's winner ---
-    let backends = [
-        ("threads", ThreadsExecutor.execute(&factory, &capped)),
-        ("sequential", SequentialExecutor.execute(&factory, &capped)),
-    ];
-    for (label, result) in backends {
-        let winner = result
-            .winner
-            .unwrap_or_else(|| panic!("{}: {label} backend found no winner", bench.id()));
-        assert_eq!(
-            winner,
-            expect_winner,
-            "{}: {label} winner disagrees with the replay",
-            bench.id()
-        );
-        let report = &result.records[winner];
-        assert_eq!(report.seed, expect.seed);
-        assert_eq!(report.seed, capped.seeds().seed_of(winner));
-        assert_eq!(report.label, expect.label);
-        assert_eq!(
-            report.outcome.stats.iterations,
-            expect.outcome.stats.iterations,
-            "{}: {label} winner iteration count disagrees with the replay",
-            bench.id()
-        );
-        assert_eq!(report.outcome.solution, expect.outcome.solution);
+    let expect = sim.winner(walks).map(|w| &sim.records()[w]);
+    for (label, result) in [
+        ("threads", ThreadsExecutor.execute(&factory, &batch)),
+        ("sequential", SequentialExecutor.execute(&factory, &batch)),
+    ] {
+        assert_same_winner(&format!("{} {label}", bench.id()), &result, expect);
         assert_eq!(result.records.len(), walks);
     }
 }

@@ -37,9 +37,8 @@ fn recorder_is_passive_the_run_is_bit_identical() {
     let observed = SequentialExecutor.execute_with_telemetry(&factory, &batch, &recorder);
     let recording = recorder.finish(&observed);
 
-    // Everything deterministic must match.  (The batch winner is not in that
-    // set: under run-to-completion semantics `select_winner` tie-breaks on
-    // wall-clock elapsed, which varies run to run with or without a sink.)
+    // Everything deterministic must match, the winner included.
+    assert_eq!(plain.winner, observed.winner);
     for (a, b) in plain.records.iter().zip(observed.records.iter()) {
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.outcome.stats, b.outcome.stats);
@@ -177,9 +176,8 @@ fn golden_summary_for_fixed_seed() {
     let summary = &recording.summary;
     assert_eq!(summary.walks, 3);
     assert_eq!(summary.solved_walks, 3);
-    // All three walks solve, so a winner exists; which one is an elapsed-time
-    // tie-break (see `select_winner`) and is deliberately not pinned.
-    assert!(matches!(summary.winner, Some(w) if w < 3));
+    // All three walks solve; walk 0 wins with the fewest iterations (13).
+    assert_eq!(summary.winner, Some(0));
     assert_eq!(summary.total_iterations, 104);
     assert_eq!(summary.total_restarts, 0);
     assert_eq!(summary.total_improvements, 16);

@@ -222,8 +222,8 @@ fn distribution_sink_matches_posthoc_recording() {
     assert!(!online.is_empty(), "at least the winner solved");
 }
 
-/// `select_winner` is the single winner convention of flat and portfolio
-/// runs alike: both execute to the same record type and plug into it.
+/// `select_winner` is the single winner rule of flat and portfolio runs
+/// alike: both execute to the same record type and plug into it.
 #[test]
 fn select_winner_is_shared_across_report_types() {
     let search = Benchmark::CostasArray(9).tuned_config();
