@@ -2,8 +2,7 @@
 //!
 //! Shared machinery of the binaries (`src/bin/*`) and the `cargo bench`
 //! targets: the paper's speedup tables from one sample of sequential runs
-//! per benchmark, the engine throughput gates, and the Costas portfolio
-//! the `portfolio` example runs.
+//! per benchmark, and the engine throughput gates.
 //!
 //! | paper artefact | binary | bench target |
 //! |----------------|--------|--------------|
@@ -15,6 +14,5 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod portfolio;
 pub mod speedup;
 pub mod throughput;

@@ -476,7 +476,8 @@ mod tests {
         assert_eq!(sim.records()[4].outcome.stats.iterations, 0);
         let dist = sim.iteration_distribution().expect("costas-8 solves");
         assert_eq!(dist.min(), 0.0);
-        assert_eq!(dist.len(), sim.solved_iterations().len());
+        let solved = sim.records().iter().filter(|r| r.outcome.solved());
+        assert_eq!(dist.len(), solved.count());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Engine iteration-throughput gates (`BENCH_engine.json`).
 //!
 //! The paper's headline results rest on how fast the *sequential* inner loop
-//! of Adaptive Search runs — every multi-walk and portfolio run multiplies
-//! through it.  This module measures steady-state iterations per second on
+//! of Adaptive Search runs — every multi-walk run multiplies through it.  This module measures steady-state iterations per second on
 //! fixed seeds and a fixed iteration budget (the target cost is set below
 //! zero so the run never terminates early), together with the cost of the
 //! flight recorder and of supervised execution, and emits the JSON report

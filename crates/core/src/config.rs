@@ -85,13 +85,6 @@ impl SearchConfig {
         self.reset_limit.unwrap_or_else(|| (n / 10).max(2))
     }
 
-    /// Total iteration budget across all restarts.
-    #[must_use]
-    pub fn total_iteration_budget(&self) -> u64 {
-        self.max_iterations_per_restart
-            .saturating_mul(u64::from(self.max_restarts) + 1)
-    }
-
     /// The iteration budget of the `restart`-th restart (0-based) under this
     /// configuration's own fixed schedule: `max_iterations_per_restart` for
     /// the first `max_restarts + 1` restarts, then `None` (stop).
@@ -285,7 +278,8 @@ mod tests {
             .max_iterations_per_restart(10)
             .max_restarts(4)
             .build();
-        assert_eq!(c.total_iteration_budget(), 50);
+        let total: u64 = (0..).map_while(|r| c.restart_budget(r)).sum();
+        assert_eq!(total, 50);
     }
 
     #[test]
@@ -297,9 +291,9 @@ mod tests {
         assert_eq!(c.restart_budget(0), Some(10));
         assert_eq!(c.restart_budget(2), Some(10));
         assert_eq!(c.restart_budget(3), None);
-        // the schedule's total agrees with the closed-form budget
+        // three slices of ten
         let total: u64 = (0..10).map_while(|r| c.restart_budget(r)).sum();
-        assert_eq!(total, c.total_iteration_budget());
+        assert_eq!(total, 30);
     }
 
     #[test]

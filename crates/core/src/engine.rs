@@ -64,9 +64,8 @@ impl Default for AdaptiveSearch {
 /// What one [`AdaptiveSearch::run`] adds to a plain solve.
 ///
 /// Every field is optional, and `Run::default()` is exactly
-/// [`AdaptiveSearch::solve`]: no stop signal, a random first
-/// configuration, the configuration's own restart schedule and no
-/// observer.
+/// [`AdaptiveSearch::solve`]: no stop signal, the configuration's own
+/// restart schedule and no observer.
 ///
 /// ```
 /// use as_rng::default_rng;
@@ -86,21 +85,19 @@ impl Default for AdaptiveSearch {
 /// }
 ///
 /// let engine = AdaptiveSearch::default();
+/// // A sibling walk solved at iteration 50: this run stops there.
 /// let stop = StopControl::new();
-/// let sorted: Vec<usize> = (0..8).collect();
+/// stop.stop_at(50);
 /// let outcome = engine.run(
 ///     &mut Sort(8),
 ///     &mut default_rng(7),
 ///     Run {
 ///         stop: Some(&stop),
-///         initial: Some(&sorted),
-///         budget: Some(&|restart| (restart == 0).then_some(100)),
+///         budget: Some(&|restart| (restart < 3).then_some(100)),
 ///         ..Run::default()
 ///     },
 /// );
-/// // The given first configuration is already a solution.
-/// assert!(outcome.solved());
-/// assert_eq!(outcome.stats.iterations, 0);
+/// assert!(outcome.stats.iterations <= 50);
 /// ```
 #[derive(Default)]
 pub struct Run<'a> {
@@ -110,19 +107,14 @@ pub struct Run<'a> {
     /// bound still reports its solve.  Its deadline is read every
     /// `stop_check_interval` iterations.
     pub stop: Option<&'a StopControl>,
-    /// The first restart's configuration, in place of a random one: the
-    /// dependent multi-walk scheme restarts a walk from a shared elite this
-    /// way.  Later restarts draw fresh random permutations.  It must be a
-    /// permutation of `0..eval.size()`.
-    pub initial: Option<&'a [usize]>,
     /// An external restart schedule in place of the configuration's fixed
     /// `max_iterations_per_restart` / `max_restarts` pair
     /// ([`SearchConfig::restart_budget`]).  `budget(restart)` is called once
     /// per restart (0-based) and returns that restart's iteration budget,
     /// or `None` to end the run.  The random stream is not re-seeded
     /// between restarts, so a schedule changes only how the work is sliced.
-    /// This is where the portfolio crate's `RestartSchedule`s (Luby,
-    /// geometric, fixed) and [`SearchConfig::sliced_budget`] plug in.
+    /// This is where a walk job's budget, such as
+    /// [`SearchConfig::sliced_budget`], plugs in.
     pub budget: Option<&'a dyn Fn(u64) -> Option<u64>>,
     /// Passive restart, best-cost, heartbeat and phase hooks (the
     /// multi-walk executor's telemetry plugs in here); `None` runs with
@@ -170,12 +162,8 @@ impl AdaptiveSearch {
         self.run(eval, rng, Run::default())
     }
 
-    /// Solve `eval` under the stop signal, first configuration, restart
-    /// schedule and observer that `run` names (see [`Run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run.initial` is not a permutation of `0..eval.size()`.
+    /// Solve `eval` under the stop signal, restart schedule and observer
+    /// that `run` names (see [`Run`]).
     pub fn run<E, R>(&self, eval: &mut E, rng: &mut R, run: Run<'_>) -> SearchOutcome
     where
         E: Evaluator + ?Sized,
@@ -186,23 +174,9 @@ impl AdaptiveSearch {
         let n = eval.size();
         let Run {
             stop,
-            initial,
             budget,
             observer,
         } = run;
-        if let Some(init) = initial {
-            assert_eq!(
-                init.len(),
-                n,
-                "initial permutation length must match the problem size"
-            );
-            let mut seen = vec![false; n];
-            assert!(
-                init.iter()
-                    .all(|&v| v < n && !std::mem::replace(&mut seen[v], true)),
-                "initial configuration {init:?} is not a permutation of 0..{n}"
-            );
-        }
         let mut no_observer = NoObserver;
         let observer = match observer {
             Some(observer) => observer,
@@ -283,10 +257,7 @@ impl AdaptiveSearch {
                 stats.restarts += 1;
                 observer.on_restart(restart);
             }
-            let mut perm = match (restart, initial) {
-                (0, Some(init)) => init.to_vec(),
-                _ => rng.permutation(n),
-            };
+            let mut perm = rng.permutation(n);
             restart += 1;
             let mut cost = eval.init(&perm);
             if !cfg.exhaustive {
@@ -1060,30 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn run_starts_from_the_provided_initial_configuration() {
-        // Starting from the already-sorted permutation must finish with zero
-        // iterations, whatever the seed.
-        let engine = AdaptiveSearch::default();
-        let from = |initial| Run {
-            initial: Some(initial),
-            ..Run::default()
-        };
-        let mut p = SortPermutation::new(12);
-        let sorted: Vec<usize> = (0..12).collect();
-        let out = engine.run(&mut p, &mut rng(77), from(&sorted));
-        assert!(out.solved());
-        assert_eq!(out.stats.iterations, 0);
-        assert_eq!(out.stats.swaps, 0);
-
-        // Starting from the reverse permutation costs at least one swap.
-        let mut p = SortPermutation::new(12);
-        let reversed: Vec<usize> = (0..12).rev().collect();
-        let out = engine.run(&mut p, &mut rng(77), from(&reversed));
-        assert!(out.solved());
-        assert!(out.stats.swaps > 0);
-    }
-
-    #[test]
     fn scheduled_solve_with_the_default_schedule_matches_solve() {
         // Driving the restart loop with the configuration's own budget
         // schedule must reproduce solve() bit for bit (same random stream,
@@ -1275,18 +1222,6 @@ mod tests {
         // Each executed swap refreshes the projection, each reset re-projects.
         assert_eq!(projections, profiled.stats.swaps + profiled.stats.resets);
         assert!(profiler.nanos.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length must match")]
-    fn run_rejects_an_initial_configuration_of_the_wrong_length() {
-        let engine = AdaptiveSearch::default();
-        let mut p = SortPermutation::new(4);
-        let run = Run {
-            initial: Some(&[0, 1]),
-            ..Run::default()
-        };
-        let _ = engine.run(&mut p, &mut rng(1), run);
     }
 
     #[test]

@@ -60,22 +60,6 @@ pub struct SearchStats {
     pub swap_evaluations: u64,
 }
 
-impl SearchStats {
-    /// Merge the counters of another run into this one (used by aggregated
-    /// multi-walk reporting).
-    pub fn merge(&mut self, other: &SearchStats) {
-        self.iterations += other.iterations;
-        self.swaps += other.swaps;
-        self.local_minima += other.local_minima;
-        self.plateau_moves += other.plateau_moves;
-        self.forced_moves += other.forced_moves;
-        self.variables_marked += other.variables_marked;
-        self.resets += other.resets;
-        self.restarts += other.restarts;
-        self.swap_evaluations += other.swap_evaluations;
-    }
-}
-
 /// The complete outcome of one search run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchOutcome {
@@ -98,17 +82,6 @@ impl SearchOutcome {
     pub fn solved(&self) -> bool {
         self.reason.is_solved()
     }
-
-    /// Iterations per second over the run (0 if the clock did not advance).
-    #[must_use]
-    pub fn iterations_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.stats.iterations as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,62 +95,6 @@ mod tests {
         assert!(!TerminationReason::ExternallyStopped.is_solved());
         assert!(!TerminationReason::TimedOut.is_solved());
         assert!(!TerminationReason::Faulted.is_solved());
-    }
-
-    #[test]
-    fn stats_merge_adds_counters() {
-        let mut a = SearchStats {
-            iterations: 10,
-            swaps: 5,
-            local_minima: 2,
-            plateau_moves: 1,
-            forced_moves: 1,
-            variables_marked: 3,
-            resets: 1,
-            restarts: 0,
-            swap_evaluations: 90,
-        };
-        let b = SearchStats {
-            iterations: 7,
-            swaps: 3,
-            local_minima: 1,
-            plateau_moves: 0,
-            forced_moves: 0,
-            variables_marked: 1,
-            resets: 0,
-            restarts: 2,
-            swap_evaluations: 63,
-        };
-        a.merge(&b);
-        assert_eq!(a.iterations, 17);
-        assert_eq!(a.swaps, 8);
-        assert_eq!(a.local_minima, 3);
-        assert_eq!(a.plateau_moves, 1);
-        assert_eq!(a.forced_moves, 1);
-        assert_eq!(a.variables_marked, 4);
-        assert_eq!(a.resets, 1);
-        assert_eq!(a.restarts, 2);
-        assert_eq!(a.swap_evaluations, 153);
-    }
-
-    #[test]
-    fn iterations_per_second_handles_zero_elapsed() {
-        let o = SearchOutcome {
-            reason: TerminationReason::Solved,
-            best_cost: 0,
-            solution: vec![0, 1, 2],
-            stats: SearchStats {
-                iterations: 100,
-                ..SearchStats::default()
-            },
-            elapsed: Duration::ZERO,
-        };
-        assert_eq!(o.iterations_per_second(), 0.0);
-        let o2 = SearchOutcome {
-            elapsed: Duration::from_secs(2),
-            ..o
-        };
-        assert!((o2.iterations_per_second() - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! fewest-iteration solve, and a walk checks for a solution before it checks
 //! the bound, so the winner and its record are a function of the seeds on
 //! every back-end.  Which losing walks solved, and where they stopped, still
-//! depend on the scheduler.  Flat multi-walk runs, portfolios ([`WalkJob`]s
-//! with per-walk configurations and labels) and replays
-//! ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk)) are all batches
-//! executed here.
+//! depend on the scheduler.  Flat multi-walk runs, heterogeneous batches
+//! ([`WalkJob`]s with per-walk configurations, budgets and labels) and
+//! replays ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk)) are all
+//! batches executed here.
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -57,8 +57,8 @@ pub type WalkBudget = Arc<dyn Fn(u64) -> Option<u64> + Send + Sync>;
 /// other entry point with master seed `s` draws.
 #[derive(Clone)]
 pub struct WalkJob {
-    /// Label carried into [`WalkRecord`]s (portfolios put the member's
-    /// strategy name here; flat multi-walk runs leave it empty).
+    /// Label carried into [`WalkRecord`]s (a heterogeneous batch names each
+    /// walk's strategy here; flat multi-walk runs leave it empty).
     pub label: String,
     /// Engine parameters of the walk.
     pub search: SearchConfig,
@@ -243,12 +243,6 @@ impl WalkBatch {
     pub fn timeout(&self) -> Option<Duration> {
         self.timeout
     }
-
-    /// Whether a solving walk stops the walks that can no longer beat it.
-    #[must_use]
-    pub fn stops_on_first_success(&self) -> bool {
-        self.stop_on_first_success
-    }
 }
 
 /// The outcome of one walk of an executed batch.
@@ -414,9 +408,6 @@ pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
 /// }
 /// ```
 pub trait WalkExecutor: Sync {
-    /// Short back-end name for diagnostics and reports.
-    fn name(&self) -> &'static str;
-
     /// Run `work(i, items[i])` for every item, returning the results in item
     /// order.  `work` must be safe to call from multiple threads; whether it
     /// actually is depends on the back-end.
@@ -489,10 +480,6 @@ pub trait WalkExecutor: Sync {
 pub struct ThreadsExecutor;
 
 impl WalkExecutor for ThreadsExecutor {
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
     fn run_batch<I, T, W>(&self, items: Vec<I>, work: &W) -> Vec<T>
     where
         I: Send,
@@ -533,10 +520,6 @@ impl WalkExecutor for ThreadsExecutor {
 pub struct SequentialExecutor;
 
 impl WalkExecutor for SequentialExecutor {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
     fn run_batch<I, T, W>(&self, items: Vec<I>, work: &W) -> Vec<T>
     where
         I: Send,
@@ -757,7 +740,6 @@ where
         stop: Some(stop),
         budget: job.budget.as_deref().map(|budget| budget as _),
         observer: Some(&mut observer),
-        ..Run::default()
     };
     let outcome = engine.run(&mut evaluator, &mut rng, run);
     if stop_on_first_success && outcome.solved() {
@@ -946,8 +928,6 @@ mod tests {
         // A one-item batch starts no thread.
         assert_eq!(ThreadsExecutor.run_batch(vec![0], &work), vec![(0, caller)]);
         assert!(ThreadsExecutor.run_batch(Vec::new(), &work).is_empty());
-        assert_eq!(ThreadsExecutor.name(), "threads");
-        assert_eq!(SequentialExecutor.name(), "sequential");
     }
 
     /// Run `f` on a helper thread and wait at most ten seconds for it to
@@ -1164,8 +1144,8 @@ mod tests {
         assert_eq!(batch.jobs().len(), 3);
         assert_eq!(batch.seeds(), WalkSeeds::new(5));
         assert_eq!(batch.timeout(), Some(Duration::from_secs(1)));
-        assert!(batch.stops_on_first_success());
-        assert!(!batch.clone().run_to_completion().stops_on_first_success());
+        assert!(batch.stop_on_first_success);
+        assert!(!batch.clone().run_to_completion().stop_on_first_success);
         let debug = format!("{:?}", batch.jobs()[0]);
         assert!(debug.contains("WalkJob"));
     }
@@ -1190,10 +1170,7 @@ mod tests {
         let derived = proto.reseeded(99);
         assert_eq!(derived.walks(), proto.walks());
         assert_eq!(derived.timeout(), proto.timeout());
-        assert_eq!(
-            derived.stops_on_first_success(),
-            proto.stops_on_first_success()
-        );
+        assert_eq!(derived.stop_on_first_success, proto.stop_on_first_success);
         assert_eq!(derived.seeds(), WalkSeeds::new(99));
         assert_ne!(derived.seeds(), proto.seeds());
         // same seed in, bit-identical seed family out

@@ -20,16 +20,16 @@
 //!
 //! Executing a batch yields a [`BatchExecution`]: one [`WalkRecord`] per
 //! walk, the winner, the anytime incumbent and any degradation.  The paper's
-//! flat scheme is [`WalkBatch::uniform`]; a heterogeneous portfolio
-//! (`cbls-portfolio`) is a batch whose jobs carry per-walk configurations,
-//! restart schedules and labels.  [`SimulatedMultiWalk`] replays any batch
-//! to completion and reports the *iteration count* a parallel run would have
-//! needed (the minimum over walks — exact for independent walks,
-//! reproducible and 256-core-free, which is why the `speedup` binary replays
-//! its batches on [`SequentialExecutor`]), together with the
-//! order-statistics predicted-vs-observed comparison.  Every batch can emit
-//! a [`WalkEvent`] telemetry stream ([`telemetry`]) consumed online, e.g. by
-//! a [`DistributionSink`] feeding `cbls-perfmodel`'s order-statistics
+//! flat scheme is [`WalkBatch::uniform`]; a heterogeneous batch
+//! ([`WalkBatch::new`]) carries per-walk configurations, restart budgets and
+//! labels.  [`SimulatedMultiWalk`] replays any batch to completion and
+//! reports the *iteration count* a parallel run would have needed (the
+//! minimum over walks — exact for independent walks, reproducible and
+//! 256-core-free, which is why the `speedup` binary replays its batches on
+//! [`SequentialExecutor`]), together with the pooled distribution of the
+//! solved walks' iteration counts.  Every batch can emit a [`WalkEvent`]
+//! telemetry stream ([`telemetry`]) consumed online, e.g. by a
+//! [`DistributionSink`] feeding `cbls-perfmodel`'s order-statistics
 //! machinery.
 //!
 //! ```
@@ -60,14 +60,12 @@
 //! assert!(sim.parallel_iterations(4) <= sim.parallel_iterations(1));
 //! ```
 //!
-//! The crate also contains the paper's "future work" — a *dependent*
-//! multi-walk scheme with periodic exchange of elite configurations
-//! ([`dependent`]).
+//! The walks share nothing but completion.  The paper leaves dependent
+//! (communicating) walks to future work, and so does this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dependent;
 pub mod executor;
 mod seeds;
 mod simulate;
@@ -79,6 +77,6 @@ pub use executor::{
     WalkExecutor, WalkJob, WalkRecord, WalkStream,
 };
 pub use seeds::WalkSeeds;
-pub use simulate::{SimulatedMultiWalk, SpeedupComparison};
+pub use simulate::SimulatedMultiWalk;
 pub use supervision::{DegradationReason, FaultKind, Supervision, WalkFault};
 pub use telemetry::{DistributionSink, EventLog, EventSink, WalkEvent};

@@ -1,5 +1,4 @@
-//! Deterministic replay of a walk batch, plus the predicted-vs-observed
-//! speedup pipeline.
+//! Deterministic replay of a walk batch.
 //!
 //! Because the paper's walks are fully independent, a `p`-walk parallel run
 //! is *exactly* "run the same `p` seeded walks and keep the one that solves
@@ -14,15 +13,13 @@
 //! success), so a single replay can be reused for *every* walk count `p ≤
 //! walks` — this is what makes sweeping 16..256 "cores" tractable on a
 //! laptop.  Any batch replays the same way: a flat multi-walk
-//! ([`WalkBatch::uniform`]) or a heterogeneous portfolio whose jobs carry
+//! ([`WalkBatch::uniform`]) or a heterogeneous batch whose jobs carry
 //! per-walk configurations and labels.  On top of the prefix minima, the
 //! replay pools the solved walks' iteration counts into an
-//! [`EmpiricalDistribution`] and compares the order-statistics *prediction*
-//! (`E[min of p draws]`) with the *observed* prefix minimum.
+//! [`EmpiricalDistribution`], whose order statistics give `E[min of p]`.
 
 use cbls_core::EvaluatorFactory;
 use cbls_perfmodel::{DistributionAccumulator, EmpiricalDistribution};
-use serde::{Deserialize, Serialize};
 
 use crate::executor::{select_winner, WalkBatch, WalkExecutor, WalkRecord};
 
@@ -30,23 +27,6 @@ use crate::executor::{select_winner, WalkBatch, WalkExecutor, WalkRecord};
 #[derive(Debug, Clone)]
 pub struct SimulatedMultiWalk {
     records: Vec<WalkRecord>,
-}
-
-/// One point of a predicted-vs-observed speedup comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpeedupComparison {
-    /// Number of walks (the paper's core count).
-    pub walks: usize,
-    /// Expected iterations of the winning walk under the order-statistics
-    /// model (`E[min of p draws]` from the pooled empirical distribution).
-    pub predicted_iterations: f64,
-    /// Iterations of the actual winning walk among the first `walks` walks
-    /// (`None` if none of them solved the problem).
-    pub observed_iterations: Option<u64>,
-    /// Predicted speedup over the mean sequential run.
-    pub predicted_speedup: f64,
-    /// Observed speedup over the mean sequential run, if observed.
-    pub observed_speedup: Option<f64>,
 }
 
 impl SimulatedMultiWalk {
@@ -83,12 +63,6 @@ impl SimulatedMultiWalk {
         &self.records
     }
 
-    /// Iterations-to-solution of every *solved* walk, in walk order.
-    #[must_use]
-    pub fn solved_iterations(&self) -> Vec<u64> {
-        self.solved().map(|r| r.outcome.stats.iterations).collect()
-    }
-
     /// Fraction of walks that found a solution within their budget.
     #[must_use]
     pub fn success_rate(&self) -> f64 {
@@ -120,80 +94,15 @@ impl SimulatedMultiWalk {
         select_winner(&self.records[..p.min(self.records.len())])
     }
 
-    /// Mean sequential iterations-to-solution over the solved walks (the
-    /// baseline of every speedup in the paper's figures).
-    #[must_use]
-    pub fn mean_sequential_iterations(&self) -> Option<f64> {
-        let solved = self.solved_iterations();
-        if solved.is_empty() {
-            None
-        } else {
-            Some(solved.iter().sum::<u64>() as f64 / solved.len() as f64)
-        }
-    }
-
-    /// Empirical speedup of a `p`-walk run over the mean sequential run,
-    /// measured in iterations (the paper's machine-independent definition).
-    #[must_use]
-    pub fn speedup(&self, p: usize) -> Option<f64> {
-        let seq = self.mean_sequential_iterations()?;
-        let par = self.parallel_iterations(p)? as f64;
-        if par > 0.0 {
-            Some(seq / par)
-        } else {
-            // A zero-iteration win means the initial configuration was already
-            // a solution; report the largest finite speedup we can justify.
-            Some(seq.max(1.0))
-        }
-    }
-
-    /// Record every solved walk's iterations into `acc` (online recording
-    /// across successive replays).
-    pub fn record_into(&self, acc: &mut DistributionAccumulator) {
-        for record in self.solved() {
-            acc.record_count(record.outcome.stats.iterations);
-        }
-    }
-
     /// The pooled empirical distribution of iterations-to-solution over the
     /// solved walks (`None` if no walk solved the problem).
     #[must_use]
     pub fn iteration_distribution(&self) -> Option<EmpiricalDistribution> {
         let mut acc = DistributionAccumulator::new();
-        self.record_into(&mut acc);
+        for record in self.solved() {
+            acc.record_count(record.outcome.stats.iterations);
+        }
         acc.distribution()
-    }
-
-    /// Compare the order-statistics *prediction* of the `p`-walk iteration
-    /// count (from the pooled empirical distribution) with the *observed*
-    /// prefix minimum, for each requested walk count.
-    ///
-    /// Returns `None` if no walk solved the problem (there is no
-    /// distribution to predict from).
-    #[must_use]
-    pub fn predicted_vs_observed(&self, walk_counts: &[usize]) -> Option<Vec<SpeedupComparison>> {
-        let dist = self.iteration_distribution()?;
-        let mean = dist.mean();
-        Some(
-            walk_counts
-                .iter()
-                .map(|&p| {
-                    let predicted_iterations = dist.expected_min_of(p.max(1));
-                    let predicted_speedup = if predicted_iterations > 0.0 {
-                        mean / predicted_iterations
-                    } else {
-                        1.0
-                    };
-                    SpeedupComparison {
-                        walks: p,
-                        predicted_iterations,
-                        observed_iterations: self.parallel_iterations(p.max(1)),
-                        predicted_speedup,
-                        observed_speedup: self.speedup(p.max(1)),
-                    }
-                })
-                .collect(),
-        )
     }
 
     fn solved(&self) -> impl Iterator<Item = &WalkRecord> {
@@ -238,8 +147,7 @@ mod tests {
         SimulatedMultiWalk::replay(&|| Sort(size), &batch, &SequentialExecutor)
     }
 
-    /// Walks alternating between two restart schedules, labelled like a
-    /// portfolio's members.
+    /// Walks alternating between two labelled restart schedules.
     fn mixed_batch(walks: usize, master_seed: u64) -> WalkBatch {
         let jobs = (0..walks)
             .map(|w| {
@@ -304,50 +212,6 @@ mod tests {
             let w_iters = sim.records()[w].outcome.stats.iterations;
             assert_eq!(w_iters, sim.parallel_iterations(p).unwrap());
         }
-    }
-
-    #[test]
-    fn speedup_grows_with_walks_on_average() {
-        let sim = replay(30, 9, 16);
-        let s1 = sim.speedup(1).unwrap();
-        let s16 = sim.speedup(16).unwrap();
-        assert!(s1 > 0.0);
-        assert!(s16 >= s1, "more walks cannot be slower: {s1} vs {s16}");
-    }
-
-    #[test]
-    fn predicted_and_observed_speedups_are_comparable() {
-        let sim = SimulatedMultiWalk::replay(&|| Sort(28), &mixed_batch(16, 5), &ThreadsExecutor);
-        let table = sim.predicted_vs_observed(&[1, 2, 4, 8, 16]).unwrap();
-        assert_eq!(table.len(), 5);
-        for row in &table {
-            assert!(row.predicted_speedup >= 1.0 - 1e-9);
-            assert!(row.observed_speedup.unwrap() > 0.0);
-            assert!(row.predicted_iterations > 0.0);
-        }
-        // the prediction is monotone in the walk count
-        for w in table.windows(2) {
-            assert!(w[1].predicted_speedup >= w[0].predicted_speedup - 1e-9);
-        }
-        // at p = walks the observed minimum equals the distribution's minimum
-        let dist = sim.iteration_distribution().unwrap();
-        assert_eq!(
-            table.last().unwrap().observed_iterations.unwrap() as f64,
-            dist.min()
-        );
-    }
-
-    #[test]
-    fn record_into_accumulates_across_replays() {
-        let mut acc = DistributionAccumulator::new();
-        let a = replay(16, 1, 3);
-        let b = replay(16, 2, 3);
-        a.record_into(&mut acc);
-        b.record_into(&mut acc);
-        assert_eq!(
-            acc.len(),
-            a.solved_iterations().len() + b.solved_iterations().len()
-        );
     }
 
     #[test]

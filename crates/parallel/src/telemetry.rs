@@ -190,12 +190,6 @@ impl EventLog {
             .copied()
             .collect()
     }
-
-    /// Consume the log, returning every recorded event in arrival order.
-    #[must_use]
-    pub fn into_events(self) -> Vec<WalkEvent> {
-        self.events.into_inner().expect("event log poisoned")
-    }
 }
 
 impl EventSink for EventLog {
@@ -217,33 +211,6 @@ impl DistributionSink {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A sink that continues recording into an existing accumulator (online
-    /// pooling across successive solve requests).
-    #[must_use]
-    pub fn continuing(acc: DistributionAccumulator) -> Self {
-        Self {
-            acc: Mutex::new(acc),
-        }
-    }
-
-    /// Number of observations recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.acc.lock().expect("distribution sink poisoned").len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A snapshot of the accumulator.
-    #[must_use]
-    pub fn accumulator(&self) -> DistributionAccumulator {
-        self.acc.lock().expect("distribution sink poisoned").clone()
     }
 
     /// Consume the sink, returning the accumulator.
@@ -360,13 +327,12 @@ mod tests {
         );
         assert_eq!(walk1[0].walk_id(), 1);
         assert_eq!(log.events_of(2).len(), 0);
-        assert_eq!(log.into_events().len(), 4);
+        assert_eq!(log.snapshot().len(), 4);
     }
 
     #[test]
     fn distribution_sink_records_only_solved_finishes() {
         let sink = DistributionSink::new();
-        assert!(sink.is_empty());
         sink.record(&WalkEvent::Started {
             walk_id: 0,
             seed: 1,
@@ -389,23 +355,8 @@ mod tests {
             iterations: 80,
             cost: 0,
         });
-        assert_eq!(sink.len(), 2);
         let acc = sink.into_accumulator();
         assert_eq!(acc.observations(), &[120.0, 80.0]);
-    }
-
-    #[test]
-    fn distribution_sink_continues_an_existing_accumulator() {
-        let mut acc = DistributionAccumulator::new();
-        acc.record_count(50);
-        let sink = DistributionSink::continuing(acc);
-        sink.record(&WalkEvent::Finished {
-            walk_id: 0,
-            solved: true,
-            iterations: 70,
-            cost: 0,
-        });
-        assert_eq!(sink.accumulator().observations(), &[50.0, 70.0]);
     }
 
     #[test]
@@ -419,7 +370,7 @@ mod tests {
         };
         obs.on_restart(1);
         obs.on_new_best(17, 4, &[1, 0]);
-        let events = log.into_events();
+        let events = log.snapshot();
         assert_eq!(
             events,
             vec![

@@ -234,7 +234,7 @@ impl EmpiricalDistribution {
 ///
 /// [`EmpiricalDistribution`] is immutable (its samples are sorted once at
 /// construction), which is the right shape for analysis but not for *online*
-/// recording: a portfolio run observes one iterations-to-solution sample per
+/// recording: a multi-walk run observes one iterations-to-solution sample per
 /// solved walk, across many solve requests.  `DistributionAccumulator` is the
 /// mutable front half: push observations as they arrive, then snapshot an
 /// [`EmpiricalDistribution`] whenever the order-statistics machinery is
@@ -278,11 +278,6 @@ impl DistributionAccumulator {
     /// Record one iteration count.
     pub fn record_count(&mut self, count: u64) {
         self.samples.push(count as f64);
-    }
-
-    /// Fold another accumulator's observations into this one.
-    pub fn merge(&mut self, other: &DistributionAccumulator) {
-        self.samples.extend_from_slice(&other.samples);
     }
 
     /// Number of observations recorded so far.
@@ -373,17 +368,6 @@ mod tests {
         assert_eq!(acc.distribution().unwrap(), expected);
         // recording order is preserved in the raw view
         assert_eq!(acc.observations(), &[4.0, 1.0, 3.0, 2.0, 2.5]);
-    }
-
-    #[test]
-    fn accumulator_merge_pools_observations() {
-        let mut a = DistributionAccumulator::new();
-        a.record_count(1);
-        let mut b = DistributionAccumulator::new();
-        b.record_count(3);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.distribution().unwrap().mean(), 2.0);
     }
 
     #[test]

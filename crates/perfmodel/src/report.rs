@@ -60,11 +60,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Append a row of displayable values.
-    pub fn push_display_row<T: ToString>(&mut self, row: &[T]) {
-        self.push_row(row.iter().map(ToString::to_string).collect());
-    }
-
     /// Render as an aligned ASCII table.
     #[must_use]
     pub fn to_ascii(&self) -> String {
@@ -142,8 +137,8 @@ mod tests {
 
     fn sample_table() -> Table {
         let mut t = Table::new("speedups", &["cores", "speedup"]);
-        t.push_display_row(&[16.to_string(), fmt_f64(12.34)]);
-        t.push_display_row(&[256.to_string(), fmt_f64(52.0)]);
+        t.push_row(vec![16.to_string(), fmt_f64(12.34)]);
+        t.push_row(vec![256.to_string(), fmt_f64(52.0)]);
         t
     }
 

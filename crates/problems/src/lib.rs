@@ -24,7 +24,7 @@
 //! also registers four benchmarks declared in the `cbls-model` layer rather
 //! than hand-coded here — magic sequence, Golomb ruler, graph coloring on
 //! generated instances, and quasigroup completion — which run unchanged
-//! through the engine, every executor back-end and the portfolio runners.
+//! through the engine, every executor back-end and heterogeneous batches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

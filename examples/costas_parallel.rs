@@ -53,15 +53,18 @@ fn main() {
         walks *= 2;
     }
 
+    // Speedup over the mean solved walk, in iterations.
+    let mean = sim.iteration_distribution().map_or(0.0, |d| d.mean());
     println!("\nSimulated multi-walk (iteration counts, machine-independent):");
     println!("{:>6} {:>16} {:>10}", "walks", "winner-iters", "speedup");
     let mut walks = 1;
     while walks <= max_walks {
+        let winner = sim.parallel_iterations(walks);
         println!(
             "{:>6} {:>16} {:>10.2}",
             walks,
-            sim.parallel_iterations(walks).unwrap_or(0),
-            sim.speedup(walks).unwrap_or(0.0)
+            winner.unwrap_or(0),
+            winner.map_or(0.0, |i| mean / i.max(1) as f64)
         );
         walks *= 2;
     }

@@ -34,8 +34,6 @@
 //!   profiling, with Chrome-trace export and the `cbls-trace` CLI;
 //! * [`parallel`] (`cbls-parallel`) — walk batches, the threads and
 //!   sequential executors, and their deterministic replay;
-//! * [`portfolio`] (`cbls-portfolio`) — restart schedules, heterogeneous
-//!   strategy portfolios and the adaptive walk scheduler;
 //! * [`resilience`] (`cbls-resilience`) — supervised execution: stall
 //!   watchdog, deterministic retries and the chaos fault-injection harness;
 //! * [`service`] (`cbls-service`) — the concurrent solve-job service:
@@ -55,7 +53,6 @@ pub use cbls_model as model;
 pub use cbls_obs as obs;
 pub use cbls_parallel as parallel;
 pub use cbls_perfmodel as perfmodel;
-pub use cbls_portfolio as portfolio;
 pub use cbls_problems as problems;
 pub use cbls_propagation as propagation;
 pub use cbls_resilience as resilience;
@@ -71,15 +68,11 @@ pub mod prelude {
     pub use cbls_model::{Model, ModelEvaluator, Term};
     pub use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta, TraceRecording};
     pub use cbls_parallel::{
-        dependent::{run_dependent, run_dependent_on, DependentWalkConfig},
         select_winner, BatchExecution, DegradationReason, DistributionSink, EventLog,
         SequentialExecutor, SimulatedMultiWalk, Supervision, ThreadsExecutor, WalkBatch, WalkEvent,
         WalkExecutor, WalkFault, WalkJob, WalkSeeds,
     };
     pub use cbls_perfmodel::EmpiricalDistribution;
-    pub use cbls_portfolio::{
-        member_stats, AdaptiveScheduler, Portfolio, PortfolioMember, Schedule,
-    };
     pub use cbls_problems::{
         AllInterval, Benchmark, CostasArray, Langford, MagicSquare, NQueens, NumberPartitioning,
     };

@@ -1,16 +1,14 @@
 //! Regression: both execution back-ends (`ThreadsExecutor` and
-//! `SequentialExecutor` — running flat batches, portfolio batches,
-//! `SimulatedMultiWalk` replays and the dependent-walk runner) must agree on
-//! the winning walk's identity, seed, statistics and solution for a fixed
-//! `(master_seed, walks)` pair.
+//! `SequentialExecutor` — running flat batches, heterogeneous batches and
+//! `SimulatedMultiWalk` replays) must agree on the winning walk's identity,
+//! seed, statistics and solution for a fixed `(master_seed, walks)` pair.
 //!
 //! A first-finisher batch stops each losing walk once it has done the
 //! winner's iteration count, and a walk checks for a solution before it
 //! checks that bound.  So the winner is the fewest-iteration walk on every
 //! back-end, the one a run-to-completion replay picks, and the batches below
 //! run uncapped.  Which losing walks solved, and where they stopped, may
-//! differ between back-ends and are not compared.  The dependent-walk scheme
-//! is deterministic by design, so its back-ends must agree on *everything*.
+//! differ between back-ends and are not compared.
 
 use parallel_cbls::parallel::WalkRecord;
 use parallel_cbls::prelude::*;
@@ -197,39 +195,43 @@ fn incumbent_follows_the_winner_on_every_backend() {
     );
 }
 
-/// Three strategy variants of a benchmark's tuned configuration, each under
-/// a one-slice fixed schedule of `budget` iterations — a genuinely
-/// heterogeneous portfolio (greedy first-improvement and a halved plateau
-/// acceptance next to the tuned baseline).
-fn heterogeneous_portfolio(
+/// Three strategy variants of a benchmark's tuned configuration, each a
+/// single restart of `budget` iterations, cycled over `walks` labelled jobs:
+/// a genuinely heterogeneous batch (greedy first-improvement and a halved
+/// plateau acceptance next to the tuned baseline).
+fn heterogeneous_batch(
     bench: &Benchmark,
     master_seed: u64,
     walks: usize,
     budget: u64,
-) -> Portfolio {
-    let tuned = bench.tuned_config();
+) -> WalkBatch {
+    let mut tuned = bench.tuned_config();
+    tuned.max_iterations_per_restart = budget;
+    tuned.max_restarts = 0;
     let mut eager = tuned.clone();
     eager.first_best = true;
     let mut sticky = tuned.clone();
     sticky.plateau_probability = (tuned.plateau_probability * 0.5).clamp(0.0, 1.0);
-    let protos = vec![
-        PortfolioMember::new("tuned", tuned, Schedule::fixed(budget, 0)),
-        PortfolioMember::new("first-best", eager, Schedule::fixed(budget, 0)),
-        PortfolioMember::new("sticky", sticky, Schedule::fixed(budget, 0)),
-    ];
-    Portfolio::cycled(&protos, walks).with_master_seed(master_seed)
+    let protos = [("tuned", tuned), ("first-best", eager), ("sticky", sticky)];
+    let jobs = (0..walks)
+        .map(|w| {
+            let (label, search) = &protos[w % protos.len()];
+            WalkJob::new(search.clone()).with_label(*label)
+        })
+        .collect();
+    WalkBatch::new(WalkSeeds::new(master_seed), jobs)
 }
 
-/// Check that both executors agree on a heterogeneous portfolio: its replay
-/// is bit-identical on every back-end, and first-finisher runs return the
+/// Check that both executors agree on a heterogeneous batch: its replay is
+/// bit-identical on every back-end, and first-finisher runs return the
 /// replay's winner with its record.
-fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize) {
+fn assert_heterogeneous_backends_agree(bench: &Benchmark, master_seed: u64, walks: usize) {
     let factory = || bench.build();
-    let batch = heterogeneous_portfolio(bench, master_seed, walks, 2_000_000).batch();
+    let batch = heterogeneous_batch(bench, master_seed, walks, 2_000_000);
     let sim = SimulatedMultiWalk::replay(&factory, &batch, &SequentialExecutor);
     assert!(
         (sim.success_rate() - 1.0).abs() < 1e-12,
-        "{}: every walk of the portfolio must solve",
+        "{}: every walk of the batch must solve",
         bench.id()
     );
     let threaded_replay = SimulatedMultiWalk::replay(&factory, &batch, &ThreadsExecutor);
@@ -251,75 +253,16 @@ fn assert_portfolio_backends_agree(bench: &Benchmark, master_seed: u64, walks: u
 }
 
 #[test]
-fn portfolio_backends_agree_on_nqueens_32() {
-    assert_portfolio_backends_agree(&Benchmark::NQueens(32), 4, 4);
+fn heterogeneous_backends_agree_on_nqueens_32() {
+    assert_heterogeneous_backends_agree(&Benchmark::NQueens(32), 4, 4);
 }
 
 #[test]
-fn portfolio_backends_agree_on_costas_9() {
-    assert_portfolio_backends_agree(&Benchmark::CostasArray(9), 7, 4);
+fn heterogeneous_backends_agree_on_costas_9() {
+    assert_heterogeneous_backends_agree(&Benchmark::CostasArray(9), 7, 4);
 }
 
 #[test]
-fn portfolio_backends_agree_on_langford_2_12() {
-    assert_portfolio_backends_agree(&Benchmark::Langford(12), 11, 4);
-}
-
-/// The dependent-walk scheme is a deterministic function of
-/// `(factory, config)` whatever the scheduler, so its result must be equal
-/// in *every field* across the executors.
-fn assert_dependent_backends_agree(bench: &Benchmark, master_seed: u64) {
-    let factory = || bench.build();
-    let config = DependentWalkConfig::new(4)
-        .with_master_seed(master_seed)
-        .with_search(bench.tuned_config())
-        .with_segment_iterations(400)
-        .with_max_segments(60);
-    let threads = run_dependent_on(&factory, &config, &ThreadsExecutor);
-    let sequential = run_dependent_on(&factory, &config, &SequentialExecutor);
-    let default_backend = run_dependent(&factory, &config);
-    for (label, other) in [("sequential", &sequential), ("default", &default_backend)] {
-        assert_eq!(threads.solved, other.solved, "{}: {label}", bench.id());
-        assert_eq!(
-            threads.best_walk,
-            other.best_walk,
-            "{}: {label}",
-            bench.id()
-        );
-        assert_eq!(
-            threads.best_cost,
-            other.best_cost,
-            "{}: {label}",
-            bench.id()
-        );
-        assert_eq!(threads.solution, other.solution, "{}: {label}", bench.id());
-        assert_eq!(threads.segments, other.segments, "{}: {label}", bench.id());
-        assert_eq!(
-            threads.elite_adoptions,
-            other.elite_adoptions,
-            "{}: {label}",
-            bench.id()
-        );
-        assert_eq!(threads.stats, other.stats, "{}: {label}", bench.id());
-    }
-    assert!(
-        threads.solved,
-        "{}: dependent walks should solve",
-        bench.id()
-    );
-}
-
-#[test]
-fn dependent_backends_agree_on_nqueens_32() {
-    assert_dependent_backends_agree(&Benchmark::NQueens(32), 4);
-}
-
-#[test]
-fn dependent_backends_agree_on_costas_9() {
-    assert_dependent_backends_agree(&Benchmark::CostasArray(9), 7);
-}
-
-#[test]
-fn dependent_backends_agree_on_langford_2_12() {
-    assert_dependent_backends_agree(&Benchmark::Langford(12), 11);
+fn heterogeneous_backends_agree_on_langford_2_12() {
+    assert_heterogeneous_backends_agree(&Benchmark::Langford(12), 11, 4);
 }

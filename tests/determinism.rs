@@ -2,7 +2,6 @@
 //! on fixed seeds producing identical runs, across engines, back-ends and
 //! processes.
 
-use cbls_bench::portfolio::costas_portfolio;
 use cbls_bench::speedup::sequential_runs;
 use parallel_cbls::prelude::*;
 
@@ -107,13 +106,12 @@ fn engine_determinism_holds_with_external_stop_present() {
 }
 
 #[test]
-fn sample_collection_and_portfolio_replay_are_pinned() {
-    // Per-walk outcomes recorded from the sample collector and the portfolio
-    // replay as they stood before both moved onto the walk executor (the
-    // collector was a parallel map over single-walk solves sharing a stop
-    // flag, the replay its own type).  Any drift here changes every figure.
-    // Sample `i` is walk `i` of the collector's seed family, so its run index
-    // stands for its seed.
+fn sample_collection_is_pinned() {
+    // Per-walk outcomes recorded from the sample collector as it stood
+    // before it moved onto the walk executor (it was a parallel map over
+    // single-walk solves sharing a stop flag).  Any drift here changes every
+    // figure.  Sample `i` is walk `i` of the collector's seed family, so its
+    // run index stands for its seed.
     let bench = Benchmark::CostasArray(9);
     let samples: Vec<(usize, bool, u64)> = sequential_runs(&bench, 6, 1)
         .records()
@@ -129,25 +127,6 @@ fn sample_collection_and_portfolio_replay_are_pinned() {
             (3, true, 54),
             (4, true, 76),
             (5, true, 54),
-        ]
-    );
-
-    let portfolio = costas_portfolio(9, 6, 1);
-    let sim = SimulatedMultiWalk::replay(&|| bench.build(), &portfolio.batch(), &ThreadsExecutor);
-    let replayed: Vec<(u64, bool, u64)> = sim
-        .records()
-        .iter()
-        .map(|r| (r.seed, r.outcome.solved(), r.outcome.stats.iterations))
-        .collect();
-    assert_eq!(
-        replayed,
-        vec![
-            (0xe573_f9b7_ba51_b170, true, 1),
-            (0xaa02_1222_f91f_c734, true, 1251),
-            (0xe350_f6cc_b95b_a2a0, true, 7),
-            (0x7616_a945_2c27_b822, true, 32),
-            (0x866d_e8d2_3ced_f176, true, 2),
-            (0x9828_3dba_d8b3_597f, true, 12),
         ]
     );
 }

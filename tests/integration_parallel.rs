@@ -31,9 +31,11 @@ fn simulated_multiwalk_speedup_is_monotone_on_costas() {
         assert!(iters <= last);
         last = iters;
     }
-    // more walks never hurt the speedup
-    let s2 = sim.speedup(2).unwrap();
-    let s16 = sim.speedup(16).unwrap();
+    // more walks never hurt the speedup over the mean solved walk
+    let mean = sim.iteration_distribution().expect("solved walks").mean();
+    let speedup = |p| mean / sim.parallel_iterations(p).expect("solved prefix").max(1) as f64;
+    let s2 = speedup(2);
+    let s16 = speedup(16);
     assert!(s16 >= s2 * 0.999);
 }
 
@@ -82,65 +84,4 @@ fn first_finisher_stops_the_other_walks() {
             report.outcome.reason
         );
     }
-}
-
-#[test]
-fn dependent_walks_solve_the_cap_and_report_cooperation() {
-    let search = Benchmark::CostasArray(10).tuned_config();
-    let config = DependentWalkConfig::new(3)
-        .with_master_seed(8)
-        .with_search(search)
-        .with_segment_iterations(2_000)
-        .with_max_segments(100);
-    let result = run_dependent(&|| CostasArray::new(10), &config);
-    assert!(result.solved, "dependent walks failed: {result:?}");
-    assert_eq!(result.best_cost, 0);
-    let checker = CostasArray::new(10);
-    assert!(Evaluator::verify(&checker, &result.solution));
-    // Pinned: walk 0 solves inside the first segment.
-    assert_eq!(
-        (result.best_walk, result.segments, result.elite_adoptions),
-        (0, 1, 0)
-    );
-    assert_eq!(
-        result.stats,
-        SearchStats {
-            iterations: 250,
-            swaps: 143,
-            local_minima: 107,
-            plateau_moves: 75,
-            forced_moves: 0,
-            variables_marked: 107,
-            resets: 53,
-            restarts: 0,
-            swap_evaluations: 2250,
-        }
-    );
-    assert_eq!(result.solution, vec![1, 8, 7, 4, 2, 3, 6, 0, 9, 5]);
-
-    // 15-iteration segments: later segments restart every walk from an
-    // initial configuration (the perturbed elite or its own best), the only
-    // engine runs in the workspace that start from a given permutation.
-    let short = config.with_segment_iterations(15);
-    let result = run_dependent(&|| CostasArray::new(10), &short);
-    assert!(result.solved);
-    assert_eq!(
-        (result.best_walk, result.segments, result.elite_adoptions),
-        (1, 6, 3)
-    );
-    assert_eq!(
-        result.stats,
-        SearchStats {
-            iterations: 266,
-            swaps: 141,
-            local_minima: 125,
-            plateau_moves: 63,
-            forced_moves: 0,
-            variables_marked: 125,
-            resets: 59,
-            restarts: 0,
-            swap_evaluations: 2394,
-        }
-    );
-    assert_eq!(result.solution, vec![6, 9, 4, 1, 0, 5, 3, 7, 8, 2]);
 }

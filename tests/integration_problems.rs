@@ -97,28 +97,3 @@ fn unsatisfiable_instances_fail_gracefully() {
     assert!(outcome.best_cost > 0);
     assert_eq!(outcome.reason, TerminationReason::IterationBudgetExhausted);
 }
-
-/// Costas-8 from `initial`: 2 000 iterations, no restart, seed 1.
-fn costas_8_from(initial: &[usize]) -> SearchOutcome {
-    let config = SearchConfig::builder()
-        .max_iterations_per_restart(2_000)
-        .max_restarts(0)
-        .build();
-    let run = Run {
-        initial: Some(initial),
-        ..Run::default()
-    };
-    AdaptiveSearch::new(config).run(&mut CostasArray::new(8), &mut default_rng(1), run)
-}
-
-#[test]
-#[should_panic(expected = "initial configuration [0, 0, 1, 2, 3, 4, 5, 6] is not a permutation")]
-fn a_repeated_value_in_the_initial_configuration_is_rejected() {
-    let _ = costas_8_from(&[0, 0, 1, 2, 3, 4, 5, 6]);
-}
-
-#[test]
-#[should_panic(expected = "initial configuration [9, 1, 2, 3, 4, 5, 6, 7] is not a permutation")]
-fn an_out_of_range_value_in_the_initial_configuration_is_rejected() {
-    let _ = costas_8_from(&[9, 1, 2, 3, 4, 5, 6, 7]);
-}

@@ -1,8 +1,8 @@
 //! The four model-layer benchmarks (magic sequence, Golomb ruler, graph
 //! coloring, quasigroup completion) must run unchanged through the whole
 //! stack: every `WalkExecutor` back-end solves them at small sizes with
-//! identical per-walk outcomes, and the portfolio layer drives them like
-//! any hand-coded benchmark.
+//! identical per-walk outcomes, and a portfolio of labelled strategies (a
+//! heterogeneous batch) drives them like any hand-coded benchmark.
 
 use parallel_cbls::prelude::*;
 
@@ -70,31 +70,33 @@ fn every_executor_solves_every_model_benchmark() {
     }
 }
 
-/// The portfolio layer treats a model benchmark like any other: a
-/// heterogeneous three-member portfolio replays deterministically and every
-/// member solves its instance.
+/// A heterogeneous batch treats a model benchmark like any other: a
+/// portfolio of three labelled strategies replays deterministically and
+/// every strategy solves its instance.
 #[test]
 fn the_portfolio_layer_drives_model_benchmarks() {
     for bench in small_model_suite() {
         let factory = || bench.build();
-        let tuned = bench.tuned_config();
+        let mut tuned = bench.tuned_config();
+        tuned.max_iterations_per_restart = 2_000_000;
+        tuned.max_restarts = 0;
         let mut eager = tuned.clone();
         eager.first_best = true;
         let mut sticky = tuned.clone();
         sticky.plateau_probability = (tuned.plateau_probability * 0.5).clamp(0.0, 1.0);
-        let members = vec![
-            PortfolioMember::new("tuned", tuned, Schedule::fixed(2_000_000, 0)),
-            PortfolioMember::new("first-best", eager, Schedule::fixed(2_000_000, 0)),
-            PortfolioMember::new("sticky", sticky, Schedule::fixed(2_000_000, 0)),
+        let jobs = vec![
+            WalkJob::new(tuned).with_label("tuned"),
+            WalkJob::new(eager).with_label("first-best"),
+            WalkJob::new(sticky).with_label("sticky"),
         ];
-        let portfolio = Portfolio::cycled(&members, 3).with_master_seed(77);
-        let sim = SimulatedMultiWalk::replay(&factory, &portfolio.batch(), &ThreadsExecutor);
+        let batch = WalkBatch::new(WalkSeeds::new(77), jobs);
+        let sim = SimulatedMultiWalk::replay(&factory, &batch, &ThreadsExecutor);
         assert!(
             (sim.success_rate() - 1.0).abs() < 1e-12,
             "{}: portfolio member failed to solve",
             bench.id()
         );
-        let again = SimulatedMultiWalk::replay(&factory, &portfolio.batch(), &ThreadsExecutor);
+        let again = SimulatedMultiWalk::replay(&factory, &batch, &ThreadsExecutor);
         for (a, b) in sim.records().iter().zip(again.records().iter()) {
             assert_eq!(a.outcome.stats, b.outcome.stats, "{}", bench.id());
         }

@@ -72,46 +72,6 @@ fn timed_out_multiwalk_returns_partial_results_on_every_backend() {
     );
 }
 
-/// The same regression for heterogeneous portfolios: a portfolio is a batch,
-/// so its deadline is the batch deadline.
-#[test]
-fn timed_out_portfolio_returns_partial_results_on_every_backend() {
-    let member = PortfolioMember::new(
-        "endless",
-        endless_search(),
-        Schedule::fixed(u64::MAX / 8, 0),
-    );
-    let portfolio = Portfolio::cycled(std::slice::from_ref(&member), 3)
-        .with_master_seed(7)
-        .with_timeout(Duration::from_millis(30));
-    let factory = || NQueens::new(24);
-    let batch = portfolio.batch();
-    let backends = [
-        ("threads", ThreadsExecutor.execute(&factory, &batch)),
-        ("sequential", SequentialExecutor.execute(&factory, &batch)),
-    ];
-    for (label, result) in backends {
-        assert_eq!(result.winner, None, "{label}: timed-out run has no winner");
-        assert!(result
-            .records
-            .iter()
-            .all(|r| r.outcome.reason == TerminationReason::TimedOut));
-        assert_eq!(
-            result.degradation,
-            Some(DegradationReason::DeadlineExpired),
-            "{label}: portfolio deadline expiry degrades, it does not vanish"
-        );
-        let incumbent = result
-            .incumbent
-            .as_ref()
-            .unwrap_or_else(|| panic!("{label}: partial result carries an incumbent"));
-        assert!(incumbent.cost < i64::MAX);
-        assert!(!incumbent.assignment.is_empty());
-        // member fault accounting stays clean on a fault-free timeout
-        assert!(member_stats(&result).iter().all(|m| m.faulted == 0));
-    }
-}
-
 /// A sequential batch with a deadline cancels walks that are *scheduled
 /// after* the deadline passes, not only walks already running — the deadline
 /// is absolute, not per-walk.
@@ -222,19 +182,14 @@ fn distribution_sink_matches_posthoc_recording() {
     assert!(!online.is_empty(), "at least the winner solved");
 }
 
-/// `select_winner` is the single winner rule of flat and portfolio runs
-/// alike: both execute to the same record type and plug into it.
+/// `select_winner` is the winner rule of an executed batch: the records a
+/// batch returns plug into it and give back the batch's winner.
 #[test]
 fn select_winner_is_shared_across_report_types() {
     let search = Benchmark::CostasArray(9).tuned_config();
     let multi =
         ThreadsExecutor.execute(&|| CostasArray::new(9), &WalkBatch::uniform(7, &search, 3));
     assert_eq!(select_winner(&multi.records), multi.winner);
-
-    let portfolio =
-        Portfolio::uniform(search, Schedule::fixed(2_000_000, 0), 3).with_master_seed(7);
-    let hetero = ThreadsExecutor.execute(&|| CostasArray::new(9), &portfolio.batch());
-    assert_eq!(select_winner(&hetero.records), hetero.winner);
 }
 
 /// The three degenerate batch shapes a hostile solve request can describe —
