@@ -6,12 +6,16 @@
 //! implementation.  A [`WalkJob`] describes one walk (engine configuration,
 //! optional restart-budget schedule, label); a [`WalkBatch`] bundles the jobs
 //! with their [`WalkSeeds`] family, an optional wall-clock timeout and the
-//! stop semantics; a [`WalkExecutor`] back-end decides *where* the walks run:
+//! stop semantics; a [`WalkExecutor`] back-end decides how many workers run
+//! the walks.  One worker loop runs every batch: the calling thread plus
+//! `workers − 1` scoped threads, each taking the next walk from a shared
+//! counter.
 //!
-//! * [`ThreadsExecutor`] — one thread per walk, the calling thread running
-//!   walk 0 (the paper's one-engine-per-core deployment);
-//! * [`SequentialExecutor`] — one walk after another on the calling thread
-//!   (the deterministic replay behind the `speedup` binary's tables).
+//! * [`ThreadsExecutor`] — one worker per walk (the paper's
+//!   one-engine-per-core deployment);
+//! * [`SequentialExecutor`] — one worker, the calling thread, running the
+//!   walks in walk order (the deterministic replay behind the `speedup`
+//!   binary's tables).
 //!
 //! Whatever the back-end, the semantics are identical: every walk draws the
 //! stream `WalkSeeds::rng_of(walk_id)`; a walk that reaches its target cost
@@ -31,7 +35,9 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use cbls_core::{
@@ -181,11 +187,8 @@ impl WalkBatch {
     }
 
     /// This batch's jobs, timeout and stop semantics under a fresh seed
-    /// family.  This is the batch-handle reuse path for concurrent callers:
-    /// a server builds (and validates) one prototype batch per job shape,
-    /// then derives a per-request batch from it with the request's master
-    /// seed — no job list is re-built, and two callers reseeding the same
-    /// prototype share nothing mutable.
+    /// family: one batch shape run under many master seeds.  Two batches
+    /// reseeded from the same one share nothing mutable.
     #[must_use]
     pub fn reseeded(&self, master_seed: u64) -> Self {
         Self {
@@ -368,15 +371,15 @@ pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
         .map(|r| r.walk_id)
 }
 
-/// An execution back-end for walk batches.
+/// An execution back-end for walk batches: how many workers run a batch.
 ///
-/// Implementations provide [`run_batch`](WalkExecutor::run_batch) — "run
-/// these independent tasks and give me their results in input order" — and
-/// inherit [`execute`](WalkExecutor::execute) /
-/// [`execute_with_telemetry`](WalkExecutor::execute_with_telemetry), which
-/// layer the multi-walk semantics (seed derivation, shared stop bound,
-/// deadline, events, winner selection) on top.  Every back-end therefore
-/// produces bit-identical per-walk trajectories; only scheduling differs.
+/// Every back-end runs the same worker loop: the calling thread plus
+/// `workers − 1` scoped threads, each taking the next walk index from one
+/// shared counter.  [`execute`](WalkExecutor::execute) /
+/// [`execute_with_telemetry`](WalkExecutor::execute_with_telemetry) layer
+/// the multi-walk semantics (seed derivation, shared stop bound, deadline,
+/// events, winner selection) on top, so every back-end produces
+/// bit-identical per-walk trajectories; only scheduling differs.
 ///
 /// ```
 /// use cbls_core::{Evaluator, SearchConfig};
@@ -408,14 +411,9 @@ pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
 /// }
 /// ```
 pub trait WalkExecutor: Sync {
-    /// Run `work(i, items[i])` for every item, returning the results in item
-    /// order.  `work` must be safe to call from multiple threads; whether it
-    /// actually is depends on the back-end.
-    fn run_batch<I, T, W>(&self, items: Vec<I>, work: &W) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        W: Fn(usize, I) -> T + Sync;
+    /// How many workers run a batch of `walks` walks.  The calling thread
+    /// is always one of them, so a value below 1 counts as 1.
+    fn workers(&self, walks: usize) -> usize;
 
     /// Execute a batch without telemetry.
     fn execute<F>(&self, factory: &F, batch: &WalkBatch) -> BatchExecution
@@ -423,7 +421,7 @@ pub trait WalkExecutor: Sync {
         F: EvaluatorFactory,
         Self: Sized,
     {
-        execute_inner(self, factory, batch, None, None)
+        execute_inner(self.workers(batch.walks()), factory, batch, None, None)
     }
 
     /// Execute a batch, emitting [`WalkEvent`]s to `sink` as walks start,
@@ -439,7 +437,8 @@ pub trait WalkExecutor: Sync {
         F: EvaluatorFactory,
         Self: Sized,
     {
-        execute_inner(self, factory, batch, Some(sink), None)
+        let workers = self.workers(batch.walks());
+        execute_inner(workers, factory, batch, Some(sink), None)
     }
 
     /// Execute a batch under a [`Supervision`] table: engines publish
@@ -469,47 +468,31 @@ pub trait WalkExecutor: Sync {
             batch.walks(),
             "supervision table does not match the batch"
         );
-        execute_inner(self, factory, batch, sink, Some(supervision))
+        let workers = self.workers(batch.walks());
+        execute_inner(workers, factory, batch, sink, Some(supervision))
     }
 }
 
-/// One thread per walk, the calling thread running walk 0 — the closest
-/// analogue of the paper's one-MPI-process-per-core deployment.  A `p`-walk
-/// batch starts `p − 1` scoped threads; a 1-walk batch starts none.
+/// One worker per walk — the closest analogue of the paper's
+/// one-MPI-process-per-core deployment.  A `p`-walk batch starts `p − 1`
+/// scoped threads beside the calling thread; a 1-walk batch starts none.
+///
+/// The worker count is not capped at the machine's cores.  With
+/// exponential run lengths, `c` cores running `p` walks on `c` workers
+/// finish a first-finisher batch in about mean · H_p / c iterations of wall
+/// time (H_p the `p`-th harmonic number), and `p` oversubscribed threads in
+/// about `p · E[min of p] / c = mean / c`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadsExecutor;
 
 impl WalkExecutor for ThreadsExecutor {
-    fn run_batch<I, T, W>(&self, items: Vec<I>, work: &W) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        W: Fn(usize, I) -> T + Sync,
-    {
-        let mut items = items.into_iter().enumerate();
-        let Some((_, first)) = items.next() else {
-            return Vec::new();
-        };
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = items
-                .map(|(i, item)| scope.spawn(move || work(i, item)))
-                .collect();
-            let mut results = Vec::with_capacity(helpers.len() + 1);
-            results.push(work(0, first));
-            results.extend(helpers.into_iter().map(|h| match h.join() {
-                Ok(record) => record,
-                // Walk-level `catch_unwind` isolation means a panic can only
-                // reach this join if it escaped the isolation wrapper (a panic
-                // from a sink, say); re-raise it on the caller thread instead
-                // of discarding the payload.
-                Err(payload) => resume_unwind(payload),
-            }));
-            results
-        })
+    fn workers(&self, walks: usize) -> usize {
+        walks
     }
 }
 
-/// One walk after another on the calling thread — the deterministic replay.
+/// One worker: the calling thread runs the walks in walk order — the
+/// deterministic replay.
 ///
 /// With [`WalkBatch::run_to_completion`] this is the replay back-end of the
 /// `speedup` binary's tables.  With first-finisher semantics each walk stops
@@ -520,30 +503,67 @@ impl WalkExecutor for ThreadsExecutor {
 pub struct SequentialExecutor;
 
 impl WalkExecutor for SequentialExecutor {
-    fn run_batch<I, T, W>(&self, items: Vec<I>, work: &W) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        W: Fn(usize, I) -> T + Sync,
-    {
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| work(i, item))
-            .collect()
+    fn workers(&self, _walks: usize) -> usize {
+        1
     }
 }
 
+/// Run `work(i)` for every walk index `i < walks` on `workers` workers —
+/// the calling thread plus `workers − 1` scoped threads, never more than
+/// one per walk — each taking the next index from one shared counter, and
+/// return the results in walk order.
+///
+/// A helper thread the OS refuses to start takes no walk: its share goes to
+/// the workers that did start, and no further helper is asked for.  A panic
+/// that escapes `work` on a helper is re-raised on the calling thread.
+fn run_walks<T, W>(walks: usize, workers: usize, work: &W) -> Vec<T>
+where
+    T: Send,
+    W: Fn(usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out distinct indices; the
+            // results reach the caller through the scope's joins.
+            let walk = next.fetch_add(1, Ordering::Relaxed);
+            if walk >= walks {
+                return done;
+            }
+            done.push((walk, work(walk)));
+        }
+    };
+    let mut results = thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(walks))
+            .map_while(|_| thread::Builder::new().spawn_scoped(scope, worker).ok())
+            .collect();
+        let mut results = worker();
+        for helper in helpers {
+            match helper.join() {
+                Ok(done) => results.extend(done),
+                // Walk-level `catch_unwind` isolation means a panic can only
+                // reach this join if it escaped the isolation wrapper (a panic
+                // from a sink, say); re-raise it on the caller thread instead
+                // of discarding the payload.
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        results
+    });
+    results.sort_unstable_by_key(|&(walk, _)| walk);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
 /// The shared execution path behind every back-end's `execute*` methods.
-fn execute_inner<X, F>(
-    executor: &X,
+fn execute_inner<F>(
+    workers: usize,
     factory: &F,
     batch: &WalkBatch,
     sink: Option<&dyn EventSink>,
     supervision: Option<&Supervision>,
 ) -> BatchExecution
 where
-    X: WalkExecutor,
     F: EvaluatorFactory,
 {
     let started = monotonic_now();
@@ -555,52 +575,37 @@ where
         None => StopControl::new(),
     };
     // Engines are built (and their configurations validated) on the calling
-    // thread, so an invalid configuration panics before any walk is spawned.
+    // thread, so an invalid configuration panics before any thread starts.
     let engines: Vec<AdaptiveSearch> = batch
         .jobs
         .iter()
         .map(|job| AdaptiveSearch::new(job.search.clone()))
         .collect();
-    let items: Vec<(&WalkJob, AdaptiveSearch)> = batch.jobs.iter().zip(engines).collect();
 
-    let seeds = batch.seeds;
-    let stop_on_first_success = batch.stop_on_first_success;
     let stop = &stop;
-    let mut records: Vec<WalkRecord> = executor.run_batch(items, &move |walk_id, (job, engine)| {
+    let records = run_walks(batch.walks(), workers, &|walk_id| {
+        let engine = &engines[walk_id];
         // A panic that escapes the isolation below (one from a sink) drops
         // the batch's bound to 0 on its way out: the sibling walks stop at
-        // their next iteration, and the back-end hands the panic to the
+        // their next iteration, and the worker loop hands the panic to the
         // caller instead of waiting out their budgets.
         let _stop_siblings = StopOnUnwind(stop);
         // Walk-level fault isolation: a panicking evaluator (or engine)
         // becomes a structured `WalkFault::Panicked` record instead of
-        // unwinding through the back-end and killing the whole batch.
+        // unwinding through the worker loop and killing the whole batch.
         // `AssertUnwindSafe` is sound here: the closure's captures are only
         // shared state designed for concurrent access (the stop bound, sinks,
-        // supervision atomics) plus the walk's own engine/evaluator, which
-        // are discarded on the panic path.
+        // supervision atomics), the batch and engines it only reads, and the
+        // walk's own evaluator, which is discarded on the panic path.
         let record = catch_unwind(AssertUnwindSafe(|| {
-            run_walk(
-                factory,
-                job,
-                &engine,
-                seeds,
-                walk_id,
-                stop,
-                sink,
-                supervision,
-                stop_on_first_success,
-            )
+            run_walk(factory, batch, engine, walk_id, stop, sink, supervision)
         }))
-        .unwrap_or_else(|payload| {
-            panicked_record(job, seeds, walk_id, &payload, sink, supervision)
-        });
+        .unwrap_or_else(|payload| panicked_record(batch, walk_id, &payload, sink, supervision));
         if let Some(supervision) = supervision {
             supervision.mark_done(walk_id);
         }
         record
     });
-    records.sort_by_key(|r| r.walk_id);
     BatchExecution::from_records(records, started.elapsed())
 }
 
@@ -609,7 +614,7 @@ struct StopOnUnwind<'a>(&'a StopControl);
 
 impl Drop for StopOnUnwind<'_> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
+        if thread::panicking() {
             self.0.stop_at(0);
         }
     }
@@ -646,15 +651,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// outcome recovered from whatever the walk published into its best-so-far
 /// slot before dying.
 fn panicked_record(
-    job: &WalkJob,
-    seeds: WalkSeeds,
+    batch: &WalkBatch,
     walk_id: usize,
     payload: &(dyn std::any::Any + Send),
     sink: Option<&dyn EventSink>,
     supervision: Option<&Supervision>,
 ) -> WalkRecord {
+    let job = &batch.jobs[walk_id];
     let stream = job.stream_at(walk_id);
-    let seed = seeds.seed_of_attempt(stream.walk, stream.attempt);
+    let seed = batch.seeds.seed_of_attempt(stream.walk, stream.attempt);
     let (best_cost, solution) = supervision
         .and_then(|s| s.best().best_of(walk_id))
         .unwrap_or((i64::MAX, Vec::new()));
@@ -694,21 +699,19 @@ fn panicked_record(
 /// Run one walk of a batch: derive its stream, solve, lower the shared bound
 /// to its count on success (under first-finisher semantics) and emit its
 /// events.
-#[allow(clippy::too_many_arguments)]
 fn run_walk<F>(
     factory: &F,
-    job: &WalkJob,
+    batch: &WalkBatch,
     engine: &AdaptiveSearch,
-    seeds: WalkSeeds,
     walk_id: usize,
     stop: &StopControl,
     sink: Option<&dyn EventSink>,
     supervision: Option<&Supervision>,
-    stop_on_first_success: bool,
 ) -> WalkRecord
 where
     F: EvaluatorFactory,
 {
+    let (job, seeds) = (&batch.jobs[walk_id], batch.seeds);
     let stream = job.stream_at(walk_id);
     let seed = seeds.seed_of_attempt(stream.walk, stream.attempt);
     if let Some(supervision) = supervision {
@@ -742,7 +745,7 @@ where
         observer: Some(&mut observer),
     };
     let outcome = engine.run(&mut evaluator, &mut rng, run);
-    if stop_on_first_success && outcome.solved() {
+    if batch.stop_on_first_success && outcome.solved() {
         // Completion is the only message the walks ever exchange: no sibling
         // can beat this walk once it has done as many iterations.
         stop.stop_at(outcome.stats.iterations);
@@ -905,29 +908,53 @@ mod tests {
         assert_eq!(select_winner(&[]), None);
     }
 
+    /// Run `walks` walks on `workers` workers; each walk reports its index
+    /// and thread, and bumps a gauge of walks in flight.  Returns the
+    /// results and the gauge's peak.
+    fn gauged(walks: usize, workers: usize) -> (Vec<(usize, ThreadId)>, usize) {
+        let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let results = run_walks(walks, workers, &|walk| {
+            // Relaxed: every update is a read-modify-write of this one
+            // counter, whose modification order keeps each worker's +1 and
+            // −1 in program order, so the count never exceeds the workers
+            // inside a walk.
+            let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+            // Relaxed: the peak is a statistic read after the joins.
+            peak.fetch_max(now, Ordering::Relaxed);
+            thread::yield_now();
+            // Relaxed: see the increment above.
+            in_flight.fetch_sub(1, Ordering::Relaxed);
+            (walk, thread::current().id())
+        });
+        // Relaxed: read after the scope joined every worker.
+        (results, peak.load(Ordering::Relaxed))
+    }
+
     #[test]
-    fn run_batch_preserves_input_order_on_every_backend() {
+    fn the_worker_loop_runs_each_walk_once_in_walk_order_on_at_most_its_workers() {
         let caller = thread::current().id();
-        let items: Vec<usize> = (0..37).collect();
-        let work = |i: usize, item: usize| {
-            assert_eq!(i, item);
-            (item * 2, thread::current().id())
-        };
-        let expected: Vec<usize> = (0..37).map(|i| i * 2).collect();
-        let threaded = ThreadsExecutor.run_batch(items.clone(), &work);
-        let sequential = SequentialExecutor.run_batch(items, &work);
-        for results in [&threaded, &sequential] {
-            let values: Vec<usize> = results.iter().map(|&(value, _)| value).collect();
-            assert_eq!(values, expected);
-            // Item 0 runs on the calling thread, whatever the back-end.
-            assert_eq!(results[0].1, caller);
+        for workers in [1, 2, 3, 8] {
+            for walks in [0, 1, 7, 37] {
+                let case = format!("{walks} walks on {workers} workers");
+                let (results, peak) = gauged(walks, workers);
+                let order: Vec<usize> = results.iter().map(|&(walk, _)| walk).collect();
+                assert_eq!(order, (0..walks).collect::<Vec<_>>(), "{case}");
+                let threads: HashSet<ThreadId> = results.iter().map(|&(_, id)| id).collect();
+                assert!(threads.len() <= workers.min(walks), "{case}");
+                assert!(peak <= workers, "{case}: {peak} walks in flight");
+                if workers == 1 || walks == 1 {
+                    // One worker, or one walk: no thread starts.
+                    assert!(results.iter().all(|&(_, id)| id == caller), "{case}");
+                }
+            }
         }
-        // On threads, every other item runs on a thread of its own.
-        let distinct: HashSet<ThreadId> = threaded.iter().map(|&(_, id)| id).collect();
-        assert_eq!(distinct.len(), threaded.len());
-        // A one-item batch starts no thread.
-        assert_eq!(ThreadsExecutor.run_batch(vec![0], &work), vec![(0, caller)]);
-        assert!(ThreadsExecutor.run_batch(Vec::new(), &work).is_empty());
+    }
+
+    #[test]
+    fn ten_thousand_walks_on_two_workers_never_run_more_than_two_at_once() {
+        let (results, peak) = gauged(10_000, 2);
+        assert_eq!(results.len(), 10_000);
+        assert!(peak <= 2, "{peak} walks in flight");
     }
 
     /// Run `f` on a helper thread and wait at most ten seconds for it to
@@ -976,7 +1003,9 @@ mod tests {
             .max_iterations_per_restart(u64::MAX / 8)
             .max_restarts(0)
             .build();
-        // Walk 0 runs on the calling thread, walk 1 on a helper.
+        // Which thread runs which walk is not fixed: the caller or the
+        // helper may run the panicking walk, and the panic must reach the
+        // caller either way.
         for panicking in [0, 1] {
             let batch = WalkBatch::uniform(11, &search, 2);
             let outcome = within_ten_seconds(move || {
@@ -1002,10 +1031,18 @@ mod tests {
             .build();
         let batch = WalkBatch::uniform(1, &search, 4);
         let seq = SequentialExecutor.execute(&factory, &batch);
-        for (name, exec) in [
-            ("threads", &ThreadsExecutor.execute(&factory, &batch)),
-            ("sequential", &seq),
-        ] {
+        let mut runs = vec![
+            (
+                "threads".to_string(),
+                ThreadsExecutor.execute(&factory, &batch),
+            ),
+            ("sequential".to_string(), seq.clone()),
+        ];
+        for workers in [1, 2, 3, 8] {
+            let run = execute_inner(workers, &factory, &batch, None, None);
+            runs.push((format!("{workers} workers"), run));
+        }
+        for (name, exec) in &runs {
             assert_eq!(exec.winner, Some(1), "{name}");
             assert_eq!(exec.winning_iterations(), Some(20), "{name}");
             assert_eq!(exec.incumbent.as_ref().map(|i| i.walk_id), Some(1));
@@ -1035,19 +1072,25 @@ mod tests {
 
     #[test]
     fn all_backends_agree_on_a_run_to_completion_batch() {
-        let batch = WalkBatch::uniform(42, &quick_search(), 4).run_to_completion();
+        let batch = WalkBatch::uniform(42, &quick_search(), 8).run_to_completion();
         let factory = || Sort(20);
         let seq = SequentialExecutor.execute(&factory, &batch);
-        let thr = ThreadsExecutor.execute(&factory, &batch);
+        let mut others = vec![ThreadsExecutor.execute(&factory, &batch)];
+        for workers in [1, 2, 3, 8] {
+            others.push(execute_inner(workers, &factory, &batch, None, None));
+        }
         // Per-walk trajectories, and with them the winner and the
-        // incumbent, are bit-identical across back-ends.
-        assert_eq!(seq.winner, thr.winner);
-        assert_eq!(seq.incumbent, thr.incumbent);
-        for (a, b) in seq.records.iter().zip(thr.records.iter()) {
-            assert_eq!(a.walk_id, b.walk_id);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.outcome.stats, b.outcome.stats);
-            assert_eq!(a.outcome.solution, b.outcome.solution);
+        // incumbent, are bit-identical whatever the worker count.
+        for other in &others {
+            assert_eq!(seq.winner, other.winner);
+            assert_eq!(seq.incumbent, other.incumbent);
+            assert_eq!(seq.records.len(), other.records.len());
+            for (a, b) in seq.records.iter().zip(other.records.iter()) {
+                assert_eq!(a.walk_id, b.walk_id);
+                assert_eq!(a.seed, b.seed);
+                assert_eq!(a.outcome.stats, b.outcome.stats);
+                assert_eq!(a.outcome.solution, b.outcome.solution);
+            }
         }
         assert!(seq.winning_record().unwrap().outcome.solved());
         assert!(seq.total_iterations() >= seq.winning_iterations().unwrap());

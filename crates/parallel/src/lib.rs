@@ -10,13 +10,15 @@
 //! All execution flows through one layer — the [`executor`] module: a
 //! [`WalkJob`] describes one walk, a [`WalkBatch`] bundles jobs with their
 //! [`WalkSeeds`] family, stop semantics and an optional deadline, and a
-//! [`WalkExecutor`] back-end decides where the walks run:
+//! [`WalkExecutor`] back-end decides how many workers run the walks.  One
+//! worker loop runs every batch: the calling thread plus `workers − 1`
+//! scoped threads, each taking the next walk from a shared counter, with a
+//! shared atomic iteration bound between the walks.
 //!
-//! * [`ThreadsExecutor`] — one thread per walk, the calling thread running
-//!   walk 0, with a shared atomic iteration bound: the closest analogue of
-//!   the paper's one-MPI-process-per-core setup;
-//! * [`SequentialExecutor`] — the deterministic replay back-end (one walk
-//!   after another on the calling thread).
+//! * [`ThreadsExecutor`] — one worker per walk: the closest analogue of the
+//!   paper's one-MPI-process-per-core setup;
+//! * [`SequentialExecutor`] — one worker, the calling thread: the
+//!   deterministic replay back-end.
 //!
 //! Executing a batch yields a [`BatchExecution`]: one [`WalkRecord`] per
 //! walk, the winner, the anytime incumbent and any degradation.  The paper's
@@ -27,10 +29,9 @@
 //! minimum over walks — exact for independent walks, reproducible and
 //! 256-core-free, which is why the `speedup` binary replays its batches on
 //! [`SequentialExecutor`]), together with the pooled distribution of the
-//! solved walks' iteration counts.  Every batch can emit a [`WalkEvent`]
-//! telemetry stream ([`telemetry`]) consumed online, e.g. by a
-//! [`DistributionSink`] feeding `cbls-perfmodel`'s order-statistics
-//! machinery.
+//! solved walks' iteration counts, which `cbls-perfmodel`'s order statistics
+//! turn into predicted speedups.  Every batch can emit a [`WalkEvent`]
+//! telemetry stream ([`telemetry`]) consumed online by an [`EventSink`].
 //!
 //! ```
 //! use cbls_core::{Evaluator, SearchConfig};
@@ -79,4 +80,4 @@ pub use executor::{
 pub use seeds::WalkSeeds;
 pub use simulate::SimulatedMultiWalk;
 pub use supervision::{DegradationReason, FaultKind, Supervision, WalkFault};
-pub use telemetry::{DistributionSink, EventLog, EventSink, WalkEvent};
+pub use telemetry::{EventLog, EventSink, WalkEvent};

@@ -6,7 +6,7 @@
 //! * the same master seed reproduces the same `p`-walk experiment exactly,
 //! * walk `i`'s trajectory does not depend on how many walks run beside it,
 //! * sequential replay ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk))
-//!   and true parallel execution
+//!   and execution on any number of workers
 //!   ([`ThreadsExecutor`](crate::ThreadsExecutor)) see identical streams and
 //!   therefore identical iteration counts.
 

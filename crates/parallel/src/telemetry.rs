@@ -4,14 +4,10 @@
 //! live stream of [`WalkEvent`]s — one `Started` and one `Finished` per walk,
 //! plus `Restarted` / `ImprovedCost` events forwarded from the engine's
 //! [`SearchObserver`](cbls_core::SearchObserver) hooks.  Consumers implement
-//! [`EventSink`]; two sinks ship with the crate:
-//!
-//! * [`EventLog`] — collects every event (ordered per walk, interleaved
-//!   across walks in arrival order);
-//! * [`DistributionSink`] — feeds each solved walk's iterations-to-solution
-//!   into a [`DistributionAccumulator`] *online*, as walks finish, so the
-//!   order-statistics speedup predictor of `cbls-perfmodel` no longer needs a
-//!   post-hoc pass over the reports.
+//! [`EventSink`]; the crate ships [`EventLog`], which collects every event
+//! (ordered per walk, interleaved across walks in arrival order).  A
+//! batch's run-length distribution comes from its records, not from a sink:
+//! [`SimulatedMultiWalk::iteration_distribution`](crate::SimulatedMultiWalk::iteration_distribution).
 //!
 //! The event contract (also documented in the README):
 //!
@@ -30,7 +26,6 @@
 use std::sync::Mutex;
 
 use cbls_core::SearchPhase;
-use cbls_perfmodel::DistributionAccumulator;
 use serde::{Deserialize, Serialize};
 
 use crate::supervision::{FaultKind, Supervision};
@@ -198,44 +193,6 @@ impl EventSink for EventLog {
     }
 }
 
-/// A sink that feeds every solved walk's iterations-to-solution into a
-/// [`DistributionAccumulator`] as `Finished` events arrive — the online
-/// counterpart of a post-hoc pass over a batch's records.
-#[derive(Debug, Default)]
-pub struct DistributionSink {
-    acc: Mutex<DistributionAccumulator>,
-}
-
-impl DistributionSink {
-    /// A sink recording into a fresh accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consume the sink, returning the accumulator.
-    #[must_use]
-    pub fn into_accumulator(self) -> DistributionAccumulator {
-        self.acc.into_inner().expect("distribution sink poisoned")
-    }
-}
-
-impl EventSink for DistributionSink {
-    fn record(&self, event: &WalkEvent) {
-        if let WalkEvent::Finished {
-            solved: true,
-            iterations,
-            ..
-        } = event
-        {
-            self.acc
-                .lock()
-                .expect("distribution sink poisoned")
-                .record_count(*iterations);
-        }
-    }
-}
-
 /// The engine-side observer of one walk: forwards
 /// [`SearchObserver`](cbls_core::SearchObserver) hooks to the batch's sink as
 /// [`WalkEvent`]s, and — when the batch is supervised — publishes anytime
@@ -328,35 +285,6 @@ mod tests {
         assert_eq!(walk1[0].walk_id(), 1);
         assert_eq!(log.events_of(2).len(), 0);
         assert_eq!(log.snapshot().len(), 4);
-    }
-
-    #[test]
-    fn distribution_sink_records_only_solved_finishes() {
-        let sink = DistributionSink::new();
-        sink.record(&WalkEvent::Started {
-            walk_id: 0,
-            seed: 1,
-        });
-        sink.record(&WalkEvent::Finished {
-            walk_id: 0,
-            solved: true,
-            iterations: 120,
-            cost: 0,
-        });
-        sink.record(&WalkEvent::Finished {
-            walk_id: 1,
-            solved: false,
-            iterations: 999,
-            cost: 5,
-        });
-        sink.record(&WalkEvent::Finished {
-            walk_id: 2,
-            solved: true,
-            iterations: 80,
-            cost: 0,
-        });
-        let acc = sink.into_accumulator();
-        assert_eq!(acc.observations(), &[120.0, 80.0]);
     }
 
     #[test]

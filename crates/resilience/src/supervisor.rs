@@ -142,11 +142,6 @@ impl<X: WalkExecutor> Supervisor<X> {
         self
     }
 
-    /// The supervised back-end.
-    pub fn executor(&self) -> &X {
-        &self.executor
-    }
-
     /// Run `batch` under supervision without telemetry.
     pub fn run<F>(&self, factory: &F, batch: &WalkBatch) -> SupervisedExecution
     where

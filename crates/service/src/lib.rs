@@ -12,9 +12,9 @@
 //! * execution is `cbls-resilience`'s [`Supervisor`] over the sequential
 //!   back-end, so panicking or stalling evaluators degrade a job to its
 //!   anytime incumbent instead of failing it;
-//! * batches come from `cbls-parallel`'s [`WalkBatch`] prototype cache,
-//!   reseeded per request — equal shapes share construction, and results
-//!   are bit-identical to a direct executor run
+//! * each request becomes one `cbls-parallel` [`WalkBatch`], built fresh
+//!   from the benchmark's tuned configuration and the request's master
+//!   seed, so results are bit-identical to a direct executor run
 //!   ([`SolveService::batch_for`] is the audit path);
 //! * admission quotes come from `cbls-perfmodel`'s runtime distributions,
 //!   warmed by completed jobs; a quote informs the client and does not

@@ -23,8 +23,8 @@
 //! 3. **Admit or reject** — the bounded queue either takes the job or the
 //!    call returns [`AdmissionError::QueueFull`] immediately (no blocking
 //!    admission: back-pressure is the client's problem to see).
-//! 4. **Execute** — a worker dequeues the oldest job, replays its shape
-//!    from the prototype cache reseeded with the request's master seed, and
+//! 4. **Execute** — a worker dequeues the oldest job, builds its batch from
+//!    the benchmark's tuned configuration and the request's master seed, and
 //!    runs it under the default supervision (3 attempts per walk, stall
 //!    watchdog): panics and stalls degrade to anytime incumbents instead of
 //!    failing the job.
@@ -180,10 +180,6 @@ struct Shared {
     /// Per-benchmark iterations-to-solution history, fed by completed jobs,
     /// read by the quoting path.
     history: Mutex<HashMap<String, DistributionAccumulator>>,
-    /// Prototype batches keyed by `(benchmark, walks, budget)` — request
-    /// shapes repeat under load, and a cached prototype turns per-request
-    /// batch construction into a reseed of an existing one.
-    prototypes: Mutex<HashMap<(String, usize, u64), WalkBatch>>,
     next_job: AtomicU64,
 }
 
@@ -229,7 +225,6 @@ impl SolveService {
             registry,
             metrics,
             history: Mutex::new(HashMap::new()),
-            prototypes: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(0),
         });
         let workers = (0..config.workers)
@@ -311,8 +306,8 @@ impl SolveService {
         })
     }
 
-    /// The exact batch a request executes as, reseeded with the request's
-    /// master seed.  `None` for an unknown benchmark id.
+    /// The exact batch a request executes as.  `None` for an unknown
+    /// benchmark id.
     ///
     /// Running this batch on any back-end yields the same winner the
     /// service reports for the request: the audit path for bit-identical
@@ -320,7 +315,7 @@ impl SolveService {
     #[must_use]
     pub fn batch_for(&self, request: &SolveRequest) -> Option<WalkBatch> {
         let bench = Benchmark::from_id(&request.benchmark)?;
-        Some(self.shared.job_batch(request, &bench))
+        Some(job_batch(request, &bench))
     }
 
     /// A point-in-time snapshot of the service's metrics (queue depth,
@@ -359,28 +354,6 @@ impl Drop for SolveService {
 }
 
 impl Shared {
-    /// The executable batch of `request`: prototype cache hit or build,
-    /// then reseed + deadline.
-    fn job_batch(&self, request: &SolveRequest, bench: &Benchmark) -> WalkBatch {
-        let key = (
-            request.benchmark.clone(),
-            request.walks,
-            request.iteration_budget,
-        );
-        let prototype = {
-            let mut cache = self.prototypes.lock().expect("prototype mutex poisoned");
-            cache
-                .entry(key)
-                .or_insert_with(|| build_prototype(bench, request.walks, request.iteration_budget))
-                .clone()
-        };
-        let batch = prototype.reseeded(request.master_seed);
-        match request.deadline_ms {
-            Some(ms) => batch.with_timeout(Duration::from_millis(ms)),
-            None => batch.without_timeout(),
-        }
-    }
-
     /// Feed a completed execution into the per-benchmark runtime history:
     /// one draw per job, its first solved walk in walk order.  That walk ran
     /// before any sibling set a bound, so its count is an unbiased draw; a
@@ -401,14 +374,21 @@ impl Shared {
     }
 }
 
-/// A fresh prototype batch: the benchmark's tuned configuration, the total
-/// per-walk budget sliced over its restart schedule.
-fn build_prototype(bench: &Benchmark, walks: usize, iteration_budget: u64) -> WalkBatch {
+/// The executable batch of `request`: the benchmark's tuned configuration,
+/// the total per-walk budget sliced over its restart schedule, the request's
+/// master seed and its deadline.
+fn job_batch(request: &SolveRequest, bench: &Benchmark) -> WalkBatch {
     let config = bench.tuned_config();
-    let jobs = (0..walks)
-        .map(|_| WalkJob::new(config.clone()).with_budget(config.sliced_budget(iteration_budget)))
+    let jobs = (0..request.walks)
+        .map(|_| {
+            WalkJob::new(config.clone()).with_budget(config.sliced_budget(request.iteration_budget))
+        })
         .collect();
-    WalkBatch::new(WalkSeeds::new(0), jobs)
+    let batch = WalkBatch::new(WalkSeeds::new(request.master_seed), jobs);
+    match request.deadline_ms {
+        Some(ms) => batch.with_timeout(Duration::from_millis(ms)),
+        None => batch,
+    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -443,7 +423,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     let _ = events.send(JobEvent::Started { queued_ms });
 
     let bench = Benchmark::from_id(&request.benchmark).expect("benchmark validated at admission");
-    let batch = shared.job_batch(&request, &bench);
+    let batch = job_batch(&request, &bench);
     let supervisor = Supervisor::new(SequentialExecutor);
     let sink = JobSink {
         events: events.clone(),

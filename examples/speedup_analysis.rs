@@ -3,13 +3,12 @@
 //! speedup of 16..256 independent walks, `mean / E[min of p]` in
 //! iterations, next to the ideal line.
 //!
-//! The measurement runs through the executor layer with a
-//! [`DistributionSink`] attached: solved walks stream their
-//! iterations-to-solution into the accumulator online, as they finish —
-//! the same telemetry path every batch uses — instead of a hand-rolled
-//! solve loop with post-hoc collection.  Walk `i` of the batch draws the
-//! stream `WalkSeeds::new(42).rng_of(i)`, so the measured distribution is
-//! identical to what the loop form would record.
+//! The measurement is one replay of a batch of independent walks
+//! ([`SimulatedMultiWalk::replay`]): every walk runs to completion, and the
+//! solved walks' iterations-to-solution form the distribution.  Walk `i` of
+//! the batch draws the stream `WalkSeeds::new(42).rng_of(i)`, so the
+//! measured distribution is identical to what a hand-rolled solve loop
+//! would record.
 //!
 //! ```text
 //! cargo run --release --example speedup_analysis
@@ -27,27 +26,12 @@ fn main() {
         benchmark.label()
     );
 
-    // One batch of independent walks, run to completion (every walk is a
-    // sample — no first-finisher cutoff), with the distribution sink
-    // consuming Finished events as telemetry.
-    let factory = || benchmark.build();
-    let batch = WalkBatch::uniform(42, &benchmark.tuned_config(), samples).run_to_completion();
-    let sink = DistributionSink::new();
-    let execution = SequentialExecutor.execute_with_telemetry(&factory, &batch, &sink);
-    let solved = execution
-        .records
-        .iter()
-        .filter(|r| r.outcome.solved())
-        .count();
-
-    let accumulator = sink.into_accumulator();
-    assert_eq!(
-        accumulator.len(),
-        solved,
-        "the online stream records exactly the solved walks"
-    );
-    let distribution = accumulator
-        .distribution()
+    // One batch of independent walks, each run to completion: every walk
+    // is a sample, with no first-finisher cutoff.
+    let batch = WalkBatch::uniform(42, &benchmark.tuned_config(), samples);
+    let replay = SimulatedMultiWalk::replay(&|| benchmark.build(), &batch, &SequentialExecutor);
+    let distribution = replay
+        .iteration_distribution()
         .expect("at least one walk must solve the instance");
     println!(
         "mean {:.0} iterations, CoV {:.2} (≈1 ⇒ exponential ⇒ linear speedup expected)\n",

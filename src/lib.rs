@@ -68,9 +68,9 @@ pub mod prelude {
     pub use cbls_model::{Model, ModelEvaluator, Term};
     pub use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta, TraceRecording};
     pub use cbls_parallel::{
-        select_winner, BatchExecution, DegradationReason, DistributionSink, EventLog,
-        SequentialExecutor, SimulatedMultiWalk, Supervision, ThreadsExecutor, WalkBatch, WalkEvent,
-        WalkExecutor, WalkFault, WalkJob, WalkSeeds,
+        select_winner, BatchExecution, DegradationReason, EventLog, SequentialExecutor,
+        SimulatedMultiWalk, Supervision, ThreadsExecutor, WalkBatch, WalkEvent, WalkExecutor,
+        WalkFault, WalkJob, WalkSeeds,
     };
     pub use cbls_perfmodel::EmpiricalDistribution;
     pub use cbls_problems::{

@@ -160,26 +160,34 @@ fn telemetry_stream_is_complete_and_passive() {
     }
 }
 
-/// Online recording through a `DistributionSink` sees exactly the solved
-/// walks' iteration counts — the same observations a post-hoc pass over
-/// the records would collect, available the moment each walk finishes.
+/// A replay's run-length distribution holds exactly the solved walks'
+/// iteration counts: walks that run out of budget add nothing to it.
 #[test]
-fn distribution_sink_matches_posthoc_recording() {
-    let batch = WalkBatch::uniform(5, &Benchmark::NQueens(20).tuned_config(), 6);
-    let sink = DistributionSink::new();
-    let result = ThreadsExecutor.execute_with_telemetry(&|| NQueens::new(20), &batch, &sink);
-
-    let mut online: Vec<f64> = sink.into_accumulator().observations().to_vec();
-    let mut posthoc: Vec<f64> = result
-        .records
+fn iteration_distribution_holds_exactly_the_solved_walks_counts() {
+    let search = SearchConfig::builder()
+        .max_iterations_per_restart(60)
+        .max_restarts(0)
+        .build();
+    // 7 of the 12 walks solve within 60 iterations; 5 run out of budget.
+    let batch = WalkBatch::uniform(5, &search, 12);
+    let replay = SimulatedMultiWalk::replay(&|| CostasArray::new(10), &batch, &ThreadsExecutor);
+    let (solved, unsolved): (Vec<_>, Vec<_>) =
+        replay.records().iter().partition(|r| r.outcome.solved());
+    assert!(!solved.is_empty(), "some walks solve");
+    assert!(
+        unsolved
+            .iter()
+            .all(|r| r.outcome.reason == TerminationReason::IterationBudgetExhausted),
+        "the others run out of budget"
+    );
+    assert!(!unsolved.is_empty(), "some walks run out of budget");
+    let mut counts: Vec<f64> = solved
         .iter()
-        .filter(|r| r.outcome.solved())
         .map(|r| r.outcome.stats.iterations as f64)
         .collect();
-    online.sort_by(f64::total_cmp);
-    posthoc.sort_by(f64::total_cmp);
-    assert_eq!(online, posthoc);
-    assert!(!online.is_empty(), "at least the winner solved");
+    counts.sort_by(f64::total_cmp);
+    let distribution = replay.iteration_distribution().expect("some walks solve");
+    assert_eq!(distribution.samples(), counts.as_slice());
 }
 
 /// `select_winner` is the winner rule of an executed batch: the records a
