@@ -13,6 +13,8 @@
 //! framework the paper benchmarks; every divergence is a documented,
 //! configurable knob in [`SearchConfig`].
 
+use std::time::Duration;
+
 use as_rng::RandomSource;
 
 use crate::config::SearchConfig;
@@ -25,8 +27,8 @@ use crate::stop::{monotonic_now, StopControl};
 ///
 /// An `AdaptiveSearch` value is just a configuration; it can be reused to
 /// solve many evaluators, sequentially or from several threads (each call to
-/// [`solve`](AdaptiveSearch::solve) or [`run`](AdaptiveSearch::run) only
-/// borrows it immutably).
+/// [`solve`](AdaptiveSearch::solve), [`run`](AdaptiveSearch::run) or
+/// [`start`](AdaptiveSearch::start) only borrows it immutably).
 ///
 /// ```
 /// use as_rng::default_rng;
@@ -163,15 +165,13 @@ impl AdaptiveSearch {
     }
 
     /// Solve `eval` under the stop signal, restart schedule and observer
-    /// that `run` names (see [`Run`]).
+    /// that `run` names (see [`Run`]): [`start`](Self::start) a [`Walk`],
+    /// then advance it to its end in one slice.
     pub fn run<E, R>(&self, eval: &mut E, rng: &mut R, run: Run<'_>) -> SearchOutcome
     where
         E: Evaluator + ?Sized,
         R: RandomSource + ?Sized,
     {
-        let started = monotonic_now();
-        let cfg = &self.config;
-        let n = eval.size();
         let Run {
             stop,
             budget,
@@ -182,97 +182,300 @@ impl AdaptiveSearch {
             Some(observer) => observer,
             None => &mut no_observer,
         };
-        let budget_of = |restart| match budget {
-            Some(budget) => budget(restart),
-            None => cfg.restart_budget(restart),
+        let mut walk = self.start(eval, observer, stop, budget);
+        walk.advance(eval, rng, observer, u64::MAX);
+        walk.finish(eval)
+    }
+
+    /// Begin a run of `eval` that [`Walk::advance`] carries out slice by
+    /// slice, under the stop control and restart schedule of a [`Run`].
+    /// `observer` is asked [`observes_phases`](SearchObserver::observes_phases)
+    /// once, here; no iteration runs yet, and the first restart draws its
+    /// configuration in the first slice.  Problems of fewer than two
+    /// variables are evaluated once, here, and the walk has ended.
+    pub fn start<'a, E>(
+        &'a self,
+        eval: &mut E,
+        observer: &mut dyn SearchObserver,
+        stop: Option<&'a StopControl>,
+        budget: Option<&'a dyn Fn(u64) -> Option<u64>>,
+    ) -> Walk<'a>
+    where
+        E: Evaluator + ?Sized,
+    {
+        let started = monotonic_now();
+        let cfg = &self.config;
+        let n = eval.size();
+        let mut walk = Walk {
+            cfg,
+            stop,
+            budget,
+            n,
+            reset_limit: cfg.effective_reset_limit(n),
+            // A walk of fewer than two variables never resets; `n.max(1)`
+            // only keeps the clamp's bounds in order.
+            reset_count: ((cfg.reset_fraction * n as f64).ceil() as usize).clamp(1, n.max(1)),
+            // Phase-profiling opt-in, read once per run: when the observer
+            // declines, every instrumented site is a single predictable
+            // branch — no clock reads, no observer calls — and the RNG
+            // stream is untouched either way, so profiled runs stay
+            // bit-identical.
+            profile: observer.observes_phases(),
+            ended: None,
+            elapsed: Duration::ZERO,
+            state: SliceState {
+                best_cost: i64::MAX,
+                // Scratch buffers reused across iterations to avoid
+                // per-iteration allocations (the engine's inner loop is the
+                // hot path of every benchmark in the paper).
+                ties: Vec::with_capacity(n),
+                // Cached per-variable error projection, kept in sync with the
+                // current permutation: variables are re-projected only when a
+                // swap (or a reset) touches them, instead of calling
+                // `cost_on_variable` for every free variable on every
+                // iteration.  Iterations that end by marking a variable leave
+                // the permutation — and therefore the whole cache —
+                // untouched.  (Exhaustive mode never projects errors.)
+                err_cache: vec![0; n],
+                touched: Vec::with_capacity(n),
+                // Batched-probe dispatch, read once per run: evaluators with
+                // a native `cost_if_swaps` kernel get whole candidate rows in
+                // one call; everyone else keeps the scalar probe loop
+                // (avoiding the pointless buffer traffic a batched call would
+                // add on top of O(1) probes).
+                scan: SwapScan {
+                    batched: eval.incremental_profile().batched_probes,
+                    first_best: cfg.first_best,
+                    js: Vec::with_capacity(n),
+                    out: vec![0; n],
+                },
+                ..SliceState::default()
+            },
         };
-        let mut stats = SearchStats::default();
 
         // Degenerate sizes: nothing to swap, just evaluate once.
         if n < 2 {
             let perm: Vec<usize> = (0..n).collect();
             let cost = eval.init(&perm);
             observer.on_new_best(0, cost, &perm);
-            let reason = if cost <= cfg.target_cost {
+            walk.ended = Some(if cost <= cfg.target_cost {
                 TerminationReason::Solved
             } else {
                 TerminationReason::IterationBudgetExhausted
-            };
-            return SearchOutcome {
-                reason,
-                best_cost: cost,
-                solution: perm,
-                stats,
-                elapsed: started.elapsed(),
-            };
+            });
+            walk.state.best_cost = cost;
+            walk.state.best_perm = perm;
         }
+        walk.elapsed = started.elapsed();
+        walk
+    }
 
-        let reset_limit = cfg.effective_reset_limit(n);
-        let reset_count = ((cfg.reset_fraction * n as f64).ceil() as usize).clamp(1, n);
+    /// Refresh the cached error projection after an executed swap of
+    /// `(i, j)`: re-project only the positions the evaluator reports touched,
+    /// or everything when it declines to track a dirty set.
+    fn refresh_projection<E: Evaluator + ?Sized>(
+        eval: &E,
+        perm: &[usize],
+        i: usize,
+        j: usize,
+        touched: &mut Vec<usize>,
+        err_cache: &mut [i64],
+    ) {
+        touched.clear();
+        if eval.touched_by_swap(perm, i, j, touched) {
+            eval.project_errors(perm, touched, err_cache);
+        } else {
+            eval.project_errors_full(perm, err_cache);
+        }
+    }
 
-        let mut best_cost = i64::MAX;
-        let mut best_perm: Vec<usize> = Vec::new();
-        let mut reason = TerminationReason::IterationBudgetExhausted;
+    /// Re-place `count` randomly chosen positions by random swaps (the
+    /// "partial reset" of Adaptive Search).
+    fn partial_reset<R: RandomSource + ?Sized>(perm: &mut [usize], count: usize, rng: &mut R) {
+        let n = perm.len();
+        for _ in 0..count {
+            let a = rng.index(n);
+            let b = rng.index(n);
+            perm.swap(a, b);
+        }
+    }
+}
 
-        // Scratch buffers reused across iterations to avoid per-iteration
-        // allocations (the engine's inner loop is the hot path of every
-        // benchmark in the paper).
-        let mut ties: Vec<usize> = Vec::with_capacity(n);
+/// One run of the engine that can stop after any iteration and resume
+/// later, begun by [`AdaptiveSearch::start`].
+///
+/// [`advance`](Self::advance) runs the search up to an iteration count and
+/// keeps its whole state — configuration, restart, tabu marks, best so far,
+/// counters — until the next call.  The evaluator, the random stream and
+/// the observer stay with the caller and are passed to every call; they
+/// must be the same ones every time.  Where the slices end changes nothing
+/// else: a run advanced in any number of slices takes the trajectory, draws
+/// the random stream and reaches the outcome of [`AdaptiveSearch::run`],
+/// which is one slice to the end.  This is what lets one thread advance
+/// several walks of a batch in turn.
+///
+/// ```
+/// use as_rng::default_rng;
+/// use cbls_core::{AdaptiveSearch, Evaluator, NoObserver, SearchConfig};
+///
+/// // Cost = number of misplaced values; solved when sorted.
+/// struct Sort(usize);
+/// impl Evaluator for Sort {
+///     fn size(&self) -> usize { self.0 }
+///     fn init(&mut self, perm: &[usize]) -> i64 { self.cost(perm) }
+///     fn cost(&self, perm: &[usize]) -> i64 {
+///         perm.iter().enumerate().filter(|&(i, &v)| i != v).count() as i64
+///     }
+///     fn cost_on_variable(&self, perm: &[usize], i: usize) -> i64 {
+///         i64::from(perm[i] != i)
+///     }
+/// }
+///
+/// let engine = AdaptiveSearch::new(SearchConfig::default());
+/// let whole = engine.solve(&mut Sort(16), &mut default_rng(7));
+///
+/// // The same run, three iterations at a time.
+/// let (mut eval, mut rng) = (Sort(16), default_rng(7));
+/// let mut walk = engine.start(&mut eval, &mut NoObserver, None, None);
+/// while !walk.advance(&mut eval, &mut rng, &mut NoObserver, walk.iterations() + 3) {}
+/// let sliced = walk.finish(&mut eval);
+/// assert_eq!(sliced.stats, whole.stats);
+/// assert_eq!(sliced.solution, whole.solution);
+/// ```
+pub struct Walk<'a> {
+    cfg: &'a SearchConfig,
+    stop: Option<&'a StopControl>,
+    budget: Option<&'a dyn Fn(u64) -> Option<u64>>,
+    n: usize,
+    reset_limit: usize,
+    reset_count: usize,
+    profile: bool,
+    /// Why the walk ended; `None` while it can go on.
+    ended: Option<TerminationReason>,
+    /// Time spent inside `start` and `advance` calls, and nowhere else.
+    elapsed: Duration,
+    state: SliceState,
+}
 
-        // Cached per-variable error projection, kept in sync with the current
-        // permutation: variables are re-projected only when a swap (or a
-        // reset) touches them, instead of calling `cost_on_variable` for
-        // every free variable on every iteration.  Iterations that end by
-        // marking a variable leave the permutation — and therefore the whole
-        // cache — untouched.  (Exhaustive mode never projects errors.)
-        let mut err_cache: Vec<i64> = vec![0; n];
-        let mut touched: Vec<usize> = Vec::with_capacity(n);
+/// What the search loop carries from one slice to the next.  `advance`
+/// moves it into locals for the slice and back at its end, so the loop
+/// works on locals as a single uninterrupted run does.
+#[derive(Default)]
+struct SliceState {
+    stats: SearchStats,
+    best_cost: i64,
+    best_perm: Vec<usize>,
+    /// Countdown to the next heartbeat and deadline poll: one subtraction
+    /// per iteration instead of a modulo on the hot path.  Starts at zero,
+    /// so polls fall on the multiples of `stop_check_interval`.
+    until_stop_check: u64,
+    /// Restarts begun so far: the restart schedule's next index.
+    restart: u64,
+    /// The iteration budget of the restart under way; `None` between
+    /// restarts.
+    restart_budget: Option<u64>,
+    iter_in_restart: u64,
+    perm: Vec<usize>,
+    cost: i64,
+    /// `marks[i]` holds the first iteration index at which variable `i` is
+    /// free again; 0 means "never marked".
+    marks: Vec<u64>,
+    /// Number of variables marked since the last partial reset; when it
+    /// reaches the reset limit the configuration is partially re-randomised
+    /// (this is what keeps Adaptive Search from orbiting a deep local
+    /// minimum).
+    marked_since_reset: usize,
+    ties: Vec<usize>,
+    err_cache: Vec<i64>,
+    touched: Vec<usize>,
+    scan: SwapScan,
+}
 
-        // Batched-probe dispatch, read once per run: evaluators with a
-        // native `cost_if_swaps` kernel get whole candidate rows in one call;
-        // everyone else keeps the scalar probe loop (avoiding the pointless
-        // buffer traffic a batched call would add on top of O(1) probes).
-        let mut scan = SwapScan {
-            batched: eval.incremental_profile().batched_probes,
-            first_best: cfg.first_best,
-            js: Vec::with_capacity(n),
-            out: vec![0; n],
+impl Walk<'_> {
+    /// Iterations done so far, over every restart.
+    #[must_use]
+    pub fn iterations(&self) -> u64 {
+        self.state.stats.iterations
+    }
+
+    /// Run the search on until it ends or has done `until` iterations in
+    /// all, whichever comes first, and return whether it has ended.  A
+    /// walk that has ended stays ended, and a call whose `until` the walk
+    /// has already reached runs no iteration.
+    ///
+    /// The search reads the stop control's bound and kill flag every
+    /// iteration and polls its deadline and the observer's heartbeat every
+    /// `stop_check_interval` iterations, counted over the whole run, so
+    /// slices of exactly that length each begin with a poll.
+    pub fn advance<E, R>(
+        &mut self,
+        eval: &mut E,
+        rng: &mut R,
+        observer: &mut dyn SearchObserver,
+        until: u64,
+    ) -> bool
+    where
+        E: Evaluator + ?Sized,
+        R: RandomSource + ?Sized,
+    {
+        if self.ended.is_some() {
+            return true;
+        }
+        let started = monotonic_now();
+        let cfg = self.cfg;
+        let (n, reset_limit, reset_count, profile) =
+            (self.n, self.reset_limit, self.reset_count, self.profile);
+        let (stop, budget) = (self.stop, self.budget);
+        let budget_of = |restart| match budget {
+            Some(budget) => budget(restart),
+            None => cfg.restart_budget(restart),
         };
+        let SliceState {
+            mut stats,
+            mut best_cost,
+            mut best_perm,
+            mut until_stop_check,
+            mut restart,
+            mut restart_budget,
+            mut iter_in_restart,
+            mut perm,
+            mut cost,
+            mut marks,
+            mut marked_since_reset,
+            mut ties,
+            mut err_cache,
+            mut touched,
+            mut scan,
+        } = std::mem::take(&mut self.state);
 
-        // Countdown to the next heartbeat and deadline poll: one subtraction
-        // per iteration instead of a modulo on the hot path.  Starts at zero
-        // so the first iteration polls, exactly like
-        // `iterations % interval == 0` did.
-        let mut until_stop_check: u64 = 0;
-
-        // Phase-profiling opt-in, read once per run: when the observer
-        // declines, every instrumented site below is a single predictable
-        // branch — no clock reads, no observer calls — and the RNG stream is
-        // untouched either way, so profiled runs stay bit-identical.
-        let profile = observer.observes_phases();
-
-        let mut restart: u64 = 0;
-        'restarts: while let Some(restart_budget) = budget_of(restart) {
-            if restart > 0 {
-                stats.restarts += 1;
-                observer.on_restart(restart);
-            }
-            let mut perm = rng.permutation(n);
-            restart += 1;
-            let mut cost = eval.init(&perm);
-            if !cfg.exhaustive {
-                eval.project_errors_full(&perm, &mut err_cache);
-            }
-            // marks[i] holds the first iteration index at which variable i is
-            // free again; 0 means "never marked".
-            let mut marks: Vec<u64> = vec![0; n];
-            // Number of variables marked since the last partial reset; when it
-            // reaches the reset limit the configuration is partially
-            // re-randomised (this is what keeps Adaptive Search from orbiting
-            // a deep local minimum).
-            let mut marked_since_reset: usize = 0;
-
-            let mut iter_in_restart: u64 = 0;
+        let mut ended = None;
+        'restarts: loop {
+            let budget = match restart_budget {
+                Some(budget) => budget,
+                None => {
+                    // Restart (or give up if the schedule is exhausted).
+                    let Some(budget) = budget_of(restart) else {
+                        ended = Some(TerminationReason::IterationBudgetExhausted);
+                        break 'restarts;
+                    };
+                    if restart > 0 {
+                        stats.restarts += 1;
+                        observer.on_restart(restart);
+                    }
+                    perm = rng.permutation(n);
+                    restart += 1;
+                    cost = eval.init(&perm);
+                    if !cfg.exhaustive {
+                        eval.project_errors_full(&perm, &mut err_cache);
+                    }
+                    marks.clear();
+                    marks.resize(n, 0);
+                    marked_since_reset = 0;
+                    iter_in_restart = 0;
+                    restart_budget = Some(budget);
+                    budget
+                }
+            };
             loop {
                 if cost < best_cost {
                     best_cost = cost;
@@ -280,12 +483,17 @@ impl AdaptiveSearch {
                     observer.on_new_best(stats.iterations, cost, &best_perm);
                 }
                 if cost <= cfg.target_cost {
-                    reason = TerminationReason::Solved;
+                    ended = Some(TerminationReason::Solved);
                     break 'restarts;
                 }
-                if iter_in_restart >= restart_budget {
-                    // restart (or give up if the schedule is exhausted)
+                if iter_in_restart >= budget {
+                    restart_budget = None;
                     break;
+                }
+                if stats.iterations >= until {
+                    // The slice ends.  The next one resumes here: the checks
+                    // above find nothing new to do.
+                    break 'restarts;
                 }
                 let poll = until_stop_check == 0;
                 if poll {
@@ -299,11 +507,11 @@ impl AdaptiveSearch {
                     // deadline reads the clock, so it keeps the poll's
                     // cadence.
                     if stop.should_stop(stats.iterations) {
-                        reason = TerminationReason::ExternallyStopped;
+                        ended = Some(TerminationReason::ExternallyStopped);
                         break 'restarts;
                     }
                     if poll && stop.deadline_passed() {
-                        reason = TerminationReason::TimedOut;
+                        ended = Some(TerminationReason::TimedOut);
                         break 'restarts;
                     }
                 }
@@ -390,7 +598,7 @@ impl AdaptiveSearch {
                             }
                             if !cfg.exhaustive {
                                 let proj_started = profile.then(monotonic_now);
-                                Self::refresh_projection(
+                                AdaptiveSearch::refresh_projection(
                                     eval,
                                     &perm,
                                     move_i,
@@ -422,7 +630,7 @@ impl AdaptiveSearch {
                 if reset {
                     stats.resets += 1;
                     let reset_started = profile.then(monotonic_now);
-                    Self::partial_reset(&mut perm, reset_count, rng);
+                    AdaptiveSearch::partial_reset(&mut perm, reset_count, rng);
                     cost = eval.init(&perm);
                     if !cfg.exhaustive {
                         eval.project_errors_full(&perm, &mut err_cache);
@@ -436,55 +644,59 @@ impl AdaptiveSearch {
             }
         }
 
-        if best_perm.is_empty() {
+        self.state = SliceState {
+            stats,
+            best_cost,
+            best_perm,
+            until_stop_check,
+            restart,
+            restart_budget,
+            iter_in_restart,
+            perm,
+            cost,
+            marks,
+            marked_since_reset,
+            ties,
+            err_cache,
+            touched,
+            scan,
+        };
+        self.ended = ended;
+        self.elapsed += started.elapsed();
+        ended.is_some()
+    }
+
+    /// The walk's outcome.  Its `elapsed` is the time spent inside
+    /// [`AdaptiveSearch::start`] and [`advance`](Self::advance) calls, not
+    /// the time between them.  A walk that has not ended reports
+    /// [`ExternallyStopped`](TerminationReason::ExternallyStopped): its
+    /// caller stopped it between slices.
+    pub fn finish<E: Evaluator + ?Sized>(self, eval: &mut E) -> SearchOutcome {
+        let SliceState {
+            stats,
+            mut best_cost,
+            mut best_perm,
+            ..
+        } = self.state;
+        if best_perm.len() != self.n {
             // No iteration ever ran (an external schedule with no restart at
             // all): report the identity permutation.
-            best_perm = (0..n).collect();
+            best_perm = (0..self.n).collect();
             best_cost = eval.init(&best_perm);
         }
-
         SearchOutcome {
-            reason,
+            reason: self.ended.unwrap_or(TerminationReason::ExternallyStopped),
             best_cost,
             solution: best_perm,
             stats,
-            elapsed: started.elapsed(),
-        }
-    }
-
-    /// Refresh the cached error projection after an executed swap of
-    /// `(i, j)`: re-project only the positions the evaluator reports touched,
-    /// or everything when it declines to track a dirty set.
-    fn refresh_projection<E: Evaluator + ?Sized>(
-        eval: &E,
-        perm: &[usize],
-        i: usize,
-        j: usize,
-        touched: &mut Vec<usize>,
-        err_cache: &mut [i64],
-    ) {
-        touched.clear();
-        if eval.touched_by_swap(perm, i, j, touched) {
-            eval.project_errors(perm, touched, err_cache);
-        } else {
-            eval.project_errors_full(perm, err_cache);
-        }
-    }
-
-    /// Re-place `count` randomly chosen positions by random swaps (the
-    /// "partial reset" of Adaptive Search).
-    fn partial_reset<R: RandomSource + ?Sized>(perm: &mut [usize], count: usize, rng: &mut R) {
-        let n = perm.len();
-        for _ in 0..count {
-            let a = rng.index(n);
-            let b = rng.index(n);
-            perm.swap(a, b);
+            elapsed: self.elapsed,
         }
     }
 }
 
 /// The candidate scan of one run: the two switches it reads once, plus the
 /// scratch rows of the batched probe.
+#[derive(Default)]
 struct SwapScan {
     /// Whole rows go through one [`Evaluator::cost_if_swaps`] call (the
     /// evaluator claims `batched_probes`) instead of probe by probe.
@@ -1222,6 +1434,112 @@ mod tests {
         // Each executed swap refreshes the projection, each reset re-projects.
         assert_eq!(projections, profiled.stats.swaps + profiled.stats.resets);
         assert!(profiler.nanos.iter().sum::<u64>() > 0);
+    }
+
+    /// Every hook call of a run, in order.
+    #[derive(Default, PartialEq, Debug)]
+    struct HookLog {
+        restarts: Vec<u64>,
+        bests: Vec<(u64, i64)>,
+        heartbeats: Vec<u64>,
+    }
+    impl SearchObserver for HookLog {
+        fn on_restart(&mut self, restart: u64) {
+            self.restarts.push(restart);
+        }
+        fn on_new_best(&mut self, iteration: u64, cost: i64, _assignment: &[usize]) {
+            self.bests.push((iteration, cost));
+        }
+        fn on_heartbeat(&mut self, iterations: u64) {
+            self.heartbeats.push(iterations);
+        }
+    }
+
+    #[test]
+    fn a_run_advanced_in_slices_is_the_same_run() {
+        use as_rng::RandomSource;
+        let configs = [
+            // Restarts every 40 iterations, six of them.
+            SearchConfig::builder()
+                .max_iterations_per_restart(40)
+                .max_restarts(5)
+                .stop_check_interval(8)
+                .build(),
+            SearchConfig::builder()
+                .exhaustive(true)
+                .stop_check_interval(5)
+                .build(),
+            SearchConfig::builder().first_best(true).build(),
+        ];
+        for config in configs {
+            let engine = AdaptiveSearch::new(config);
+            for seed in 0..4 {
+                // A stop bound and an external schedule ride along.
+                let stop = StopControl::new();
+                stop.stop_at(150);
+                let budget = |restart: u64| (restart < 4).then_some(30 + restart);
+                let run = |slice: u64| {
+                    let (mut eval, mut r) = (SortPermutation::new(24), rng(seed));
+                    let mut log = HookLog::default();
+                    let mut walk = engine.start(&mut eval, &mut log, Some(&stop), Some(&budget));
+                    let mut slices = 0;
+                    loop {
+                        slices += 1;
+                        let until = walk.iterations().saturating_add(slice);
+                        if walk.advance(&mut eval, &mut r, &mut log, until) {
+                            break;
+                        }
+                        assert_eq!(walk.iterations(), until, "a slice ends at its end");
+                    }
+                    let out = walk.finish(&mut eval);
+                    (out, log, r.next_u64(), slices)
+                };
+                let (whole, whole_log, whole_next, one) = run(u64::MAX);
+                assert_eq!(one, 1);
+                for slice in [1, 3, 8, 1_000] {
+                    let (sliced, log, next, _) = run(slice);
+                    let case = format!("seed {seed}, slices of {slice}");
+                    assert_eq!(sliced.reason, whole.reason, "{case}");
+                    assert_eq!(sliced.stats, whole.stats, "{case}");
+                    assert_eq!(sliced.solution, whole.solution, "{case}");
+                    assert_eq!(sliced.best_cost, whole.best_cost, "{case}");
+                    assert_eq!(log, whole_log, "{case}: hooks");
+                    assert_eq!(next, whole_next, "{case}: random stream");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_runs_nothing_past_its_slice_end_and_stays_ended() {
+        let engine = AdaptiveSearch::new(
+            SearchConfig::builder()
+                .max_iterations_per_restart(50)
+                .max_restarts(0)
+                .build(),
+        );
+        let (mut eval, mut r, mut obs) = (Unsatisfiable { n: 8 }, rng(3), NoObserver);
+        let mut walk = engine.start(&mut eval, &mut obs, None, None);
+        // A slice that ends where the walk stands runs no iteration.
+        assert!(!walk.advance(&mut eval, &mut r, &mut obs, 0));
+        assert_eq!(walk.iterations(), 0);
+        assert!(!walk.advance(&mut eval, &mut r, &mut obs, 20));
+        assert!(!walk.advance(&mut eval, &mut r, &mut obs, 10));
+        assert_eq!(walk.iterations(), 20);
+        // Ended by its budget, it stays ended.
+        assert!(walk.advance(&mut eval, &mut r, &mut obs, u64::MAX));
+        assert!(walk.advance(&mut eval, &mut r, &mut obs, u64::MAX));
+        let out = walk.finish(&mut eval);
+        assert_eq!(out.reason, TerminationReason::IterationBudgetExhausted);
+        assert_eq!(out.stats.iterations, 50);
+
+        // A walk its caller leaves between slices was stopped from outside.
+        let mut walk = engine.start(&mut eval, &mut obs, None, None);
+        assert!(!walk.advance(&mut eval, &mut r, &mut obs, 7));
+        let out = walk.finish(&mut eval);
+        assert_eq!(out.reason, TerminationReason::ExternallyStopped);
+        assert_eq!(out.stats.iterations, 7);
+        assert_eq!(out.solution.len(), 8);
     }
 
     #[test]

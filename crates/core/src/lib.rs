@@ -39,8 +39,8 @@
 //! * [`SearchConfig`] — engine parameters (freeze duration, reset policy,
 //!   restart policy, plateau handling).
 //! * [`AdaptiveSearch`] / [`Run`] — the solver itself, and what one run adds
-//!   to a plain solve (stop signal, first configuration, restart schedule,
-//!   observer).
+//!   to a plain solve (stop signal, restart schedule, observer); [`Walk`] — a run advanced slice by slice, so that one thread
+//!   can take several walks in turn.
 //! * [`SearchOutcome`] / [`SearchStats`] / [`TerminationReason`] — per-run
 //!   results and counters.
 //! * [`StopControl`] — cooperative termination (a shared iteration bound
@@ -73,7 +73,7 @@ mod stop;
 
 pub use anytime::{BestSoFar, Incumbent};
 pub use config::{SearchConfig, SearchConfigBuilder};
-pub use engine::{AdaptiveSearch, Run};
+pub use engine::{AdaptiveSearch, Run, Walk};
 pub use evaluator::{Evaluator, EvaluatorFactory, IncrementalProfile};
 pub use observer::{NoObserver, SearchObserver, SearchPhase};
 pub use outcome::{SearchOutcome, SearchStats, TerminationReason};

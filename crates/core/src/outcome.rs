@@ -72,7 +72,11 @@ pub struct SearchOutcome {
     pub solution: Vec<usize>,
     /// Counters accumulated during the run.
     pub stats: SearchStats,
-    /// Wall-clock time of the run.
+    /// Wall-clock time the engine spent on the run: inside
+    /// [`AdaptiveSearch::start`](crate::AdaptiveSearch::start) and every
+    /// [`Walk::advance`](crate::Walk::advance) call, not between them.  A
+    /// walk that shared its thread with other walks, a slice at a time,
+    /// counts only its own slices.
     pub elapsed: Duration,
 }
 

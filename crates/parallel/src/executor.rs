@@ -9,13 +9,17 @@
 //! stop semantics; a [`WalkExecutor`] back-end decides how many workers run
 //! the walks.  One worker loop runs every batch: the calling thread plus
 //! `workers − 1` scoped threads, each taking the next walk from a shared
-//! counter.
+//! counter.  A worker that holds several walks of a first-finisher batch
+//! goes round them, one `stop_check_interval` of iterations per walk and
+//! turn, so they reach the winner's count together; a run-to-completion
+//! batch runs walk after walk.
 //!
 //! * [`ThreadsExecutor`] — one worker per walk (the paper's
 //!   one-engine-per-core deployment);
-//! * [`SequentialExecutor`] — one worker, the calling thread, running the
-//!   walks in walk order (the deterministic replay behind the `speedup`
-//!   binary's tables).
+//! * [`SequentialExecutor`] — one worker, the calling thread: round-robin
+//!   over a first-finisher batch's walks, so a `p`-walk batch costs about
+//!   `p · E[min of p]` iterations, and walk after walk over a replay (the
+//!   deterministic replay behind the `speedup` binary's tables).
 //!
 //! Whatever the back-end, the semantics are identical: every walk draws the
 //! stream `WalkSeeds::rng_of(walk_id)`; a walk that reaches its target cost
@@ -40,9 +44,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use as_rng::DefaultRng;
 use cbls_core::{
-    monotonic_now, AdaptiveSearch, EvaluatorFactory, Incumbent, Run, SearchConfig, SearchOutcome,
-    SearchStats, StopControl, TerminationReason,
+    monotonic_now, AdaptiveSearch, Evaluator, EvaluatorFactory, Incumbent, SearchConfig,
+    SearchOutcome, SearchStats, StopControl, TerminationReason, Walk,
 };
 use serde::{Deserialize, Serialize};
 
@@ -108,7 +113,7 @@ impl WalkJob {
     }
 
     /// Drive the restart loop with an external budget schedule instead of
-    /// the configuration's fixed one (see [`Run::budget`]).
+    /// the configuration's fixed one (see [`Run::budget`](cbls_core::Run::budget)).
     #[must_use]
     pub fn with_budget(
         mut self,
@@ -375,7 +380,8 @@ pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
 ///
 /// Every back-end runs the same worker loop: the calling thread plus
 /// `workers − 1` scoped threads, each taking the next walk index from one
-/// shared counter.  [`execute`](WalkExecutor::execute) /
+/// shared counter, and going round the walks it holds when it holds several
+/// walks of a first-finisher batch.  [`execute`](WalkExecutor::execute) /
 /// [`execute_with_telemetry`](WalkExecutor::execute_with_telemetry) layer
 /// the multi-walk semantics (seed derivation, shared stop bound, deadline,
 /// events, winner selection) on top, so every back-end produces
@@ -476,12 +482,10 @@ pub trait WalkExecutor: Sync {
 /// One worker per walk — the closest analogue of the paper's
 /// one-MPI-process-per-core deployment.  A `p`-walk batch starts `p − 1`
 /// scoped threads beside the calling thread; a 1-walk batch starts none.
+/// Each walk runs to its end in one slice.
 ///
-/// The worker count is not capped at the machine's cores.  With
-/// exponential run lengths, `c` cores running `p` walks on `c` workers
-/// finish a first-finisher batch in about mean · H_p / c iterations of wall
-/// time (H_p the `p`-th harmonic number), and `p` oversubscribed threads in
-/// about `p · E[min of p] / c = mean / c`.
+/// The worker count is not capped at the machine's cores: bounding what a
+/// request may start is left to admission limits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadsExecutor;
 
@@ -491,14 +495,16 @@ impl WalkExecutor for ThreadsExecutor {
     }
 }
 
-/// One worker: the calling thread runs the walks in walk order — the
-/// deterministic replay.
+/// One worker: the calling thread runs every walk — the deterministic
+/// replay.
 ///
-/// With [`WalkBatch::run_to_completion`] this is the replay back-end of the
-/// `speedup` binary's tables.  With first-finisher semantics each walk stops
-/// once it has done as many iterations as the fastest earlier solve, so a
-/// `p`-walk batch returns the exact minimum of the `p` walks' run lengths for
-/// about mean · H_p iterations in all (H_p the `p`-th harmonic number).
+/// With [`WalkBatch::run_to_completion`] it runs the walks one after
+/// another, with one evaluator alive at a time: the replay back-end of the
+/// `speedup` binary's tables.  With first-finisher semantics it goes round
+/// the walks, advancing each by its `stop_check_interval` of iterations per
+/// turn, so every losing walk stops within one such slice of the winner's
+/// count: a `p`-walk batch returns the exact minimum `min` of the `p` walks'
+/// run lengths for at most `p · (min + slice)` iterations in all.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 
@@ -508,30 +514,50 @@ impl WalkExecutor for SequentialExecutor {
     }
 }
 
-/// Run `work(i)` for every walk index `i < walks` on `workers` workers —
-/// the calling thread plus `workers − 1` scoped threads, never more than
-/// one per walk — each taking the next index from one shared counter, and
-/// return the results in walk order.
+/// Run every walk index `i < walks` on `workers` workers — the calling
+/// thread plus `workers − 1` scoped threads, never more than one per walk —
+/// and return the results in walk order.
+///
+/// `start(i)` begins walk `i` on the worker that takes it and returns its
+/// stepper: each call runs one slice of the walk, and returns the walk's
+/// result once it has ended.  A worker holds at most `hold` walks at once:
+/// it takes the next index from one shared counter whenever it holds fewer,
+/// then steps every walk it holds once, in walk order, and lets go of those
+/// that ended.
 ///
 /// A helper thread the OS refuses to start takes no walk: its share goes to
 /// the workers that did start, and no further helper is asked for.  A panic
-/// that escapes `work` on a helper is re-raised on the calling thread.
-fn run_walks<T, W>(walks: usize, workers: usize, work: &W) -> Vec<T>
+/// that escapes a stepper on a helper is re-raised on the calling thread.
+fn run_walks<B, S, T>(walks: usize, workers: usize, hold: usize, start: &B) -> Vec<T>
 where
+    B: Fn(usize) -> S + Sync,
+    S: FnMut() -> Option<T>,
     T: Send,
-    W: Fn(usize) -> T + Sync,
 {
     let next = AtomicUsize::new(0);
     let worker = || {
         let mut done = Vec::new();
+        let mut held: Vec<(usize, S)> = Vec::new();
         loop {
-            // Relaxed: the counter only hands out distinct indices; the
-            // results reach the caller through the scope's joins.
-            let walk = next.fetch_add(1, Ordering::Relaxed);
-            if walk >= walks {
+            while held.len() < hold {
+                // Relaxed: the counter only hands out distinct indices; the
+                // results reach the caller through the scope's joins.
+                let walk = next.fetch_add(1, Ordering::Relaxed);
+                if walk >= walks {
+                    break;
+                }
+                held.push((walk, start(walk)));
+            }
+            if held.is_empty() {
                 return done;
             }
-            done.push((walk, work(walk)));
+            held.retain_mut(|(walk, step)| match step() {
+                Some(result) => {
+                    done.push((*walk, result));
+                    false
+                }
+                None => true,
+            });
         }
     };
     let mut results = thread::scope(|scope| {
@@ -581,30 +607,70 @@ where
         .iter()
         .map(|job| AdaptiveSearch::new(job.search.clone()))
         .collect();
+    // A supervised walk's stop control additionally carries its personal
+    // kill flag, so the watchdog can cancel it without touching siblings.
+    let stops: Vec<StopControl> = (0..batch.walks())
+        .map(|walk_id| match supervision {
+            Some(supervision) => stop
+                .clone()
+                .and_local_flag(supervision.kill_flag_of(walk_id)),
+            None => stop.clone(),
+        })
+        .collect();
+    // A worker that holds several walks of a first-finisher batch advances
+    // them in turn, one heartbeat interval of iterations each, so that they
+    // reach the winner's count together.  A replay runs each walk to its end
+    // before the next, with one evaluator alive at a time.
+    let workers = workers.max(1);
+    let hold = if batch.stop_on_first_success {
+        batch.walks().div_ceil(workers).max(1)
+    } else {
+        1
+    };
 
-    let stop = &stop;
-    let records = run_walks(batch.walks(), workers, &|walk_id| {
-        let engine = &engines[walk_id];
-        // A panic that escapes the isolation below (one from a sink) drops
-        // the batch's bound to 0 on its way out: the sibling walks stop at
-        // their next iteration, and the worker loop hands the panic to the
-        // caller instead of waiting out their budgets.
-        let _stop_siblings = StopOnUnwind(stop);
-        // Walk-level fault isolation: a panicking evaluator (or engine)
-        // becomes a structured `WalkFault::Panicked` record instead of
-        // unwinding through the worker loop and killing the whole batch.
-        // `AssertUnwindSafe` is sound here: the closure's captures are only
-        // shared state designed for concurrent access (the stop bound, sinks,
-        // supervision atomics), the batch and engines it only reads, and the
-        // walk's own evaluator, which is discarded on the panic path.
-        let record = catch_unwind(AssertUnwindSafe(|| {
-            run_walk(factory, batch, engine, walk_id, stop, sink, supervision)
-        }))
-        .unwrap_or_else(|payload| panicked_record(batch, walk_id, &payload, sink, supervision));
-        if let Some(supervision) = supervision {
-            supervision.mark_done(walk_id);
+    let (stop, engines, stops) = (&stop, &engines, &stops);
+    let records = run_walks(batch.walks(), workers, hold, &|walk_id| {
+        let mut slot = None;
+        move || {
+            // A panic that escapes the isolation below (one from a sink)
+            // drops the batch's bound to 0 on its way out: the sibling walks
+            // stop at their next iteration, and the worker loop hands the
+            // panic to the caller instead of waiting out their budgets.
+            let _stop_siblings = StopOnUnwind(stop);
+            if let Some(supervision) = supervision {
+                supervision.mark_running(walk_id);
+            }
+            // Walk-level fault isolation: a panicking evaluator (or engine)
+            // becomes a structured `WalkFault::Panicked` record instead of
+            // unwinding through the worker loop and killing the whole batch.
+            // `AssertUnwindSafe` is sound here: the closure's captures are
+            // only shared state designed for concurrent access (the stop
+            // bound, sinks, supervision atomics), the batch and engines it
+            // only reads, and the walk's own slot, which is discarded on the
+            // panic path.
+            let record = catch_unwind(AssertUnwindSafe(|| {
+                let running = slot.get_or_insert_with(|| {
+                    let observer = WalkObserver {
+                        walk_id,
+                        sink,
+                        supervision,
+                    };
+                    let (engine, stop) = (&engines[walk_id], &stops[walk_id]);
+                    WalkSlot::start(factory, batch, engine, stop, observer, hold)
+                });
+                if !running.advance() {
+                    return None;
+                }
+                slot.take().map(|ended| ended.finish(batch))
+            }))
+            .unwrap_or_else(|payload| {
+                Some(panicked_record(batch, walk_id, &payload, sink, supervision))
+            });
+            if let Some(supervision) = supervision {
+                supervision.mark_parked(walk_id);
+            }
+            record
         }
-        record
     });
     BatchExecution::from_records(records, started.elapsed())
 }
@@ -696,75 +762,97 @@ fn panicked_record(
     }
 }
 
-/// Run one walk of a batch: derive its stream, solve, lower the shared bound
-/// to its count on success (under first-finisher semantics) and emit its
-/// events.
-fn run_walk<F>(
-    factory: &F,
-    batch: &WalkBatch,
-    engine: &AdaptiveSearch,
-    walk_id: usize,
-    stop: &StopControl,
-    sink: Option<&dyn EventSink>,
-    supervision: Option<&Supervision>,
-) -> WalkRecord
-where
-    F: EvaluatorFactory,
-{
-    let (job, seeds) = (&batch.jobs[walk_id], batch.seeds);
-    let stream = job.stream_at(walk_id);
-    let seed = seeds.seed_of_attempt(stream.walk, stream.attempt);
-    if let Some(supervision) = supervision {
-        supervision.mark_started(walk_id);
-    }
-    if let Some(sink) = sink {
-        sink.record(&WalkEvent::Started { walk_id, seed });
-    }
-    let mut evaluator = factory.build_walk(stream.walk, stream.attempt);
-    let mut rng = seeds.rng_of_attempt(stream.walk, stream.attempt);
-    let mut observer = WalkObserver {
-        walk_id,
-        sink,
-        supervision,
-    };
-    // A supervised walk's stop control additionally carries its personal
-    // kill flag, so the watchdog can cancel it without touching siblings.
-    let supervised_stop;
-    let stop = match supervision {
-        Some(supervision) => {
-            supervised_stop = stop
-                .clone()
-                .and_local_flag(supervision.kill_flag_of(walk_id));
-            &supervised_stop
+/// One walk of a batch between its slices, on the worker that holds it:
+/// its evaluator, random stream, observer and engine state.
+struct WalkSlot<'a, E> {
+    seed: u64,
+    attempt: u32,
+    /// Iterations per slice: the walk's heartbeat interval when its worker
+    /// holds other walks, all of them otherwise.
+    slice: u64,
+    stop: &'a StopControl,
+    evaluator: E,
+    rng: DefaultRng,
+    observer: WalkObserver<'a>,
+    walk: Walk<'a>,
+}
+
+impl<'a, E: Evaluator> WalkSlot<'a, E> {
+    /// Begin the walk `observer` reports for: derive its stream, emit its
+    /// `Started` event, build its evaluator and start its engine.  `hold` is
+    /// how many walks its worker holds at once.
+    fn start<F: EvaluatorFactory<Output = E>>(
+        factory: &F,
+        batch: &'a WalkBatch,
+        engine: &'a AdaptiveSearch,
+        stop: &'a StopControl,
+        mut observer: WalkObserver<'a>,
+        hold: usize,
+    ) -> Self {
+        let walk_id = observer.walk_id;
+        let (job, seeds) = (&batch.jobs[walk_id], batch.seeds);
+        let stream = job.stream_at(walk_id);
+        let seed = seeds.seed_of_attempt(stream.walk, stream.attempt);
+        if let Some(sink) = observer.sink {
+            sink.record(&WalkEvent::Started { walk_id, seed });
         }
-        None => stop,
-    };
-    let run = Run {
-        stop: Some(stop),
-        budget: job.budget.as_deref().map(|budget| budget as _),
-        observer: Some(&mut observer),
-    };
-    let outcome = engine.run(&mut evaluator, &mut rng, run);
-    if batch.stop_on_first_success && outcome.solved() {
-        // Completion is the only message the walks ever exchange: no sibling
-        // can beat this walk once it has done as many iterations.
-        stop.stop_at(outcome.stats.iterations);
+        let mut evaluator = factory.build_walk(stream.walk, stream.attempt);
+        let budget = job.budget.as_deref().map(|budget| budget as _);
+        let walk = engine.start(&mut evaluator, &mut observer, Some(stop), budget);
+        Self {
+            seed,
+            attempt: stream.attempt,
+            slice: if hold > 1 {
+                job.search.stop_check_interval
+            } else {
+                u64::MAX
+            },
+            stop,
+            evaluator,
+            rng: seeds.rng_of_attempt(stream.walk, stream.attempt),
+            observer,
+            walk,
+        }
     }
-    if let Some(sink) = sink {
-        sink.record(&WalkEvent::Finished {
+
+    /// Run one slice; whether the walk has ended.
+    fn advance(&mut self) -> bool {
+        let until = self.walk.iterations().saturating_add(self.slice);
+        self.walk.advance(
+            &mut self.evaluator,
+            &mut self.rng,
+            &mut self.observer,
+            until,
+        )
+    }
+
+    /// The record of the ended walk: lower the shared bound to its count on
+    /// success (under first-finisher semantics) and emit its `Finished`
+    /// event.
+    fn finish(mut self, batch: &WalkBatch) -> WalkRecord {
+        let walk_id = self.observer.walk_id;
+        let outcome = self.walk.finish(&mut self.evaluator);
+        if batch.stop_on_first_success && outcome.solved() {
+            // Completion is the only message the walks ever exchange: no sibling
+            // can beat this walk once it has done as many iterations.
+            self.stop.stop_at(outcome.stats.iterations);
+        }
+        if let Some(sink) = self.observer.sink {
+            sink.record(&WalkEvent::Finished {
+                walk_id,
+                solved: outcome.solved(),
+                iterations: outcome.stats.iterations,
+                cost: outcome.best_cost,
+            });
+        }
+        WalkRecord {
             walk_id,
-            solved: outcome.solved(),
-            iterations: outcome.stats.iterations,
-            cost: outcome.best_cost,
-        });
-    }
-    WalkRecord {
-        walk_id,
-        label: job.label.clone(),
-        seed,
-        outcome,
-        fault: None,
-        attempt: stream.attempt,
+            label: batch.jobs[walk_id].label.clone(),
+            seed: self.seed,
+            outcome,
+            fault: None,
+            attempt: self.attempt,
+        }
     }
 }
 
@@ -908,43 +996,77 @@ mod tests {
         assert_eq!(select_winner(&[]), None);
     }
 
-    /// Run `walks` walks on `workers` workers; each walk reports its index
-    /// and thread, and bumps a gauge of walks in flight.  Returns the
-    /// results and the gauge's peak.
-    fn gauged(walks: usize, workers: usize) -> (Vec<(usize, ThreadId)>, usize) {
+    /// Run `walks` walks of `slices` slices each on `workers` workers that
+    /// hold `hold` walks each.  Every slice bumps a gauge of slices in
+    /// flight, a second gauge counts walks begun and not yet ended, and each
+    /// walk reports its index and the threads its slices ran on.  Returns
+    /// the results and both gauges' peaks.
+    fn gauged(
+        walks: usize,
+        workers: usize,
+        hold: usize,
+        slices: usize,
+    ) -> (Vec<(usize, HashSet<ThreadId>)>, usize, usize) {
         let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let results = run_walks(walks, workers, &|walk| {
-            // Relaxed: every update is a read-modify-write of this one
-            // counter, whose modification order keeps each worker's +1 and
-            // −1 in program order, so the count never exceeds the workers
-            // inside a walk.
-            let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-            // Relaxed: the peak is a statistic read after the joins.
-            peak.fetch_max(now, Ordering::Relaxed);
-            thread::yield_now();
-            // Relaxed: see the increment above.
-            in_flight.fetch_sub(1, Ordering::Relaxed);
-            (walk, thread::current().id())
+        let (held, held_peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let results = run_walks(walks, workers, hold, &|walk| {
+            // Relaxed (all four gauges): every update is a read-modify-write
+            // of one counter, whose modification order keeps each worker's
+            // +1 and −1 in program order, and the peaks are statistics read
+            // after the joins.
+            let now = held.fetch_add(1, Ordering::Relaxed) + 1;
+            // Relaxed: see the gauges above.
+            held_peak.fetch_max(now, Ordering::Relaxed);
+            let (mut done, mut threads) = (0, HashSet::new());
+            let (in_flight, peak, held) = (&in_flight, &peak, &held);
+            move || {
+                // Relaxed: see the gauges above.
+                let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+                // Relaxed: see the gauges above.
+                peak.fetch_max(now, Ordering::Relaxed);
+                threads.insert(thread::current().id());
+                thread::yield_now();
+                // Relaxed: see the gauges above.
+                in_flight.fetch_sub(1, Ordering::Relaxed);
+                done += 1;
+                if done < slices {
+                    return None;
+                }
+                // Relaxed: see the gauges above.
+                held.fetch_sub(1, Ordering::Relaxed);
+                Some((walk, std::mem::take(&mut threads)))
+            }
         });
-        // Relaxed: read after the scope joined every worker.
-        (results, peak.load(Ordering::Relaxed))
+        // Relaxed (both peaks): read after the scope joined every worker.
+        let peak = peak.load(Ordering::Relaxed);
+        // Relaxed: see above.
+        let held_peak = held_peak.load(Ordering::Relaxed);
+        (results, peak, held_peak)
     }
 
     #[test]
     fn the_worker_loop_runs_each_walk_once_in_walk_order_on_at_most_its_workers() {
         let caller = thread::current().id();
         for workers in [1, 2, 3, 8] {
-            for walks in [0, 1, 7, 37] {
-                let case = format!("{walks} walks on {workers} workers");
-                let (results, peak) = gauged(walks, workers);
-                let order: Vec<usize> = results.iter().map(|&(walk, _)| walk).collect();
-                assert_eq!(order, (0..walks).collect::<Vec<_>>(), "{case}");
-                let threads: HashSet<ThreadId> = results.iter().map(|&(_, id)| id).collect();
-                assert!(threads.len() <= workers.min(walks), "{case}");
-                assert!(peak <= workers, "{case}: {peak} walks in flight");
-                if workers == 1 || walks == 1 {
-                    // One worker, or one walk: no thread starts.
-                    assert!(results.iter().all(|&(_, id)| id == caller), "{case}");
+            for walks in [0_usize, 1, 7, 37] {
+                for hold in [1, walks.div_ceil(workers).max(1)] {
+                    let case = format!("{walks} walks on {workers} workers holding {hold}");
+                    let (results, peak, held) = gauged(walks, workers, hold, 3);
+                    let order: Vec<usize> = results.iter().map(|(walk, _)| *walk).collect();
+                    assert_eq!(order, (0..walks).collect::<Vec<_>>(), "{case}");
+                    // A walk stays on the worker that began it.
+                    assert!(results.iter().all(|(_, ids)| ids.len() == 1), "{case}");
+                    let threads: HashSet<ThreadId> = results
+                        .iter()
+                        .flat_map(|(_, ids)| ids.iter().copied())
+                        .collect();
+                    assert!(threads.len() <= workers.min(walks), "{case}");
+                    assert!(peak <= workers, "{case}: {peak} slices in flight");
+                    assert!(held <= workers * hold, "{case}: {held} walks held");
+                    if workers == 1 || walks == 1 {
+                        // One worker, or one walk: no thread starts.
+                        assert!(threads.iter().all(|&id| id == caller), "{case}");
+                    }
                 }
             }
         }
@@ -952,9 +1074,42 @@ mod tests {
 
     #[test]
     fn ten_thousand_walks_on_two_workers_never_run_more_than_two_at_once() {
-        let (results, peak) = gauged(10_000, 2);
+        let (results, peak, held) = gauged(10_000, 2, 1, 1);
         assert_eq!(results.len(), 10_000);
         assert!(peak <= 2, "{peak} walks in flight");
+        assert!(held <= 2, "{held} walks held");
+    }
+
+    #[test]
+    fn a_worker_steps_the_walks_it_holds_in_turn() {
+        // Walks 0, 1 and 2 take 2, 1 and 3 slices; one worker logs each step.
+        let steps = |hold: usize| {
+            let log = std::sync::Mutex::new(Vec::new());
+            run_walks(3, 1, hold, &|walk| {
+                let (log, mut slice) = (&log, 0);
+                move || {
+                    log.lock().unwrap().push((walk, slice));
+                    slice += 1;
+                    (slice == [2, 1, 3][walk]).then_some(walk)
+                }
+            });
+            log.into_inner().unwrap()
+        };
+        // Holding every walk, the worker goes round them one slice at a time.
+        assert_eq!(
+            steps(3),
+            vec![(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (2, 2)]
+        );
+        // Holding two, it takes walk 2 in the round after walk 1 ended.
+        assert_eq!(
+            steps(2),
+            vec![(0, 0), (1, 0), (0, 1), (2, 0), (2, 1), (2, 2)]
+        );
+        // Holding one, it runs each walk to its end before the next.
+        assert_eq!(
+            steps(1),
+            vec![(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)]
+        );
     }
 
     /// Run `f` on a helper thread and wait at most ten seconds for it to
@@ -1052,8 +1207,9 @@ mod tests {
             assert!(tied.solved(), "{name}");
             assert_eq!(tied.stats.iterations, 20, "{name}");
         }
-        // One walk after another, each against the bound of the walks
-        // before it: walk 0 solves at 50, walk 3 stops at exactly 20.
+        // One worker goes round the walks 32 iterations at a time: walk 0
+        // has done 32 when walk 1 solves at 20, walk 3 stops at exactly 20,
+        // and walk 0 stops at its next turn, where it left off.
         let counts: Vec<(TerminationReason, u64)> = seq
             .records
             .iter()
@@ -1062,11 +1218,35 @@ mod tests {
         assert_eq!(
             counts,
             vec![
-                (TerminationReason::Solved, 50),
+                (TerminationReason::ExternallyStopped, 32),
                 (TerminationReason::Solved, 20),
                 (TerminationReason::Solved, 20),
                 (TerminationReason::ExternallyStopped, 20),
             ]
+        );
+    }
+
+    #[test]
+    fn one_worker_pays_p_times_the_minimum_plus_a_slice_per_walk() {
+        // Walks solving at 500, 20, 20 and 900 iterations, in slices of 4.
+        let factory = Countdowns(vec![500, 20, 20, 900]);
+        let search = SearchConfig::builder()
+            .max_iterations_per_restart(1_000)
+            .max_restarts(0)
+            .stop_check_interval(4)
+            .build();
+        let batch = WalkBatch::uniform(1, &search, 4);
+        let seq = SequentialExecutor.execute(&factory, &batch);
+        let threads = ThreadsExecutor.execute(&factory, &batch);
+        assert_eq!(seq.winner, Some(1));
+        assert_eq!(seq.winner, threads.winner);
+        assert_eq!(seq.winning_iterations(), threads.winning_iterations());
+        // Walk after walk, the batch would cost 500 + 3 · 20 = 560.
+        let (p, min, slice) = (4, 20, 4);
+        assert!(
+            seq.total_iterations() <= p * (min + slice),
+            "{} iterations",
+            seq.total_iterations()
         );
     }
 

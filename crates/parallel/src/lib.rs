@@ -18,7 +18,8 @@
 //! * [`ThreadsExecutor`] — one worker per walk: the closest analogue of the
 //!   paper's one-MPI-process-per-core setup;
 //! * [`SequentialExecutor`] — one worker, the calling thread: the
-//!   deterministic replay back-end.
+//!   deterministic replay back-end, which goes round the walks of a
+//!   first-finisher batch one slice at a time.
 //!
 //! Executing a batch yields a [`BatchExecution`]: one [`WalkRecord`] per
 //! walk, the winner, the anytime incumbent and any degradation.  The paper's

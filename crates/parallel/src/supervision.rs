@@ -13,8 +13,10 @@
 //!   evaluator";
 //! * a kill flag wired into the walk's [`StopControl`](cbls_core::StopControl)
 //!   as its local flag, letting a supervisor cancel exactly one walk;
-//! * a done flag the executor raises when the walk returns, so a watchdog
-//!   never mistakes "finished" for "stalled".
+//! * a running flag the executor raises while a slice of the walk runs and
+//!   lowers when the slice ends, so a watchdog never mistakes a walk that
+//!   has not begun, waits for its next slice or has returned for a stalled
+//!   one.
 //!
 //! Everything here is passive bookkeeping: attaching a table changes no
 //! trajectory, no RNG stream and no winner (the throughput harness prices
@@ -82,8 +84,7 @@ pub struct Supervision {
     best: BestSoFar,
     heartbeats: Vec<AtomicU64>,
     kills: Vec<Arc<AtomicBool>>,
-    started: Vec<AtomicBool>,
-    done: Vec<AtomicBool>,
+    running: Vec<AtomicBool>,
 }
 
 impl Supervision {
@@ -96,8 +97,7 @@ impl Supervision {
             kills: (0..walks)
                 .map(|_| Arc::new(AtomicBool::new(false)))
                 .collect(),
-            started: (0..walks).map(|_| AtomicBool::new(false)).collect(),
-            done: (0..walks).map(|_| AtomicBool::new(false)).collect(),
+            running: (0..walks).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -162,42 +162,37 @@ impl Supervision {
             .is_some_and(|f| f.load(Ordering::Acquire))
     }
 
-    /// Mark walk `walk_id` as running (raised by the executor as the walk
-    /// begins; no-op for out-of-range ids).  A watchdog only monitors
-    /// started walks, so batches queued behind a full pool — or behind a
-    /// sequential back-end's earlier walks — are never declared stalled.
-    pub fn mark_started(&self, walk_id: usize) {
-        if let Some(flag) = self.started.get(walk_id) {
-            // Release: pairs with the Acquire load in `is_started`.
+    /// Mark walk `walk_id` as running a slice (raised by the executor as a
+    /// slice of the walk begins; no-op for out-of-range ids).  A watchdog
+    /// monitors only running walks.
+    pub fn mark_running(&self, walk_id: usize) {
+        if let Some(flag) = self.running.get(walk_id) {
+            // Release: pairs with the Acquire load in `is_running`.
             flag.store(true, Ordering::Release);
         }
     }
 
-    /// Whether walk `walk_id` has begun running.
-    #[must_use]
-    pub fn is_started(&self, walk_id: usize) -> bool {
-        self.started
-            .get(walk_id)
-            // Acquire: pairs with the Release store in `mark_started`.
-            .is_some_and(|f| f.load(Ordering::Acquire))
-    }
-
-    /// Mark walk `walk_id` as returned (raised by the executor right after
-    /// the walk's record exists; no-op for out-of-range ids).
-    pub fn mark_done(&self, walk_id: usize) {
-        if let Some(flag) = self.done.get(walk_id) {
-            // Release: pairs with the Acquire load in `is_done`, so a
-            // watchdog that sees `done` also sees the walk's final state.
-            flag.store(true, Ordering::Release);
+    /// Mark walk `walk_id` as parked (lowered by the executor as a slice of
+    /// the walk ends, whether the walk waits for its next slice or has
+    /// returned; no-op for out-of-range ids).  A parked walk's heartbeat is
+    /// flat because the walk is not running, so a watchdog does not count it
+    /// as a stall.
+    pub fn mark_parked(&self, walk_id: usize) {
+        if let Some(flag) = self.running.get(walk_id) {
+            // Release: pairs with the Acquire load in `is_running`, so a
+            // watchdog that sees the walk parked also sees its final state.
+            flag.store(false, Ordering::Release);
         }
     }
 
-    /// Whether walk `walk_id` has returned.
+    /// Whether walk `walk_id` is running a slice: it has begun, has not
+    /// returned, and is not waiting for its worker to come back to it.
     #[must_use]
-    pub fn is_done(&self, walk_id: usize) -> bool {
-        self.done
+    pub fn is_running(&self, walk_id: usize) -> bool {
+        self.running
             .get(walk_id)
-            // Acquire: pairs with the Release store in `mark_done`.
+            // Acquire: pairs with the Release stores in `mark_running` and
+            // `mark_parked`.
             .is_some_and(|f| f.load(Ordering::Acquire))
     }
 }
@@ -252,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_and_done_flags_are_per_walk() {
+    fn kill_and_running_flags_are_per_walk() {
         let sup = Supervision::new(2);
         assert!(!sup.killed(0));
         sup.kill(0);
@@ -265,15 +260,12 @@ mod tests {
         flag.store(true, Ordering::Release);
         assert!(sup.killed(1));
 
-        assert!(!sup.is_done(0));
-        sup.mark_done(0);
-        assert!(sup.is_done(0));
-        assert!(!sup.is_done(1));
-
-        assert!(!sup.is_started(0));
-        sup.mark_started(0);
-        assert!(sup.is_started(0));
-        assert!(!sup.is_started(1));
+        assert!(!sup.is_running(0));
+        sup.mark_running(0);
+        assert!(sup.is_running(0));
+        assert!(!sup.is_running(1));
+        sup.mark_parked(0);
+        assert!(!sup.is_running(0));
     }
 
     #[test]

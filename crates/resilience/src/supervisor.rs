@@ -5,7 +5,7 @@
 //! `execute_supervised` path, with three layers of protection on top of the
 //! executor's built-in panic isolation:
 //!
-//! 1. a **watchdog thread** polls every started walk's heartbeat counter and
+//! 1. a **watchdog thread** polls every running walk's heartbeat counter and
 //!    kills (via the walk's personal kill flag) any walk whose heartbeat
 //!    stops advancing for more than the configured grace period — these
 //!    walks come back as [`WalkFault::Stalled`] records.  The watchdog ends
@@ -39,7 +39,7 @@ use cbls_parallel::{
 use crate::retry::RetryPolicy;
 
 /// Stall-watchdog cadence: how often heartbeats are polled and how many
-/// consecutive no-progress polls a started walk survives before it is
+/// consecutive no-progress polls a running walk survives before it is
 /// killed.
 ///
 /// The grace window (`poll_interval * (grace_polls + 1)`) must comfortably
@@ -294,9 +294,10 @@ impl<X: WalkExecutor> Supervisor<X> {
     }
 }
 
-/// The watchdog loop: kill any started, not-done walk whose heartbeat stays
-/// flat for more than `config.grace_polls` consecutive polls, until the
-/// pass's sender disconnects `pass_over`.
+/// The watchdog loop: kill any running walk whose heartbeat stays flat for
+/// more than `config.grace_polls` consecutive polls, until the pass's sender
+/// disconnects `pass_over`.  A walk that has not begun, waits for its next
+/// slice or has returned is parked: its staleness count starts again.
 fn watch(supervision: &Supervision, config: WatchdogConfig, pass_over: Receiver<()>) {
     let walks = supervision.walks();
     let mut last = vec![0u64; walks];
@@ -306,10 +307,7 @@ fn watch(supervision: &Supervision, config: WatchdogConfig, pass_over: Receiver<
     // one and the grace window keeps its length.
     while let Err(RecvTimeoutError::Timeout) = pass_over.recv_timeout(config.poll_interval) {
         for walk in 0..walks {
-            if !supervision.is_started(walk)
-                || supervision.is_done(walk)
-                || supervision.killed(walk)
-            {
+            if !supervision.is_running(walk) || supervision.killed(walk) {
                 stale[walk] = 0;
                 continue;
             }
@@ -522,6 +520,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_stall_on_one_worker_kills_only_the_walk_that_holds_it() {
+        // One worker goes round three first-finisher walks one iteration at
+        // a time.  Walk 2 holds its first slice for 400 ms, twenty times the
+        // grace window, while walks 0 and 1 wait parked.
+        let factory = ChaosFactory::new(
+            || Sort(16),
+            FaultPlan::new().stall_once(2, 4, Duration::from_millis(400)),
+        );
+        let batch = WalkBatch::uniform(2012, &quick_search(), 3);
+        let log = cbls_parallel::EventLog::new();
+        let run = Supervisor::new(SequentialExecutor)
+            .with_policy(RetryPolicy::retries(1))
+            .with_watchdog(WatchdogConfig {
+                poll_interval: Duration::from_millis(5),
+                grace_polls: 3,
+            })
+            .run_with_telemetry(&factory, &batch, &log);
+        // Every walk had begun before any ended: the siblings were parked
+        // in the middle of their runs while walk 2 stalled.
+        let events = log.snapshot();
+        let first_finish = events
+            .iter()
+            .position(|e| matches!(e, WalkEvent::Finished { .. }))
+            .expect("walks finish");
+        let started = events[..first_finish]
+            .iter()
+            .filter(|e| matches!(e, WalkEvent::Started { .. }))
+            .count();
+        assert_eq!(started, 3);
+        assert!(run.solved());
+        assert_eq!(
+            run.retries,
+            vec![RetryOutcome {
+                walk_id: 2,
+                attempts: 1,
+                recovered: true
+            }]
+        );
+        assert!(run.execution.records.iter().all(|r| r.fault.is_none()));
     }
 
     #[test]

@@ -10,15 +10,16 @@
 //! it:
 //!
 //! * execution is `cbls-resilience`'s [`Supervisor`] over the sequential
-//!   back-end, so panicking or stalling evaluators degrade a job to its
-//!   anytime incumbent instead of failing it;
+//!   back-end, which goes round a job's walks one slice at a time, so
+//!   panicking or stalling evaluators degrade a job to its anytime
+//!   incumbent instead of failing it;
 //! * each request becomes one `cbls-parallel` [`WalkBatch`], built fresh
 //!   from the benchmark's tuned configuration and the request's master
 //!   seed, so results are bit-identical to a direct executor run
 //!   ([`SolveService::batch_for`] is the audit path);
 //! * admission quotes come from `cbls-perfmodel`'s runtime distributions,
-//!   warmed by completed jobs; a quote informs the client and does not
-//!   reorder the FIFO queue;
+//!   one per job shape `(benchmark, walks)`, warmed by completed jobs; a
+//!   quote informs the client and does not reorder the FIFO queue;
 //! * service health is a `cbls-obs` instrument set
 //!   ([`ServiceMetrics`](cbls_obs::ServiceMetrics)), exposed as a snapshot
 //!   via [`SolveService::metrics`].

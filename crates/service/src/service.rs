@@ -6,20 +6,24 @@
 //! Each admitted job runs on **one** worker thread as a *sequential* batch
 //! ([`SequentialExecutor`]) under a [`Supervisor`]: concurrency comes from
 //! running many jobs side by side, not from parallelizing a single job's
-//! walks.  A job returns its fewest-iteration walk, the `p`-walk minimum its
-//! [`RuntimeQuote`](cbls_perfmodel::RuntimeQuote) prices.  That winner is a
-//! pure function of `(request shape, master seed)` on every back-end, so two
-//! tenants submitting the same request get the same winner regardless of
-//! how loaded the service is — and a client can audit any result by
-//! replaying the batch locally (see [`SolveService::batch_for`]).
+//! walks.  The worker goes round the job's walks, one heartbeat interval of
+//! iterations per walk and turn, so a `p`-walk job costs about
+//! `p · E[min of p]` iterations.  A job returns its fewest-iteration walk,
+//! the `p`-walk minimum its [`RuntimeQuote`](cbls_perfmodel::RuntimeQuote)
+//! prices.  That winner is a pure function of `(request shape, master
+//! seed)` on every back-end, so two tenants submitting the same request get
+//! the same winner regardless of how loaded the service is — and a client
+//! can audit any result by replaying the batch locally (see
+//! [`SolveService::batch_for`]).
 //!
 //! ## Lifecycle of a request
 //!
 //! 1. **Validate** — an unknown benchmark id is rejected without queueing.
-//! 2. **Quote** — completed jobs feed per-benchmark runtime distributions
-//!    (`cbls-perfmodel`); a request whose benchmark has history gets a
-//!    [`RuntimeQuote`] in its `Admitted` frame.  The quote is informational:
-//!    the queue stays in arrival order.
+//! 2. **Quote** — completed jobs feed runtime distributions
+//!    (`cbls-perfmodel`) of their shape `(benchmark, walks)`, one draw of
+//!    the `p`-walk minimum per job; a request whose shape has history gets a
+//!    [`RuntimeQuote`], the mean of those draws, in its `Admitted` frame.
+//!    The quote is informational: the queue stays in arrival order.
 //! 3. **Admit or reject** — the bounded queue either takes the job or the
 //!    call returns [`AdmissionError::QueueFull`] immediately (no blocking
 //!    admission: back-pressure is the client's problem to see).
@@ -47,6 +51,11 @@ use cbls_resilience::{SupervisedExecution, Supervisor};
 
 use crate::queue::{AdmissionError, AdmissionPolicy, QueueState};
 use crate::wire::{JobEvent, JobResult, ProgressFrame, SolveRequest, WIRE_SCHEMA};
+
+/// How many job shapes `(benchmark, walks)` keep a quote history: a
+/// request of any other shape is served but leaves no draw, so the history
+/// stays bounded however many shapes clients send.
+const HISTORY_SHAPES: usize = 1_024;
 
 /// Tuning knobs of a [`SolveService`].
 #[derive(Debug, Clone)]
@@ -177,9 +186,10 @@ struct Shared {
     idle: Condvar,
     registry: MetricsRegistry,
     metrics: ServiceMetrics,
-    /// Per-benchmark iterations-to-solution history, fed by completed jobs,
-    /// read by the quoting path.
-    history: Mutex<HashMap<String, DistributionAccumulator>>,
+    /// Winning iteration counts of completed jobs, one draw per job, keyed
+    /// by `(benchmark, walks)` and read by the quoting path; at most
+    /// [`HISTORY_SHAPES`] keys.
+    history: Mutex<HashMap<(String, usize), DistributionAccumulator>>,
     next_job: AtomicU64,
 }
 
@@ -255,11 +265,11 @@ impl SolveService {
                 id: request.benchmark,
             });
         }
+        // Each draw is already a `walks`-walk minimum: quote their mean.
+        let shape = (request.benchmark.clone(), request.walks);
         let quote = {
             let history = self.shared.history.lock().expect("history mutex poisoned");
-            history
-                .get(&request.benchmark)
-                .and_then(|acc| acc.quote(request.walks))
+            history.get(&shape).and_then(|acc| acc.quote(1))
         };
         // Relaxed: job ids only need uniqueness, no ordering with other
         // memory — the queue mutex orders everything that matters.
@@ -354,23 +364,25 @@ impl Drop for SolveService {
 }
 
 impl Shared {
-    /// Feed a completed execution into the per-benchmark runtime history:
-    /// one draw per job, its first solved walk in walk order.  That walk ran
-    /// before any sibling set a bound, so its count is an unbiased draw; a
-    /// later walk solves only by beating the bound, so its count is a
-    /// minimum, not a draw.
-    fn add_to_history(&self, benchmark: &str, execution: &SupervisedExecution) {
-        let Some(first) = execution
-            .execution
-            .records
-            .iter()
-            .find(|r| r.outcome.solved())
-        else {
+    /// Feed a completed job into the runtime history of its shape
+    /// `(benchmark, walks)`: one draw per job, its winning iteration count.
+    /// The job's walks run round-robin on one worker, so every walk stops
+    /// within a slice of the winner's count and no walk's own run length is
+    /// observed, only their minimum: each draw is one of the `walks`-walk
+    /// minimum, and the shape's quote is the mean of its draws.  An unsolved
+    /// job adds nothing.  Once [`HISTORY_SHAPES`] shapes have a history, a
+    /// job of any other shape is not recorded.
+    fn add_to_history(&self, benchmark: &str, walks: usize, winning_iterations: Option<u64>) {
+        let Some(iterations) = winning_iterations else {
             return;
         };
         let mut history = self.history.lock().expect("history mutex poisoned");
-        let acc = history.entry(benchmark.to_string()).or_default();
-        acc.record(first.outcome.stats.iterations as f64);
+        let shape = (benchmark.to_string(), walks);
+        if let Some(acc) = history.get_mut(&shape) {
+            acc.record_count(iterations);
+        } else if history.len() < HISTORY_SHAPES {
+            history.entry(shape).or_default().record_count(iterations);
+        }
     }
 }
 
@@ -430,7 +442,8 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     };
     let supervised = supervisor.run_with_telemetry(&|| bench.build(), &batch, &sink);
 
-    shared.add_to_history(&request.benchmark, &supervised);
+    let winning_iterations = supervised.execution.winning_iterations();
+    shared.add_to_history(&request.benchmark, request.walks, winning_iterations);
     let result = summarize(job_id, &request, &supervised);
     let latency_ms = millis(monotonic_now().saturating_duration_since(enqueued));
     shared
@@ -473,6 +486,7 @@ fn millis(duration: Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::wire::WIRE_SCHEMA;
+    use cbls_core::TerminationReason;
     use cbls_parallel::WalkExecutor;
 
     fn quick_service(workers: usize) -> SolveService {
@@ -660,31 +674,81 @@ mod tests {
     }
 
     #[test]
-    fn completed_jobs_warm_the_quote_for_their_benchmark() {
+    fn completed_jobs_warm_the_quote_for_their_shape() {
         let service = quick_service(1);
-        // Master seed 13: walk 0 solves in 51 iterations and walk 1 in 11,
-        // under walk 0's bound, so both walks of the job solve.
+        // Master seed 13: walk 1 solves in 11 iterations, inside the first
+        // 32-iteration slice of each walk; walk 0, which would solve at 51,
+        // stops where its first slice left it.
         let request = SolveRequest::new("queens-12", 2, 100_000).with_master_seed(13);
         let first = service.submit(request.clone()).expect("admitted");
         let first = first.wait().expect("ran");
         assert_eq!(first.result.winner, Some(1));
+        assert_eq!(first.result.winner_iterations, Some(11));
         let records = &first.execution.execution.records;
-        assert!(records.iter().all(|r| r.outcome.solved()));
-        let walk0 = records[0].outcome.stats.iterations;
-        assert!(records[1].outcome.stats.iterations < walk0);
+        assert_eq!(
+            records[0].outcome.reason,
+            TerminationReason::ExternallyStopped
+        );
+        assert_eq!(records[0].outcome.stats.iterations, 32);
         // The first job had no history; the second is quoted from it, with
-        // one draw per job: walk 0's count, the one walk that ran before
-        // any bound was set.
+        // one draw per job: its winning count, a draw of the 2-walk minimum.
         let mut second = service.submit(request).expect("admitted");
         let admitted = second.next_frame().expect("stream open");
         match admitted.event {
             JobEvent::Admitted { quote, .. } => {
                 let quote = quote.expect("history exists after a solved job");
                 assert_eq!(quote.samples, 1);
-                assert_eq!(quote.expected, walk0 as f64);
+                assert_eq!(quote.expected, 11.0);
             }
             other => panic!("first frame is {other:?}"),
         }
+        // Another walk count is another shape, with no history yet.
+        let mut other = service
+            .submit(SolveRequest::new("queens-12", 3, 100_000))
+            .expect("admitted");
+        match other.next_frame().expect("stream open").event {
+            JobEvent::Admitted { quote, .. } => assert_eq!(quote, None),
+            other => panic!("first frame is {other:?}"),
+        }
+        service.shutdown();
+    }
+
+    #[test]
+    fn the_quote_history_keeps_at_most_its_shapes() {
+        let service = quick_service(1);
+        let shared = &service.shared;
+        for i in 0..10_000u64 {
+            shared.add_to_history(&format!("queens-{i}"), 2, Some(i));
+        }
+        let history = || shared.history.lock().expect("history mutex poisoned");
+        assert_eq!(history().len(), HISTORY_SHAPES);
+        // A full history still records the shapes it holds, and no other.
+        shared.add_to_history("queens-0", 2, Some(7));
+        shared.add_to_history("queens-0", 3, Some(7));
+        shared.add_to_history("queens-0", 2, None);
+        assert_eq!(history().len(), HISTORY_SHAPES);
+        let draws = history()[&("queens-0".to_string(), 2)]
+            .observations()
+            .to_vec();
+        assert_eq!(draws, vec![0.0, 7.0]);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_two_walk_costas_12_job_costs_about_twice_its_minimum() {
+        // Walk after walk, walk 0 of this job ran 60 024 iterations before
+        // walk 1 solved at 72.  Round-robin in slices of 32, the job stops
+        // walk 0 one slice past the winner.
+        let service = quick_service(1);
+        let completed = service
+            .submit(SolveRequest::new("costas-12", 2, 10_000_000))
+            .expect("admitted")
+            .wait()
+            .expect("ran");
+        assert_eq!(completed.result.winner, Some(1));
+        assert_eq!(completed.result.winner_iterations, Some(72));
+        let total = completed.execution.execution.total_iterations();
+        assert!(total <= 2 * (72 + 32), "{total} iterations");
         service.shutdown();
     }
 

@@ -9,8 +9,8 @@
 //!
 //! Each request runs under supervised execution (panics and stalls degrade
 //! to anytime incumbents), results are bit-identical to a direct executor
-//! run of the same batch, and completed jobs warm the per-benchmark runtime
-//! quotes later admissions report.
+//! run of the same batch, and completed jobs warm the runtime quotes that
+//! later admissions of the same benchmark and walk count report.
 
 use parallel_cbls::prelude::*;
 

@@ -157,6 +157,39 @@ fn chrome_export_has_walk_tracks_and_phase_slices() {
     assert!(stats.cost_samples >= 1, "no cost trajectory was exported");
 }
 
+/// One worker goes round the walks of a first-finisher batch, so their
+/// lifecycles interleave on one thread: every walk starts before the first
+/// one finishes.  The recording still validates, with one lifecycle per walk
+/// in its summary, and so does its Chrome export.
+#[test]
+fn interleaved_lifecycles_on_one_thread_validate() {
+    let bench = Benchmark::CostasArray(10);
+    let walks = 4;
+    // Master seed 13: walk 3 wins in the third round of 32-iteration slices.
+    let batch = WalkBatch::uniform(13, &bench.tuned_config(), walks);
+    let recorder = recorder_for(&bench, "sequential", 13, walks);
+    let execution = SequentialExecutor.execute_with_telemetry(&|| bench.build(), &batch, &recorder);
+    let recording = recorder.finish(&execution);
+    recording.validate().expect("recording validates");
+
+    let first_finish = recording
+        .lifecycle
+        .iter()
+        .position(|e| matches!(e.kind, TraceEventKind::Finished { .. }))
+        .expect("walks finish");
+    assert_eq!(first_finish, walks, "every walk starts before one finishes");
+    assert_eq!(recording.lifecycle.len(), 2 * walks);
+    let summary = &recording.summary;
+    assert_eq!(summary.walks, walks);
+    let ids: Vec<usize> = summary.per_walk.iter().map(|w| w.walk_id).collect();
+    assert_eq!(ids, (0..walks).collect::<Vec<_>>());
+    assert_eq!(summary.winner, Some(3));
+
+    let stats = validate_chrome_trace(&chrome_trace_json(&recording)).expect("chrome validates");
+    assert_eq!(stats.walk_tracks, walks);
+    assert_eq!(stats.lifetime_slices, walks);
+}
+
 /// Fixed-seed golden pin: queens-12, master seed 2012, 3 walks, sequential,
 /// run-to-completion.  These numbers are a deterministic function of the
 /// engine and seed derivation; a change here means search semantics changed

@@ -74,12 +74,15 @@ fn timed_out_multiwalk_returns_partial_results_on_every_backend() {
 
 /// A sequential batch with a deadline cancels walks that are *scheduled
 /// after* the deadline passes, not only walks already running — the deadline
-/// is absolute, not per-walk.
+/// is absolute, not per-walk.  One worker runs a replay's walks one after
+/// another, so its later walks start late; it goes round the walks of a
+/// first-finisher batch, so they reach the deadline together.
 #[test]
 fn deadline_is_shared_by_late_starting_walks() {
     let batch = WalkBatch::uniform(WalkSeeds::DEFAULT_MASTER_SEED, &endless_search(), 4)
         .with_timeout(Duration::from_millis(25));
-    let result = SequentialExecutor.execute(&|| CostasArray::new(10), &batch);
+    let result =
+        SequentialExecutor.execute(&|| CostasArray::new(10), &batch.clone().run_to_completion());
     // the first walk consumed the whole budget; later walks must stop at
     // their first poll instead of burning 25ms each
     assert_eq!(result.winner, None);
@@ -98,6 +101,58 @@ fn deadline_is_shared_by_late_starting_walks() {
         "late walks should cancel almost immediately \
          (first: {first_iterations}, later: {later_iterations})"
     );
+
+    // Round-robin in slices of one iteration, every walk sees the deadline
+    // in the same round.
+    let result = SequentialExecutor.execute(&|| CostasArray::new(10), &batch);
+    assert!(result
+        .records
+        .iter()
+        .all(|r| r.outcome.reason == TerminationReason::TimedOut));
+    let counts: Vec<u64> = result
+        .records
+        .iter()
+        .map(|r| r.outcome.stats.iterations)
+        .collect();
+    let (least, most) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+    assert!(
+        most - least <= 1,
+        "walks reached the deadline apart: {counts:?}"
+    );
+}
+
+/// One worker ends each walk's slice one heartbeat interval past its count,
+/// saturated at `u64::MAX`: at the largest intervals, with iteration budgets
+/// at and near `u64::MAX`, it returns the winner of one walk per thread.
+/// Release builds wrap on overflow where debug builds panic, and CI runs
+/// this suite in both.
+#[test]
+fn slice_ends_saturate_at_extreme_intervals_and_budgets() {
+    let factory = || CostasArray::new(9);
+    for interval in [u64::MAX, u64::MAX - 1, u64::MAX / 2 + 1] {
+        for budget in [u64::MAX, u64::MAX - 1] {
+            let search = SearchConfig::builder()
+                .max_iterations_per_restart(budget)
+                .max_restarts(0)
+                .stop_check_interval(interval)
+                .build();
+            let jobs = (0..4)
+                .map(|_| WalkJob::new(search.clone()).with_budget(search.sliced_budget(budget)))
+                .collect();
+            let batch = WalkBatch::new(WalkSeeds::new(9), jobs);
+            let case = format!("interval {interval}, budget {budget}");
+            let one_worker = SequentialExecutor.execute(&factory, &batch);
+            let threads = ThreadsExecutor.execute(&factory, &batch);
+            assert!(one_worker.winner.is_some(), "{case}");
+            assert_eq!(one_worker.winner, threads.winner, "{case}");
+            let (a, b) = (
+                one_worker.winning_record().unwrap(),
+                threads.winning_record().unwrap(),
+            );
+            assert_eq!(a.outcome.stats, b.outcome.stats, "{case}");
+            assert_eq!(a.outcome.solution, b.outcome.solution, "{case}");
+        }
+    }
 }
 
 /// The telemetry contract on a real benchmark: one `Started` and one
