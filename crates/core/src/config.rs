@@ -41,8 +41,7 @@ pub struct SearchConfig {
     /// If `true`, every iteration scans *all* variable pairs for the best
     /// swap instead of only the swaps involving the worst variable (the
     /// `exhaustive` flag of the original C framework; useful for models with
-    /// tightly coupled linear constraints such as the alpha cipher or number
-    /// partitioning).
+    /// tightly coupled linear constraints such as the alpha cipher).
     pub exhaustive: bool,
     /// Cost at or below which the problem counts as solved (0 for pure CSPs).
     pub target_cost: i64,

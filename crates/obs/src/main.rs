@@ -39,7 +39,7 @@ const USAGE: &str = "usage:
   cbls-trace validate <file> [--chrome]
 
 benchmark ids follow the catalog: queens-64, costas-14, magic-square-10,
-all-interval-16, langford-12, partition-32, alpha, perfect-square-order9,
+all-interval-16, langford-12, alpha, perfect-square-order9,
 magic-sequence-20, golomb-8, coloring-60x4, qcp-10, ...";
 
 fn fail(message: &str) -> ExitCode {
@@ -64,13 +64,14 @@ struct RecordArgs {
 
 fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
     let mut bench: Option<Benchmark> = None;
-    let mut walks = 4usize;
+    let mut walks: Option<usize> = None;
     let mut seed = 42u64;
     let mut backend = "sequential".to_string();
     let mut phases = true;
     let mut capacity = 4096usize;
     let mut complete = false;
     let mut timeout_ms: Option<u64> = None;
+    let mut quick = false;
     let mut out = None;
     let mut chrome = None;
     let mut jsonl = None;
@@ -92,9 +93,11 @@ fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
                 );
             }
             "--walks" => {
-                walks = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "bad --walks".to_string())?;
+                walks = Some(
+                    value(&mut i)?
+                        .parse()
+                        .map_err(|_| "bad --walks".to_string())?,
+                );
             }
             "--seed" => {
                 seed = value(&mut i)?
@@ -114,11 +117,7 @@ fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
                         .map_err(|_| "bad --timeout-ms".to_string())?,
                 );
             }
-            "--quick" => {
-                // CI smoke preset: a tiny batch with a hard wall-clock cap.
-                walks = 2;
-                timeout_ms = Some(timeout_ms.unwrap_or(10_000));
-            }
+            "--quick" => quick = true,
             "--no-phases" => phases = false,
             "--complete" => complete = true,
             "--out" => out = Some(value(&mut i)?),
@@ -129,6 +128,10 @@ fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
         i += 1;
     }
     let bench = bench.ok_or_else(|| "record needs --bench <id>".to_string())?;
+    // `--quick` is the CI smoke preset, a tiny batch with a hard wall-clock
+    // cap: it fills in only what no flag gave, wherever it stands.
+    let walks = walks.unwrap_or(if quick { 2 } else { 4 });
+    let timeout_ms = timeout_ms.or(quick.then_some(10_000));
     if !matches!(backend.as_str(), "sequential" | "threads") {
         return Err(format!("unknown backend {backend:?}"));
     }
@@ -335,5 +338,33 @@ mod tests {
         let smallest = parse_record(&record_args(&["--walks", "1", "--capacity", "1"]))
             .expect("one walk and one slot are legal");
         assert_eq!((smallest.walks, smallest.capacity), (1, 1));
+    }
+
+    fn parsed(flags: &[&str]) -> RecordArgs {
+        parse_record(&record_args(flags)).expect("legal flags")
+    }
+
+    #[test]
+    fn quick_keeps_an_explicit_walk_count_on_either_side() {
+        assert_eq!(parsed(&["--walks", "4", "--quick"]).walks, 4);
+        assert_eq!(parsed(&["--quick", "--walks", "4"]).walks, 4);
+    }
+
+    #[test]
+    fn quick_alone_records_two_walks_under_a_ten_second_cap() {
+        let quick = parsed(&["--quick"]);
+        assert_eq!((quick.walks, quick.timeout_ms), (2, Some(10_000)));
+        let plain = parsed(&[]);
+        assert_eq!((plain.walks, plain.timeout_ms), (4, None));
+    }
+
+    #[test]
+    fn quick_keeps_an_explicit_timeout_on_either_side() {
+        for flags in [
+            ["--timeout-ms", "250", "--quick"],
+            ["--quick", "--timeout-ms", "250"],
+        ] {
+            assert_eq!(parsed(&flags).timeout_ms, Some(250), "{flags:?}");
+        }
     }
 }

@@ -1,17 +1,18 @@
 //! A registry of ready-made benchmark instances.
 //!
-//! The figure-regeneration binaries, the examples and the integration tests
-//! all need to refer to "the benchmarks of the paper" by name and size;
-//! [`Benchmark`] centralizes that mapping so that an experiment description
-//! (e.g. `magic-square 20`) resolves to the same instance everywhere.
+//! The `speedup` and `throughput` binaries, the `cbls-trace` CLI, the solve
+//! service, the examples and the integration tests all need to refer to "the
+//! benchmarks of the paper" by name and size; [`Benchmark`] centralizes that
+//! mapping so that an experiment description (e.g. `magic-square-20`)
+//! resolves to the same instance everywhere.
 
 use cbls_core::{AdaptiveSearch, Evaluator, SearchConfig};
 use cbls_model::benchmarks as model_benchmarks;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AllInterval, AlphaCipher, CostasArray, Langford, MagicSquare, NQueens, NumberPartitioning,
-    PerfectSquare, SquarePackingInstance,
+    AllInterval, AlphaCipher, CostasArray, Langford, MagicSquare, NQueens, PerfectSquare,
+    SquarePackingInstance,
 };
 
 /// Seed of the generated [`Benchmark::GraphColoring`] instances: together
@@ -48,8 +49,6 @@ pub enum Benchmark {
     NQueens(usize),
     /// Langford pairs L(2, n).
     Langford(usize),
-    /// Number partitioning over 1..=n.
-    NumberPartitioning(usize),
     /// The standard alpha cryptarithm.
     Alpha,
     /// Magic sequence of the given order, declared in the `cbls-model`
@@ -96,7 +95,6 @@ impl Benchmark {
             Benchmark::CostasArray(n) => format!("costas-{n}"),
             Benchmark::NQueens(n) => format!("queens-{n}"),
             Benchmark::Langford(n) => format!("langford-{n}"),
-            Benchmark::NumberPartitioning(n) => format!("partition-{n}"),
             Benchmark::Alpha => "alpha".to_string(),
             Benchmark::MagicSequence(n) => format!("magic-sequence-{n}"),
             Benchmark::GolombRuler(m) => format!("golomb-{m}"),
@@ -138,7 +136,6 @@ impl Benchmark {
             ("costas-", Benchmark::CostasArray),
             ("queens-", Benchmark::NQueens),
             ("langford-", Benchmark::Langford),
-            ("partition-", Benchmark::NumberPartitioning),
             ("magic-sequence-", Benchmark::MagicSequence),
             ("golomb-", Benchmark::GolombRuler),
             ("qcp-", Benchmark::QuasigroupCompletion),
@@ -162,7 +159,6 @@ impl Benchmark {
             Benchmark::CostasArray(n) => format!("costas array {n}"),
             Benchmark::NQueens(n) => format!("{n}-queens"),
             Benchmark::Langford(n) => format!("langford L(2,{n})"),
-            Benchmark::NumberPartitioning(n) => format!("partition {n}"),
             Benchmark::Alpha => "alpha cipher".to_string(),
             Benchmark::MagicSequence(n) => format!("magic sequence {n}"),
             Benchmark::GolombRuler(m) => format!("golomb ruler {m} marks"),
@@ -182,7 +178,6 @@ impl Benchmark {
             Benchmark::PerfectSquareCsplib => 21,
             Benchmark::PerfectSquareOrder9 => 9,
             Benchmark::Langford(n) => 2 * n,
-            Benchmark::NumberPartitioning(n) => *n,
             Benchmark::Alpha => crate::alpha::ALPHABET,
             Benchmark::MagicSequence(n) => *n,
             Benchmark::GolombRuler(m) => model_benchmarks::golomb_optimal_length(*m) + 1,
@@ -204,7 +199,6 @@ impl Benchmark {
             Benchmark::CostasArray(n) => Box::new(CostasArray::new(*n)),
             Benchmark::NQueens(n) => Box::new(NQueens::new(*n)),
             Benchmark::Langford(n) => Box::new(Langford::new(*n)),
-            Benchmark::NumberPartitioning(n) => Box::new(NumberPartitioning::new(*n)),
             Benchmark::Alpha => Box::new(AlphaCipher::standard()),
             Benchmark::MagicSequence(n) => Box::new(model_benchmarks::magic_sequence(*n)),
             Benchmark::GolombRuler(m) => Box::new(model_benchmarks::golomb_ruler(*m)),
@@ -248,7 +242,6 @@ mod tests {
             Benchmark::CostasArray(14),
             Benchmark::NQueens(64),
             Benchmark::Langford(12),
-            Benchmark::NumberPartitioning(30),
             Benchmark::Alpha,
             Benchmark::MagicSequence(30),
             Benchmark::GolombRuler(8),
@@ -281,6 +274,7 @@ mod tests {
             "coloring-x3",
             "coloring-60x",
             "perfect-square-order10",
+            "partition-8",
         ] {
             assert_eq!(Benchmark::from_id(bad), None, "{bad:?} must not parse");
         }
@@ -294,7 +288,6 @@ mod tests {
             Benchmark::CostasArray(8),
             Benchmark::NQueens(10),
             Benchmark::Langford(4),
-            Benchmark::NumberPartitioning(8),
             Benchmark::Alpha,
             Benchmark::MagicSequence(9),
             Benchmark::GolombRuler(4),

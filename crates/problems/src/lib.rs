@@ -15,8 +15,6 @@
 //!
 //! * [`NQueens`] — permutation N-queens,
 //! * [`Langford`] — Langford pairs L(2, n),
-//! * [`NumberPartitioning`] — equal-cardinality partition with equal sums and
-//!   sums of squares,
 //! * [`AlphaCipher`] — the "alpha" cryptarithm (26 letters, 20 word sums).
 //!
 //! [`Benchmark`] is a small registry enumerating ready-made instances so the
@@ -35,7 +33,6 @@ mod catalog;
 mod costas;
 mod langford;
 mod magic_square;
-mod partition;
 mod perfect_square;
 mod queens;
 
@@ -45,7 +42,6 @@ pub use catalog::{quasigroup_holes, Benchmark, GRAPH_COLORING_SEED, QUASIGROUP_S
 pub use costas::CostasArray;
 pub use langford::Langford;
 pub use magic_square::MagicSquare;
-pub use partition::NumberPartitioning;
 pub use perfect_square::{PerfectSquare, SquarePackingInstance};
 pub use queens::NQueens;
 

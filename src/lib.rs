@@ -73,9 +73,7 @@ pub mod prelude {
         WalkFault, WalkJob, WalkSeeds,
     };
     pub use cbls_perfmodel::EmpiricalDistribution;
-    pub use cbls_problems::{
-        AllInterval, Benchmark, CostasArray, Langford, MagicSquare, NQueens, NumberPartitioning,
-    };
+    pub use cbls_problems::{AllInterval, Benchmark, CostasArray, Langford, MagicSquare, NQueens};
     pub use cbls_propagation::{
         AllIntervalConstraint, BacktrackingSolver, CostasConstraint, LangfordConstraint,
         QueensConstraint,

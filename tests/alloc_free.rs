@@ -96,7 +96,7 @@ macro_rules! alloc_free_sweep {
     };
 }
 
-// The full catalog: all eight hand-coded evaluators and all four modeled
+// The full catalog: all seven hand-coded evaluators and all four modeled
 // ones, at the sizes the catalog smoke tests use.
 alloc_free_sweep! {
     magic_square_is_alloc_free => Benchmark::MagicSquare(6);
@@ -105,7 +105,6 @@ alloc_free_sweep! {
     costas_is_alloc_free => Benchmark::CostasArray(9);
     queens_is_alloc_free => Benchmark::NQueens(16);
     langford_is_alloc_free => Benchmark::Langford(8);
-    partition_is_alloc_free => Benchmark::NumberPartitioning(12);
     alpha_is_alloc_free => Benchmark::Alpha;
     magic_sequence_is_alloc_free => Benchmark::MagicSequence(10);
     golomb_is_alloc_free => Benchmark::GolombRuler(5);
@@ -116,7 +115,7 @@ alloc_free_sweep! {
 #[test]
 fn the_counting_allocator_actually_counts() {
     // Guard the guard: a deliberate allocation must be observed, so the
-    // twelve sweeps above cannot pass vacuously.
+    // eleven sweeps above cannot pass vacuously.
     let (_, tally) = measure_allocations(|| std::hint::black_box(vec![1u8; 4096]));
     assert!(tally.allocations >= 1);
     assert!(tally.bytes >= 4096);

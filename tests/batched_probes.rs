@@ -31,7 +31,7 @@ macro_rules! batched_probe_agreement {
     };
 }
 
-// The full catalog: all eight hand-coded evaluators and all four modeled
+// The full catalog: all seven hand-coded evaluators and all four modeled
 // ones, at sizes large enough to exercise every kernel branch (the graph
 // coloring instance is big enough to take the tabulated min-separation path).
 batched_probe_agreement! {
@@ -41,7 +41,6 @@ batched_probe_agreement! {
     costas_batched_probes_agree => Benchmark::CostasArray(9);
     queens_batched_probes_agree => Benchmark::NQueens(16);
     langford_batched_probes_agree => Benchmark::Langford(8);
-    partition_batched_probes_agree => Benchmark::NumberPartitioning(12);
     alpha_batched_probes_agree => Benchmark::Alpha;
     magic_sequence_batched_probes_agree => Benchmark::MagicSequence(10);
     golomb_batched_probes_agree => Benchmark::GolombRuler(6);

@@ -23,7 +23,6 @@ fn small_instance(template: &Benchmark) -> Benchmark {
         Benchmark::CostasArray(_) => Benchmark::CostasArray(7),
         Benchmark::NQueens(_) => Benchmark::NQueens(8),
         Benchmark::Langford(_) => Benchmark::Langford(4),
-        Benchmark::NumberPartitioning(_) => Benchmark::NumberPartitioning(8),
         Benchmark::Alpha => Benchmark::Alpha,
         Benchmark::MagicSequence(_) => Benchmark::MagicSequence(8),
         Benchmark::GolombRuler(_) => Benchmark::GolombRuler(4),
@@ -45,7 +44,6 @@ fn every_variant() -> Vec<Benchmark> {
         Benchmark::CostasArray(1),
         Benchmark::NQueens(1),
         Benchmark::Langford(1),
-        Benchmark::NumberPartitioning(1),
         Benchmark::Alpha,
         Benchmark::MagicSequence(7),
         Benchmark::GolombRuler(2),

@@ -11,7 +11,6 @@ fn sequential_runs_are_bit_reproducible() {
         Benchmark::CostasArray(10),
         Benchmark::MagicSquare(5),
         Benchmark::AllInterval(12),
-        Benchmark::NumberPartitioning(16),
     ] {
         let run = |seed: u64| {
             let mut problem = benchmark.build();

@@ -7,13 +7,27 @@
 //! iteration) and pin that contract: any future change that perturbs the
 //! search trajectory — however well-intentioned — must update these numbers
 //! *consciously*, because it silently invalidates every recorded experiment.
+//!
+//! Each catalog model keeps one golden solve, and each solve must come from
+//! the search: a run that only solves on a restart's fresh random
+//! configuration pins the restart draw, not the engine.
 
 use parallel_cbls::prelude::*;
 
 fn golden(benchmark: Benchmark, seed: u64) -> SearchOutcome {
     let mut problem = benchmark.build();
     let engine = benchmark.engine();
-    engine.solve(&mut problem, &mut default_rng(seed))
+    let out = engine.solve(&mut problem, &mut default_rng(seed));
+    // Under the fixed restart schedule every failed restart runs exactly its
+    // cap, so the rest is how far into its last restart the run solved.
+    let into_last_restart =
+        out.stats.iterations - out.stats.restarts * engine.config().max_iterations_per_restart;
+    assert!(
+        into_last_restart > 1,
+        "{}: solved {into_last_restart} iterations into its last restart",
+        benchmark.id()
+    );
+    out
 }
 
 fn assert_stats(out: &SearchOutcome, expected: SearchStats, label: &str) {
@@ -272,27 +286,5 @@ fn qcp_7_seed_123_trajectory_is_pinned() {
     assert_eq!(
         out.solution,
         vec![16, 5, 3, 2, 4, 1, 7, 6, 14, 15, 12, 8, 0, 13, 11, 9, 10, 17, 18]
-    );
-}
-
-#[test]
-fn partition_16_seed_123_trajectory_is_pinned() {
-    // The longest golden run (1.45M iterations): partition's plateau-heavy
-    // landscape exercises the swap-every-iteration path of the cache.
-    let out = golden(Benchmark::NumberPartitioning(16), 123);
-    assert_stats(
-        &out,
-        SearchStats {
-            iterations: 1_450_001,
-            swaps: 1_450_001,
-            local_minima: 0,
-            plateau_moves: 1_449_983,
-            forced_moves: 0,
-            variables_marked: 0,
-            resets: 0,
-            restarts: 29,
-            swap_evaluations: 21_750_015,
-        },
-        "partition-16",
     );
 }

@@ -21,7 +21,6 @@ fn every_registry_benchmark_solves_and_verifies() {
         Benchmark::CostasArray(9),
         Benchmark::NQueens(16),
         Benchmark::Langford(7),
-        Benchmark::NumberPartitioning(16),
         Benchmark::Alpha,
     ];
     for benchmark in benchmarks {

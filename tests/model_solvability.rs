@@ -1,8 +1,8 @@
 //! The four model-layer benchmarks (magic sequence, Golomb ruler, graph
 //! coloring, quasigroup completion) must run unchanged through the whole
 //! stack: every `WalkExecutor` back-end solves them at small sizes with
-//! identical per-walk outcomes, and a portfolio of labelled strategies (a
-//! heterogeneous batch) drives them like any hand-coded benchmark.
+//! identical per-walk outcomes, and a heterogeneous batch of labelled
+//! strategies drives them like any hand-coded benchmark.
 
 use parallel_cbls::prelude::*;
 
@@ -70,11 +70,11 @@ fn every_executor_solves_every_model_benchmark() {
     }
 }
 
-/// A heterogeneous batch treats a model benchmark like any other: a
-/// portfolio of three labelled strategies replays deterministically and
-/// every strategy solves its instance.
+/// A heterogeneous batch treats a model benchmark like any other: a batch
+/// of three labelled strategies replays deterministically and every
+/// strategy solves its instance.
 #[test]
-fn the_portfolio_layer_drives_model_benchmarks() {
+fn a_heterogeneous_labelled_batch_drives_model_benchmarks() {
     for bench in small_model_suite() {
         let factory = || bench.build();
         let mut tuned = bench.tuned_config();
@@ -93,7 +93,7 @@ fn the_portfolio_layer_drives_model_benchmarks() {
         let sim = SimulatedMultiWalk::replay(&factory, &batch, &ThreadsExecutor);
         assert!(
             (sim.success_rate() - 1.0).abs() < 1e-12,
-            "{}: portfolio member failed to solve",
+            "{}: a labelled strategy failed to solve",
             bench.id()
         );
         let again = SimulatedMultiWalk::replay(&factory, &batch, &ThreadsExecutor);

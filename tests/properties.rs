@@ -28,9 +28,6 @@ fn benchmark_space() -> Vec<Benchmark> {
     for n in 3..=8 {
         space.push(Benchmark::Langford(n));
     }
-    for k in 2..=6 {
-        space.push(Benchmark::NumberPartitioning(4 * k));
-    }
     space.push(Benchmark::PerfectSquareOrder9);
     space
 }
