@@ -7,8 +7,8 @@
 //! CBLS_SAMPLES=12 CBLS_SEED=7 cargo run --release -p cbls-bench --bin speedup
 //! ```
 
+use cbls_bench::report::default_figure_dir;
 use cbls_bench::speedup::{Samples, Sampling, TABLES};
-use cbls_perfmodel::report::default_figure_dir;
 
 fn main() {
     let sampling = Sampling::from_env().unwrap_or_else(|error| {

@@ -2,7 +2,8 @@
 //!
 //! Shared machinery of the binaries (`src/bin/*`) and the `cargo bench`
 //! targets: the paper's speedup tables from one sample of sequential runs
-//! per benchmark, and the engine throughput gates.
+//! per benchmark, printed as ASCII and written as CSV by [`report::Table`],
+//! and the engine throughput gates.
 //!
 //! | paper artefact | binary | bench target |
 //! |----------------|--------|--------------|
@@ -14,5 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod report;
 pub mod speedup;
 pub mod throughput;

@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn write_csv_creates_the_file() {
-        let dir = std::env::temp_dir().join("cbls-perfmodel-test-figures");
+        let dir = std::env::temp_dir().join("cbls-bench-test-figures");
         let t = sample_table();
         let path = t.write_csv(&dir, "unit_test_table").unwrap();
         let contents = fs::read_to_string(&path).unwrap();

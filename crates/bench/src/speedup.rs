@@ -21,10 +21,11 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use cbls_parallel::{SequentialExecutor, SimulatedMultiWalk, WalkBatch};
-use cbls_perfmodel::report::{fmt_f64, Table};
 use cbls_perfmodel::EmpiricalDistribution;
 use cbls_problems::Benchmark;
 use cbls_propagation::{BacktrackingSolver, CostasConstraint};
+
+use crate::report::{fmt_f64, Table};
 
 /// Walk counts of Figures 1–2 and the headline table.
 const WALKS: [usize; 6] = [1, 16, 32, 64, 128, 256];

@@ -19,7 +19,7 @@
 //! [`EmpiricalDistribution`], whose order statistics give `E[min of p]`.
 
 use cbls_core::EvaluatorFactory;
-use cbls_perfmodel::{DistributionAccumulator, EmpiricalDistribution};
+use cbls_perfmodel::EmpiricalDistribution;
 
 use crate::executor::{select_winner, WalkBatch, WalkExecutor, WalkRecord};
 
@@ -98,11 +98,8 @@ impl SimulatedMultiWalk {
     /// solved walks (`None` if no walk solved the problem).
     #[must_use]
     pub fn iteration_distribution(&self) -> Option<EmpiricalDistribution> {
-        let mut acc = DistributionAccumulator::new();
-        for record in self.solved() {
-            acc.record_count(record.outcome.stats.iterations);
-        }
-        acc.distribution()
+        let counts: Vec<u64> = self.solved().map(|r| r.outcome.stats.iterations).collect();
+        (!counts.is_empty()).then(|| EmpiricalDistribution::from_counts(&counts))
     }
 
     fn solved(&self) -> impl Iterator<Item = &WalkRecord> {

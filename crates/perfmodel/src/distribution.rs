@@ -5,12 +5,11 @@
 //! minimum of `p` independent draws, which *is* the expected parallel run
 //! time of `p` independent walks.
 
-use as_rng::RandomSource;
 use serde::{Deserialize, Serialize};
 
 /// A sample of non-negative measurements (iterations-to-solution or seconds)
 /// treated as an empirical distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalDistribution {
     /// The measurements, sorted ascending.
     sorted: Vec<f64>,
@@ -114,39 +113,12 @@ impl EmpiricalDistribution {
     }
 
     /// Empirical quantile in `[0, 1]` (nearest-rank).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty sample.  [`new`](Self::new) never produces one,
-    /// but a deserialized distribution can be empty; without this guard the
-    /// nearest-rank index computed `clamp(1, 0)`, tripping `clamp`'s
-    /// `min <= max` precondition with a message that named neither the
-    /// method nor the mistake.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.sorted.len();
-        assert!(n > 0, "quantile of an empty distribution");
         let q = q.clamp(0.0, 1.0);
         let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
         self.sorted[idx]
-    }
-
-    /// Median (0.5 quantile).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty (deserialized) sample, like
-    /// [`quantile`](Self::quantile).
-    #[must_use]
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// Empirical CDF at `x`.
-    #[must_use]
-    pub fn cdf(&self, x: f64) -> f64 {
-        let below = self.sorted.partition_point(|&v| v <= x);
-        below as f64 / self.sorted.len() as f64
     }
 
     /// Exact expectation of the minimum of `p` independent draws (with
@@ -171,72 +143,14 @@ impl EmpiricalDistribution {
         }
         expectation
     }
-
-    /// Monte-Carlo estimate of the expected minimum of `p` draws, using
-    /// `rounds` resampling rounds.  Provided as an independent cross-check of
-    /// [`expected_min_of`](Self::expected_min_of).
-    #[must_use]
-    pub fn expected_min_of_monte_carlo<R: RandomSource + ?Sized>(
-        &self,
-        p: usize,
-        rounds: usize,
-        rng: &mut R,
-    ) -> f64 {
-        assert!(p >= 1 && rounds >= 1);
-        let mut total = 0.0;
-        for _ in 0..rounds {
-            let mut min = f64::INFINITY;
-            for _ in 0..p {
-                let x = self.sorted[rng.index(self.sorted.len())];
-                if x < min {
-                    min = x;
-                }
-            }
-            total += min;
-        }
-        total / rounds as f64
-    }
-
-    /// Fit a shifted exponential `shift + Exp(scale)` by matching the minimum
-    /// (shift) and the mean (`scale = mean − shift`).  Returns
-    /// `(shift, scale)`.
-    #[must_use]
-    pub fn fit_shifted_exponential(&self) -> (f64, f64) {
-        let shift = self.min();
-        let scale = (self.mean() - shift).max(0.0);
-        (shift, scale)
-    }
-
-    /// Kolmogorov–Smirnov distance between the sample and a shifted
-    /// exponential with the given parameters (a small distance means the
-    /// "linear speedup" regime of the paper applies).
-    #[must_use]
-    pub fn ks_distance_shifted_exponential(&self, shift: f64, scale: f64) -> f64 {
-        let n = self.sorted.len() as f64;
-        let mut worst: f64 = 0.0;
-        for (i, &x) in self.sorted.iter().enumerate() {
-            let model = if x <= shift || scale <= 0.0 {
-                0.0
-            } else {
-                1.0 - (-(x - shift) / scale).exp()
-            };
-            let emp_hi = (i as f64 + 1.0) / n;
-            let emp_lo = i as f64 / n;
-            worst = worst
-                .max((model - emp_hi).abs())
-                .max((model - emp_lo).abs());
-        }
-        worst
-    }
 }
 
 /// An incremental collector of runtime observations.
 ///
 /// [`EmpiricalDistribution`] is immutable (its samples are sorted once at
 /// construction), which is the right shape for analysis but not for *online*
-/// recording: a multi-walk run observes one iterations-to-solution sample per
-/// solved walk, across many solve requests.  `DistributionAccumulator` is the
-/// mutable front half: push observations as they arrive, then snapshot an
+/// recording.  `DistributionAccumulator` is the mutable front half: push
+/// iteration counts as they arrive, then snapshot an
 /// [`EmpiricalDistribution`] whenever the order-statistics machinery is
 /// needed.
 ///
@@ -246,11 +160,11 @@ impl EmpiricalDistribution {
 /// let mut acc = DistributionAccumulator::new();
 /// acc.record_count(120);
 /// acc.record_count(80);
-/// assert_eq!(acc.len(), 2);
+/// assert_eq!(acc.observations(), &[120.0, 80.0]);
 /// let dist = acc.distribution().expect("two samples recorded");
 /// assert_eq!(dist.mean(), 100.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistributionAccumulator {
     samples: Vec<f64>,
 }
@@ -262,34 +176,9 @@ impl DistributionAccumulator {
         Self::default()
     }
 
-    /// Record one measurement (seconds, iterations, ...).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is negative or non-finite.
-    pub fn record(&mut self, value: f64) {
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "samples must be finite and non-negative"
-        );
-        self.samples.push(value);
-    }
-
     /// Record one iteration count.
     pub fn record_count(&mut self, count: u64) {
         self.samples.push(count as f64);
-    }
-
-    /// Number of observations recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// The raw observations, in recording order.
@@ -314,8 +203,10 @@ impl DistributionAccumulator {
     /// distribution: the expected minimum of `walks` independent draws (the
     /// paper's parallel run time), a pessimistic p95, and the CoV that says
     /// how much to trust the point estimate.  `None` while the accumulator
-    /// is cold — the caller (admission control in `cbls-service`) then sends
-    /// no quote rather than inventing a number.
+    /// is cold, rather than an invented number.
+    ///
+    /// Each call copies and sorts every observation, so it costs
+    /// `O(n log n)` in the observations recorded.
     #[must_use]
     pub fn quote(&self, walks: usize) -> Option<RuntimeQuote> {
         let dist = self.distribution()?;
@@ -328,52 +219,72 @@ impl DistributionAccumulator {
     }
 }
 
-/// A runtime quote derived from a recorded distribution: what a batch of
-/// independent walks is expected to cost, quoted at admission time.
+/// A runtime quote: what a batch of independent walks is expected to cost,
+/// in iterations.
 ///
-/// Produced by [`DistributionAccumulator::quote`] and sent to clients in
-/// the `cbls-service` `Admitted` frame, so they can size budgets and
-/// deadlines.  All fields are finite for any non-empty accumulator.
+/// The `cbls-service` `Admitted` frame carries one when the job's shape
+/// `(benchmark, walks)` has history, so clients can size budgets and
+/// deadlines.  The service fills it in from a fixed-size summary of the
+/// shape's completed jobs, one draw per job: the job's winning iteration
+/// count, already a minimum over its walks.
+/// [`DistributionAccumulator::quote`] fills in the same fields from the
+/// sorted observations.  All fields are finite.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeQuote {
-    /// How many observations back the quote.
+    /// How many observations back the quote: in the service, the solved
+    /// jobs of the shape.
     pub samples: usize,
     /// Expected runtime of the batch: the expected minimum of the batch's
-    /// independent draws ([`EmpiricalDistribution::expected_min_of`]).
+    /// independent draws ([`EmpiricalDistribution::expected_min_of`]).  In
+    /// the service, the mean of the shape's draws.
     pub expected: f64,
-    /// Pessimistic bound: the 95th percentile of a single draw.
+    /// Pessimistic bound: the 95th percentile of a single draw.  The service
+    /// quotes the top of the quarter-octave bin that holds the nearest-rank
+    /// percentile, clamped to the draws' range, so it errs high by less than
+    /// one bin.
     pub p95: f64,
-    /// Coefficient of variation of the underlying distribution (near 1 ⇒
-    /// the linear-speedup regime; near 0 ⇒ deterministic, parallelism buys
-    /// little).
+    /// Coefficient of variation of the draws (near 1 ⇒ the linear-speedup
+    /// regime; near 0 ⇒ deterministic, parallelism buys little); 0 for one
+    /// draw.
     pub cov: f64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use as_rng::{default_rng, exponential};
+    use as_rng::{default_rng, exponential, shifted_exponential, RandomSource};
+
+    /// Monte Carlo estimate of the expected minimum of `p` draws from `d`
+    /// over `rounds` rounds: an independent check of `expected_min_of`.
+    fn expected_min_of_monte_carlo(
+        d: &EmpiricalDistribution,
+        p: usize,
+        rounds: usize,
+        rng: &mut impl RandomSource,
+    ) -> f64 {
+        let samples = d.samples();
+        let total: f64 = (0..rounds)
+            .map(|_| {
+                (0..p)
+                    .map(|_| samples[rng.index(samples.len())])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .sum();
+        total / rounds as f64
+    }
 
     #[test]
     fn accumulator_snapshots_match_direct_construction() {
         let mut acc = DistributionAccumulator::new();
-        assert!(acc.is_empty());
+        assert!(acc.observations().is_empty());
         assert!(acc.distribution().is_none());
         for c in [4u64, 1, 3, 2] {
             acc.record_count(c);
         }
-        acc.record(2.5);
-        assert_eq!(acc.len(), 5);
-        let expected = EmpiricalDistribution::new(&[4.0, 1.0, 3.0, 2.0, 2.5]);
+        let expected = EmpiricalDistribution::new(&[4.0, 1.0, 3.0, 2.0]);
         assert_eq!(acc.distribution().unwrap(), expected);
         // recording order is preserved in the raw view
-        assert_eq!(acc.observations(), &[4.0, 1.0, 3.0, 2.0, 2.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn accumulator_rejects_negative_observations() {
-        DistributionAccumulator::new().record(-1.0);
+        assert_eq!(acc.observations(), &[4.0, 1.0, 3.0, 2.0]);
     }
 
     #[test]
@@ -383,16 +294,13 @@ mod tests {
         assert_eq!(d.mean(), 2.5);
         assert_eq!(d.min(), 1.0);
         assert_eq!(d.max(), 4.0);
-        assert_eq!(d.median(), 2.0);
+        assert_eq!(d.quantile(0.5), 2.0);
         assert!((d.std_dev() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
-    fn cdf_and_quantiles_are_consistent() {
+    fn quantiles_are_nearest_rank() {
         let d = EmpiricalDistribution::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.cdf(0.5), 0.0);
-        assert_eq!(d.cdf(2.0), 0.5);
-        assert_eq!(d.cdf(10.0), 1.0);
         assert_eq!(d.quantile(0.0), 1.0);
         assert_eq!(d.quantile(1.0), 4.0);
         assert_eq!(d.quantile(0.25), 1.0);
@@ -425,7 +333,7 @@ mod tests {
         let d = EmpiricalDistribution::new(&samples);
         for p in [2usize, 8, 32] {
             let exact = d.expected_min_of(p);
-            let mc = d.expected_min_of_monte_carlo(p, 20_000, &mut rng);
+            let mc = expected_min_of_monte_carlo(&d, p, 20_000, &mut rng);
             assert!(
                 (exact - mc).abs() / exact < 0.1,
                 "p = {p}: exact {exact}, mc {mc}"
@@ -448,18 +356,37 @@ mod tests {
     }
 
     #[test]
-    fn shifted_exponential_fit_and_ks() {
-        let mut rng = default_rng(9);
-        let samples: Vec<f64> = (0..2000)
-            .map(|_| 100.0 + exponential(&mut rng, 20.0))
+    fn closed_forms_match_empirical_order_statistics() {
+        // The minimum of `p` exponentials of mean `m` is exponential with
+        // mean `m / p`: linear speedup.
+        let mut rng = default_rng(2024);
+        let mean = 50.0;
+        let samples: Vec<f64> = (0..4000).map(|_| exponential(&mut rng, mean)).collect();
+        let d = EmpiricalDistribution::new(&samples);
+        for p in [2usize, 8, 64] {
+            let analytic = mean / p as f64;
+            let empirical = d.expected_min_of(p);
+            assert!(
+                (analytic - empirical).abs() / analytic < 0.2,
+                "p = {p}: analytic {analytic}, empirical {empirical}"
+            );
+        }
+
+        // A shifted exponential `shift + Exp(scale)` has `shift + scale / p`:
+        // the speedup saturates at `(shift + scale) / shift`.
+        let (shift, scale) = (30.0, 20.0);
+        let samples: Vec<f64> = (0..4000)
+            .map(|_| shifted_exponential(&mut rng, shift, scale))
             .collect();
         let d = EmpiricalDistribution::new(&samples);
-        let (shift, scale) = d.fit_shifted_exponential();
-        assert!((100.0..101.0).contains(&shift), "shift = {shift}");
-        assert!((scale - 20.0).abs() < 3.0, "scale = {scale}");
-        assert!(d.ks_distance_shifted_exponential(shift, scale) < 0.1);
-        // a deliberately wrong model has a much larger distance
-        assert!(d.ks_distance_shifted_exponential(0.0, 1.0) > 0.5);
+        for p in [2usize, 16] {
+            let analytic = shift + scale / p as f64;
+            let empirical = d.expected_min_of(p);
+            assert!(
+                (analytic - empirical).abs() / analytic < 0.1,
+                "p = {p}: analytic {analytic}, empirical {empirical}"
+            );
+        }
     }
 
     #[test]
@@ -491,7 +418,7 @@ mod tests {
     #[test]
     fn single_sample_accumulator_statistics_are_finite() {
         let mut acc = DistributionAccumulator::new();
-        acc.record(7.0);
+        acc.record_count(7);
         let quote = acc.quote(8).expect("one sample quotes");
         assert_eq!(quote.samples, 1);
         assert_eq!(quote.expected, 7.0);
@@ -518,24 +445,12 @@ mod tests {
         assert_eq!(acc.quote(0).unwrap().expected, one.expected);
     }
 
-    // Regression: a deserialized distribution can be empty (bypassing
-    // `new`'s assert); `quantile` must fail with its own documented message,
-    // not `clamp`'s precondition panic.
-    #[test]
-    #[should_panic(expected = "quantile of an empty distribution")]
-    fn deserialized_empty_distribution_panics_cleanly_on_quantile() {
-        let dist: EmpiricalDistribution =
-            serde_json::from_str(r#"{"sorted": []}"#).expect("deserializes");
-        assert!(dist.is_empty());
-        let _ = dist.quantile(0.5);
-    }
-
     #[test]
     fn single_sample_distribution_has_zero_spread() {
         let d = EmpiricalDistribution::new(&[7.0]);
         assert_eq!(d.std_dev(), 0.0);
         assert_eq!(d.coefficient_of_variation(), 0.0);
-        assert_eq!(d.median(), 7.0);
+        assert_eq!(d.quantile(0.5), 7.0);
     }
 
     #[test]

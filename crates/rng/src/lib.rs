@@ -40,7 +40,7 @@ mod source;
 mod splitmix;
 mod xoshiro;
 
-pub use sample::{exponential, shifted_exponential, standard_normal};
+pub use sample::{exponential, shifted_exponential};
 pub use seed::SeedSequence;
 pub use source::RandomSource;
 pub use splitmix::SplitMix64;

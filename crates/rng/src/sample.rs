@@ -1,9 +1,9 @@
-//! Continuous distributions used by the performance model.
+//! Synthetic runtime distributions.
 //!
-//! The multi-walk speedup analysis needs to *generate* synthetic runtime
-//! distributions (exponential, shifted exponential, log-normal-ish) to test
-//! its order statistics against, so the handful of inverse transforms live
-//! here next to the generators rather than in the model crate.
+//! Tests of the speedup analysis draw run lengths from the two reference
+//! cases of the paper, exponential and shifted exponential, whose expected
+//! minimum of `p` draws has a closed form to compare against.  The inverse
+//! transforms live here, next to the generators.
 
 use crate::source::RandomSource;
 
@@ -28,14 +28,6 @@ pub fn exponential<R: RandomSource + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 pub fn shifted_exponential<R: RandomSource + ?Sized>(rng: &mut R, shift: f64, mean: f64) -> f64 {
     assert!(shift >= 0.0, "shift must be non-negative");
     shift + exponential(rng, mean)
-}
-
-/// Sample a standard normal variate (Box–Muller, one value per call).
-pub fn standard_normal<R: RandomSource + ?Sized>(rng: &mut R) -> f64 {
-    // Box–Muller transform; u1 in (0, 1] to avoid ln(0).
-    let u1 = 1.0 - rng.f64();
-    let u2 = rng.f64();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -78,16 +70,5 @@ mod tests {
         for _ in 0..5_000 {
             assert!(shifted_exponential(&mut g, 2.5, 1.0) >= 2.5);
         }
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut g = rng();
-        let n = 60_000;
-        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut g)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.03, "mean = {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var = {var}");
     }
 }

@@ -17,9 +17,10 @@
 //!   from the benchmark's tuned configuration and the request's master
 //!   seed, so results are bit-identical to a direct executor run
 //!   ([`SolveService::batch_for`] is the audit path);
-//! * admission quotes come from `cbls-perfmodel`'s runtime distributions,
-//!   one per job shape `(benchmark, walks)`, warmed by completed jobs; a
-//!   quote informs the client and does not reorder the FIFO queue;
+//! * admission quotes are `cbls-perfmodel` [`RuntimeQuote`]s, read in
+//!   constant time from a fixed-size summary per job shape `(benchmark,
+//!   walks)` that completed jobs warm; a quote informs the client and does
+//!   not reorder the FIFO queue;
 //! * service health is a `cbls-obs` instrument set
 //!   ([`ServiceMetrics`](cbls_obs::ServiceMetrics)), exposed as a snapshot
 //!   via [`SolveService::metrics`].
@@ -31,6 +32,7 @@
 //!
 //! [`Supervisor`]: cbls_resilience::Supervisor
 //! [`WalkBatch`]: cbls_parallel::WalkBatch
+//! [`RuntimeQuote`]: cbls_perfmodel::RuntimeQuote
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,11 +19,13 @@
 //! ## Lifecycle of a request
 //!
 //! 1. **Validate** — an unknown benchmark id is rejected without queueing.
-//! 2. **Quote** — completed jobs feed runtime distributions
-//!    (`cbls-perfmodel`) of their shape `(benchmark, walks)`, one draw of
-//!    the `p`-walk minimum per job; a request whose shape has history gets a
-//!    [`RuntimeQuote`], the mean of those draws, in its `Admitted` frame.
-//!    The quote is informational: the queue stays in arrival order.
+//! 2. **Quote** — each completed job adds one draw of the `p`-walk minimum
+//!    to a fixed-size summary of its shape `(benchmark, walks)`, keyed by
+//!    the parsed benchmark's canonical id: a count, a running mean and
+//!    variance, and log-spaced bins.  A request whose shape has history gets
+//!    a [`RuntimeQuote`] in its `Admitted` frame, read from that summary in
+//!    constant time.  The quote is informational: the queue stays in
+//!    arrival order.
 //! 3. **Admit or reject** — the bounded queue either takes the job or the
 //!    call returns [`AdmissionError::QueueFull`] immediately (no blocking
 //!    admission: back-pressure is the client's problem to see).
@@ -45,7 +47,7 @@ use std::time::{Duration, Instant};
 use cbls_core::monotonic_now;
 use cbls_obs::{MetricsRegistry, MetricsSnapshot, ServiceMetrics};
 use cbls_parallel::{EventSink, SequentialExecutor, WalkBatch, WalkEvent, WalkJob, WalkSeeds};
-use cbls_perfmodel::DistributionAccumulator;
+use cbls_perfmodel::RuntimeQuote;
 use cbls_problems::Benchmark;
 use cbls_resilience::{SupervisedExecution, Supervisor};
 
@@ -56,6 +58,100 @@ use crate::wire::{JobEvent, JobResult, ProgressFrame, SolveRequest, WIRE_SCHEMA}
 /// request of any other shape is served but leaves no draw, so the history
 /// stays bounded however many shapes clients send.
 const HISTORY_SHAPES: usize = 1_024;
+
+/// Bins of a [`ShapeHistory`]: one for each draw below 4, then four per
+/// octave `[2^k, 2^(k+1))` of `u64` for `k` in `2..=63`.
+const BINS: usize = 4 + 4 * 62;
+
+/// The bin of `draw`: below 4 the draw itself, above it the draw's octave
+/// and the two bits after its leading one.
+fn bin_of(draw: u64) -> usize {
+    if draw < 4 {
+        return draw as usize;
+    }
+    let octave = 63 - draw.leading_zeros();
+    4 * (octave as usize - 1) + ((draw >> (octave - 2)) & 3) as usize
+}
+
+/// The largest draw that falls in `bin`.
+fn bin_top(bin: usize) -> u64 {
+    if bin < 4 {
+        return bin as u64;
+    }
+    let shift = bin / 4 - 1;
+    // Written as a sum so that the top of the last bin, `u64::MAX`, does not
+    // overflow.
+    ((4 + bin as u64 % 4) << shift) + ((1 << shift) - 1)
+}
+
+/// The quote history of one job shape in constant space: one draw per
+/// completed job, summarized by its count, Welford's running mean and sum
+/// of squared deviations, the exact extremes and saturating log bins.
+#[derive(Debug, Clone, Copy)]
+struct ShapeHistory {
+    count: usize,
+    mean: f64,
+    m2: f64,
+    min: u64,
+    max: u64,
+    bins: [u32; BINS],
+}
+
+impl ShapeHistory {
+    fn new() -> Self {
+        Self {
+            count: 0,
+            mean: 0.0,
+            m2: 0.0,
+            min: u64::MAX,
+            max: 0,
+            bins: [0; BINS],
+        }
+    }
+
+    fn record(&mut self, draw: u64) {
+        self.count += 1;
+        let x = draw as f64;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+        self.min = self.min.min(draw);
+        self.max = self.max.max(draw);
+        let bin = &mut self.bins[bin_of(draw)];
+        *bin = bin.saturating_add(1);
+    }
+
+    /// The quote of a shape with at least one draw.  Each draw is already a
+    /// `walks`-walk minimum, so the expected runtime is their mean.  The p95
+    /// is the top of the bin that holds the nearest-rank 95th percentile,
+    /// clamped to the extremes: it errs high by less than one bin, and one
+    /// draw, or many equal ones, quote exactly.
+    fn quote(&self) -> RuntimeQuote {
+        let rank = self.count - self.count / 20;
+        let mut seen = 0;
+        let bin = self
+            .bins
+            .iter()
+            .position(|&n| {
+                seen += n as usize;
+                seen >= rank
+            })
+            // Only a saturated bin can leave the rank unreached: quote the
+            // largest draw.
+            .unwrap_or(BINS - 1);
+        let cov = if self.count < 2 || self.mean == 0.0 {
+            0.0
+        } else {
+            (self.m2 / (self.count - 1) as f64).sqrt() / self.mean
+        };
+        RuntimeQuote {
+            samples: self.count,
+            expected: self.mean,
+            p95: bin_top(bin).clamp(self.min, self.max) as f64,
+            cov,
+        }
+    }
+}
 
 /// Tuning knobs of a [`SolveService`].
 #[derive(Debug, Clone)]
@@ -186,10 +282,10 @@ struct Shared {
     idle: Condvar,
     registry: MetricsRegistry,
     metrics: ServiceMetrics,
-    /// Winning iteration counts of completed jobs, one draw per job, keyed
-    /// by `(benchmark, walks)` and read by the quoting path; at most
-    /// [`HISTORY_SHAPES`] keys.
-    history: Mutex<HashMap<(String, usize), DistributionAccumulator>>,
+    /// Summaries of the winning iteration counts of completed jobs, one draw
+    /// per job, keyed by `(Benchmark::id, walks)` and read by the quoting
+    /// path; at most [`HISTORY_SHAPES`] keys.
+    history: Mutex<HashMap<(String, usize), ShapeHistory>>,
     next_job: AtomicU64,
 }
 
@@ -259,17 +355,16 @@ impl SolveService {
     /// admission queue is at capacity; [`AdmissionError::ServiceClosed`]
     /// after [`shutdown`](Self::shutdown) began.
     pub fn submit(&self, request: SolveRequest) -> Result<JobHandle, AdmissionError> {
-        if Benchmark::from_id(&request.benchmark).is_none() {
+        let Some(bench) = Benchmark::from_id(&request.benchmark) else {
             self.shared.metrics.job_rejected();
             return Err(AdmissionError::UnknownBenchmark {
                 id: request.benchmark,
             });
-        }
-        // Each draw is already a `walks`-walk minimum: quote their mean.
-        let shape = (request.benchmark.clone(), request.walks);
+        };
+        let shape = (bench.id(), request.walks);
         let quote = {
             let history = self.shared.history.lock().expect("history mutex poisoned");
-            history.get(&shape).and_then(|acc| acc.quote(1))
+            history.get(&shape).map(ShapeHistory::quote)
         };
         // Relaxed: job ids only need uniqueness, no ordering with other
         // memory — the queue mutex orders everything that matters.
@@ -372,16 +467,19 @@ impl Shared {
     /// minimum, and the shape's quote is the mean of its draws.  An unsolved
     /// job adds nothing.  Once [`HISTORY_SHAPES`] shapes have a history, a
     /// job of any other shape is not recorded.
-    fn add_to_history(&self, benchmark: &str, walks: usize, winning_iterations: Option<u64>) {
+    fn add_to_history(&self, bench: &Benchmark, walks: usize, winning_iterations: Option<u64>) {
         let Some(iterations) = winning_iterations else {
             return;
         };
         let mut history = self.history.lock().expect("history mutex poisoned");
-        let shape = (benchmark.to_string(), walks);
-        if let Some(acc) = history.get_mut(&shape) {
-            acc.record_count(iterations);
+        let shape = (bench.id(), walks);
+        if let Some(summary) = history.get_mut(&shape) {
+            summary.record(iterations);
         } else if history.len() < HISTORY_SHAPES {
-            history.entry(shape).or_default().record_count(iterations);
+            history
+                .entry(shape)
+                .or_insert_with(ShapeHistory::new)
+                .record(iterations);
         }
     }
 }
@@ -443,7 +541,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     let supervised = supervisor.run_with_telemetry(&|| bench.build(), &batch, &sink);
 
     let winning_iterations = supervised.execution.winning_iterations();
-    shared.add_to_history(&request.benchmark, request.walks, winning_iterations);
+    shared.add_to_history(&bench, request.walks, winning_iterations);
     let result = summarize(job_id, &request, &supervised);
     let latency_ms = millis(monotonic_now().saturating_duration_since(enqueued));
     shared
@@ -486,8 +584,10 @@ fn millis(duration: Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::wire::WIRE_SCHEMA;
+    use as_rng::{default_rng, exponential};
     use cbls_core::TerminationReason;
     use cbls_parallel::WalkExecutor;
+    use cbls_perfmodel::EmpiricalDistribution;
 
     fn quick_service(workers: usize) -> SolveService {
         SolveService::new(
@@ -714,24 +814,123 @@ mod tests {
     }
 
     #[test]
+    fn every_spelling_of_an_instance_shares_one_quote_history() {
+        let service = quick_service(1);
+        let solved = service
+            .submit(SolveRequest::new("queens-12", 2, 100_000).with_master_seed(13))
+            .expect("admitted")
+            .wait()
+            .expect("ran");
+        assert_eq!(solved.result.winner_iterations, Some(11));
+        // `from_id` reads all three as `queens-12`.  A zero-budget job
+        // solves nothing, so none of these adds a draw of its own.
+        for spelling in ["queens-12", "queens-012", "queens-+12"] {
+            let mut handle = service
+                .submit(SolveRequest::new(spelling, 2, 0))
+                .expect("admitted");
+            match handle.next_frame().expect("stream open").event {
+                JobEvent::Admitted { quote, .. } => {
+                    let quote = quote.expect("the instance has history");
+                    assert_eq!((quote.samples, quote.expected), (1, 11.0), "{spelling}");
+                }
+                other => panic!("first frame is {other:?}"),
+            }
+            let completed = handle.wait().expect("ran");
+            assert_eq!(completed.result.benchmark, spelling);
+        }
+        service.shutdown();
+    }
+
+    #[test]
     fn the_quote_history_keeps_at_most_its_shapes() {
         let service = quick_service(1);
         let shared = &service.shared;
-        for i in 0..10_000u64 {
-            shared.add_to_history(&format!("queens-{i}"), 2, Some(i));
+        for i in 0..10_000 {
+            shared.add_to_history(&Benchmark::NQueens(i), 2, Some(i as u64));
         }
         let history = || shared.history.lock().expect("history mutex poisoned");
         assert_eq!(history().len(), HISTORY_SHAPES);
         // A full history still records the shapes it holds, and no other.
-        shared.add_to_history("queens-0", 2, Some(7));
-        shared.add_to_history("queens-0", 3, Some(7));
-        shared.add_to_history("queens-0", 2, None);
+        let queens_0 = Benchmark::NQueens(0);
+        shared.add_to_history(&queens_0, 2, Some(7));
+        shared.add_to_history(&queens_0, 3, Some(7));
+        shared.add_to_history(&queens_0, 2, None);
         assert_eq!(history().len(), HISTORY_SHAPES);
-        let draws = history()[&("queens-0".to_string(), 2)]
-            .observations()
-            .to_vec();
-        assert_eq!(draws, vec![0.0, 7.0]);
+        let quote = history()[&(queens_0.id(), 2)].quote();
+        assert_eq!((quote.samples, quote.expected), (2, 3.5));
         service.shutdown();
+    }
+
+    #[test]
+    fn the_bins_tile_u64_in_order() {
+        for bin in 0..BINS {
+            let top = bin_top(bin);
+            assert_eq!(bin_of(top), bin, "top {top} of bin {bin}");
+            if bin + 1 < BINS {
+                assert_eq!(bin_of(top + 1), bin + 1, "past the top of bin {bin}");
+            }
+        }
+        assert_eq!(bin_top(BINS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn extreme_draws_quote_finitely_and_full_bins_saturate() {
+        let mut summary = ShapeHistory::new();
+        summary.record(7);
+        let one = summary.quote();
+        assert_eq!(
+            (one.samples, one.expected, one.p95, one.cov),
+            (1, 7.0, 7.0, 0.0)
+        );
+        for _ in 0..99 {
+            summary.record(7);
+        }
+        let equal = summary.quote();
+        assert_eq!((equal.expected, equal.p95, equal.cov), (7.0, 7.0, 0.0));
+
+        let mut summary = ShapeHistory::new();
+        for draw in [0, 1, u64::MAX] {
+            summary.record(draw);
+        }
+        let quote = summary.quote();
+        assert!(
+            quote.expected.is_finite() && quote.cov.is_finite(),
+            "{quote:?}"
+        );
+        assert_eq!(quote.p95, u64::MAX as f64);
+
+        summary.bins[bin_of(5)] = u32::MAX - 1;
+        summary.record(5);
+        summary.record(5);
+        assert_eq!(summary.bins[bin_of(5)], u32::MAX);
+    }
+
+    #[test]
+    fn a_shape_history_quotes_100_000_draws_in_fixed_space() {
+        fn holds_no_heap<T: Copy>() {}
+        holds_no_heap::<ShapeHistory>();
+        assert_eq!(std::mem::size_of::<ShapeHistory>(), 40 + 4 * BINS);
+
+        let mut rng = default_rng(2024);
+        let draws: Vec<u64> = (0..100_000)
+            .map(|_| exponential(&mut rng, 20_000.0) as u64)
+            .collect();
+        let mut summary = ShapeHistory::new();
+        for &draw in &draws {
+            summary.record(draw);
+        }
+        let quote = summary.quote();
+        let sorted = EmpiricalDistribution::from_counts(&draws);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        assert_eq!(quote.samples, draws.len());
+        assert!(close(quote.expected, sorted.mean()), "{quote:?}");
+        assert!(
+            close(quote.cov, sorted.coefficient_of_variation()),
+            "{quote:?}"
+        );
+        let p95 = sorted.quantile(0.95);
+        assert_eq!(bin_of(quote.p95 as u64), bin_of(p95 as u64));
+        assert!(quote.p95 >= p95, "{} below {p95}", quote.p95);
     }
 
     #[test]

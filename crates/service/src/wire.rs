@@ -81,8 +81,8 @@ pub enum JobEvent {
     Admitted {
         /// Queue position at admission time (0 = next to run).
         position: usize,
-        /// The service's runtime quote for the job, when enough history
-        /// exists for its benchmark (see
+        /// The service's runtime quote for the job, when a solved job of its
+        /// shape `(benchmark, walks)` has completed before (see
         /// [`RuntimeQuote`](cbls_perfmodel::RuntimeQuote)).
         quote: Option<RuntimeQuote>,
     },
@@ -201,6 +201,15 @@ mod tests {
             JobEvent::Admitted {
                 position: 3,
                 quote: None,
+            },
+            JobEvent::Admitted {
+                position: 0,
+                quote: Some(RuntimeQuote {
+                    samples: 3,
+                    expected: 40_000.0 / 3.0,
+                    p95: u64::MAX as f64,
+                    cov: 0.125,
+                }),
             },
             JobEvent::Started { queued_ms: 12 },
             JobEvent::Walk {

@@ -40,8 +40,8 @@
 //!   bounded FIFO admission, runtime quotes and the versioned progress wire
 //!   format;
 //! * [`propagation`] (`cbls-propagation`) — the backtracking baseline;
-//! * [`perfmodel`] (`cbls-perfmodel`) — runtime distributions and order
-//!   statistics;
+//! * [`perfmodel`] (`cbls-perfmodel`) — empirical runtime distributions
+//!   and the expected minimum of `p` draws;
 //! * [`rng`] (`as-rng`) — deterministic random streams.
 
 #![forbid(unsafe_code)]
