@@ -16,7 +16,7 @@ use as_rng::default_rng;
 use cbls_core::{AdaptiveSearch, Run};
 use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta};
 use cbls_parallel::{
-    BatchExecution, SequentialExecutor, Supervision, WalkBatch, WalkExecutor, WalkJob, WalkSeeds,
+    BatchExecution, SequentialExecutor, Supervision, WalkBatch, WalkJob, WalkSeeds,
 };
 use cbls_problems::Benchmark;
 use serde::{Deserialize, Serialize};

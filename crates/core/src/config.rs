@@ -2,9 +2,9 @@
 //!
 //! The parameter set mirrors the knobs of the original C framework that the
 //! paper's experiments use (freeze duration, reset limit / percentage,
-//! probability of accepting a local minimum, restart policy), plus a few
-//! engine-level switches (`first_best`, plateau acceptance) that the original
-//! library exposes per benchmark.
+//! probability of accepting a local minimum, restart policy), plus the
+//! engine-level switches (`exhaustive` scans, plateau acceptance) that the
+//! original library exposes per benchmark.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,9 +35,6 @@ pub struct SearchConfig {
     pub prob_select_local_min: f64,
     /// Probability of accepting a sideways (equal-cost) best move.
     pub plateau_probability: f64,
-    /// If `true`, take the first strictly improving swap instead of scanning
-    /// all candidate swaps for the best one.
-    pub first_best: bool,
     /// If `true`, every iteration scans *all* variable pairs for the best
     /// swap instead of only the swaps involving the worst variable (the
     /// `exhaustive` flag of the original C framework; useful for models with
@@ -60,7 +57,6 @@ impl Default for SearchConfig {
             reset_fraction: 0.25,
             prob_select_local_min: 0.0,
             plateau_probability: 0.5,
-            first_best: false,
             exhaustive: false,
             target_cost: 0,
             stop_check_interval: 32,
@@ -187,13 +183,6 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Take the first improving swap instead of the best one.
-    #[must_use]
-    pub fn first_best(mut self, v: bool) -> Self {
-        self.config.first_best = v;
-        self
-    }
-
     /// Scan all variable pairs each iteration instead of only the worst
     /// variable's swaps.
     #[must_use]
@@ -246,7 +235,6 @@ mod tests {
             .reset_fraction(0.5)
             .prob_select_local_min(0.1)
             .plateau_probability(0.9)
-            .first_best(true)
             .target_cost(1)
             .stop_check_interval(8)
             .build();
@@ -257,7 +245,6 @@ mod tests {
         assert!((c.reset_fraction - 0.5).abs() < 1e-12);
         assert!((c.prob_select_local_min - 0.1).abs() < 1e-12);
         assert!((c.plateau_probability - 0.9).abs() < 1e-12);
-        assert!(c.first_best);
         assert_eq!(c.target_cost, 1);
         assert_eq!(c.stop_check_interval, 8);
     }

@@ -245,7 +245,6 @@ impl AdaptiveSearch {
                 // add on top of O(1) probes).
                 scan: SwapScan {
                     batched: eval.incremental_profile().batched_probes,
-                    first_best: cfg.first_best,
                     js: Vec::with_capacity(n),
                     out: vec![0; n],
                 },
@@ -694,14 +693,13 @@ impl Walk<'_> {
     }
 }
 
-/// The candidate scan of one run: the two switches it reads once, plus the
+/// The candidate scan of one run: the switch it reads once, plus the
 /// scratch rows of the batched probe.
 #[derive(Default)]
 struct SwapScan {
     /// Whole rows go through one [`Evaluator::cost_if_swaps`] call (the
     /// evaluator claims `batched_probes`) instead of probe by probe.
     batched: bool,
-    first_best: bool,
     js: Vec<usize>,
     out: Vec<i64>,
 }
@@ -712,12 +710,10 @@ impl SwapScan {
     /// or `a + 1`).
     ///
     /// A strictly better candidate replaces the pick; an equal one is
-    /// reservoir-sampled, so ties do not favour small indices; under
-    /// first-best, the first candidate that improves on `cost` ends the
-    /// scan.  Batched and scalar rows consume the same probe values in the
-    /// same order with the same draws, so both are bit-identical.  Returns
-    /// the pick with its probe value, and how many candidates the selection
-    /// scanned (a first-best stop leaves the rest of a batched row unread).
+    /// reservoir-sampled, so ties do not favour small indices.  Batched and
+    /// scalar rows consume the same probe values in the same order with the
+    /// same draws, so both are bit-identical.  Returns the pick with its
+    /// probe value, and how many candidates the selection scanned.
     #[inline]
     fn best_swap<E, R>(
         &mut self,
@@ -732,29 +728,24 @@ impl SwapScan {
         R: RandomSource + ?Sized,
     {
         let n = perm.len();
-        let first_best = self.first_best;
         let mut best_cost = i64::MAX;
         let mut pick = None;
         let mut ties: u32 = 0;
         let mut scanned: u64 = 0;
-        // Offer one candidate; `true` once first-best ends the scan.
         let mut offer = |a: usize, b: usize, new_cost: i64| {
             scanned += 1;
             if new_cost < best_cost {
                 best_cost = new_cost;
                 pick = Some((a, b));
                 ties = 1;
-                return first_best && new_cost < cost;
-            }
-            if new_cost == best_cost {
+            } else if new_cost == best_cost {
                 ties += 1;
                 if rng.below(u64::from(ties)) == 0 {
                     pick = Some((a, b));
                 }
             }
-            false
         };
-        'rows: for (a, from) in rows {
+        for (a, from) in rows {
             // Two ranges rather than a filter, so that the batched fill is
             // one exact-size extend.
             let partners = (from..a).chain(a + 1..n);
@@ -764,15 +755,11 @@ impl SwapScan {
                 let row = &mut self.out[..self.js.len()];
                 eval.cost_if_swaps(perm, cost, a, &self.js, row);
                 for (&b, &new_cost) in self.js.iter().zip(row.iter()) {
-                    if offer(a, b, new_cost) {
-                        break 'rows;
-                    }
+                    offer(a, b, new_cost);
                 }
             } else {
                 for b in partners {
-                    if offer(a, b, eval.cost_if_swap(perm, cost, a, b)) {
-                        break 'rows;
-                    }
+                    offer(a, b, eval.cost_if_swap(perm, cost, a, b));
                 }
             }
         }
@@ -1087,15 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn first_best_still_solves() {
-        let config = SearchConfig::builder().first_best(true).build();
-        let engine = AdaptiveSearch::new(config);
-        let mut p = SortPermutation::new(30);
-        let out = engine.solve(&mut p, &mut rng(9));
-        assert!(out.solved());
-    }
-
-    #[test]
     fn batched_and_scalar_scans_take_the_same_trajectory_in_every_mode() {
         use crate::evaluator::IncrementalProfile;
         use std::cell::Cell;
@@ -1148,12 +1126,11 @@ mod tests {
             }
         }
 
-        for (first_best, exhaustive) in [(false, false), (true, false), (false, true)] {
+        for exhaustive in [false, true] {
             // A target below zero keeps every run going for its whole budget,
             // through plateaus, local minima and resets.
             let engine = AdaptiveSearch::new(
                 SearchConfig::builder()
-                    .first_best(first_best)
                     .exhaustive(exhaustive)
                     .max_iterations_per_restart(300)
                     .max_restarts(2)
@@ -1171,7 +1148,7 @@ mod tests {
                     (out, eval.rows.get())
                 };
                 let ((batched, rows), (scalar, no_rows)) = (run(true), run(false));
-                let mode = (first_best, exhaustive, seed);
+                let mode = (exhaustive, seed);
                 assert_eq!(batched.stats.iterations, 900, "{mode:?}");
                 assert!(rows > 0, "{mode:?}: the claim routes through rows");
                 assert_eq!(no_rows, 0, "{mode:?}: no claim, no rows");
@@ -1469,7 +1446,6 @@ mod tests {
                 .exhaustive(true)
                 .stop_check_interval(5)
                 .build(),
-            SearchConfig::builder().first_best(true).build(),
         ];
         for config in configs {
             let engine = AdaptiveSearch::new(config);

@@ -24,7 +24,7 @@ use cbls_obs::{
     chrome_trace_json, render_diff, render_summary, validate_chrome_trace, FlightRecorder,
     RecorderConfig, TraceMeta, TraceRecording,
 };
-use cbls_parallel::{SequentialExecutor, ThreadsExecutor, WalkBatch, WalkExecutor};
+use cbls_parallel::{SequentialExecutor, ThreadsExecutor, WalkBatch};
 use cbls_problems::Benchmark;
 
 const USAGE: &str = "usage:
@@ -181,11 +181,12 @@ fn record(args: &RecordArgs) -> Result<TraceRecording, String> {
         },
         config,
     );
-    let execution = match args.backend.as_str() {
-        "sequential" => SequentialExecutor.execute_with_telemetry(&factory, &batch, &recorder),
-        "threads" => ThreadsExecutor.execute_with_telemetry(&factory, &batch, &recorder),
+    let executor = match args.backend.as_str() {
+        "sequential" => SequentialExecutor,
+        "threads" => ThreadsExecutor,
         other => return Err(format!("unknown backend {other:?}")),
     };
+    let execution = executor.execute_with_telemetry(&factory, &batch, &recorder);
     let recording = recorder.finish(&execution);
     recording.validate()?;
     Ok(recording)

@@ -153,7 +153,7 @@ impl RecorderState {
 ///
 /// ```
 /// use cbls_obs::{FlightRecorder, RecorderConfig, TraceMeta};
-/// use cbls_parallel::{SequentialExecutor, WalkBatch, WalkExecutor};
+/// use cbls_parallel::{SequentialExecutor, WalkBatch};
 /// use cbls_problems::Benchmark;
 ///
 /// let bench = Benchmark::NQueens(12);

@@ -187,7 +187,7 @@ mod tests {
     use super::*;
     use crate::recorder::{FlightRecorder, RecorderConfig};
     use crate::trace::TraceMeta;
-    use cbls_parallel::{SequentialExecutor, WalkBatch, WalkExecutor};
+    use cbls_parallel::{SequentialExecutor, WalkBatch};
 
     fn record(seed: u64, phases: bool) -> TraceRecording {
         let bench = cbls_problems::Benchmark::NQueens(10);

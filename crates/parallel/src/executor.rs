@@ -6,41 +6,44 @@
 //! implementation.  A [`WalkJob`] describes one walk (engine configuration,
 //! optional restart-budget schedule, label); a [`WalkBatch`] bundles the jobs
 //! with their [`WalkSeeds`] family, an optional wall-clock timeout and the
-//! stop semantics; a [`WalkExecutor`] back-end decides how many workers run
-//! the walks.  One worker loop runs every batch: the calling thread plus
+//! stop semantics; a [`WalkExecutor`] runs the walks on at most one worker
+//! per core.  One worker loop runs every batch: the calling thread plus
 //! `workers − 1` scoped threads, each taking the next walk from a shared
 //! counter.  A worker that holds several walks of a first-finisher batch
 //! goes round them, one `stop_check_interval` of iterations per walk and
 //! turn, so they reach the winner's count together; a run-to-completion
 //! batch runs walk after walk.
 //!
-//! * [`ThreadsExecutor`] — one worker per walk (the paper's
-//!   one-engine-per-core deployment);
+//! * [`ThreadsExecutor`] — one worker per walk, up to one per core (the
+//!   paper's one-engine-per-core deployment): walks beyond the cores go
+//!   round-robin on the workers;
 //! * [`SequentialExecutor`] — one worker, the calling thread: round-robin
 //!   over a first-finisher batch's walks, so a `p`-walk batch costs about
 //!   `p · E[min of p]` iterations, and walk after walk over a replay (the
 //!   deterministic replay behind the `speedup` binary's tables).
 //!
-//! Whatever the back-end, the semantics are identical: every walk draws the
-//! stream `WalkSeeds::rng_of(walk_id)`; a walk that reaches its target cost
-//! at iteration `t` lowers the shared [`StopControl`] bound to `t` (unless
-//! the batch [runs to completion](WalkBatch::run_to_completion)), and every
-//! other walk stops once it has done `t` iterations; a timeout becomes a
-//! *monotonic deadline* computed once per batch so every walk self-cancels at
-//! the same instant; and [`select_winner`] picks the solved walk with the
-//! fewest iterations, ties broken by walk id.  No walk stops before the
-//! fewest-iteration solve, and a walk checks for a solution before it checks
-//! the bound, so the winner and its record are a function of the seeds on
-//! every back-end.  Which losing walks solved, and where they stopped, still
-//! depend on the scheduler.  Flat multi-walk runs, heterogeneous batches
-//! ([`WalkJob`]s with per-walk configurations, budgets and labels) and
-//! replays ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk)) are all
-//! batches executed here.
+//! Whatever the worker count, the semantics are identical: every walk draws
+//! the stream `WalkSeeds::rng_of(walk_id)`; a walk that reaches its target
+//! cost at iteration `t` lowers the shared [`StopControl`] bound to `t`
+//! (unless the batch [runs to completion](WalkBatch::run_to_completion)),
+//! and every other walk stops once it has done `t` iterations; a timeout
+//! becomes a *monotonic deadline* computed once per batch so every walk
+//! self-cancels at the same instant; and [`select_winner`] picks the solved
+//! walk with the fewest iterations, ties broken by walk id.  No walk stops
+//! before the fewest-iteration solve, and a walk checks for a solution
+//! before it checks the bound, so the winner and its record are a function
+//! of the seeds on every worker count.  Which losing walks solved, and
+//! where they stopped, still depend on the scheduler.  Flat multi-walk
+//! runs, heterogeneous batches ([`WalkJob`]s with per-walk configurations,
+//! budgets and labels) and replays
+//! ([`SimulatedMultiWalk`](crate::SimulatedMultiWalk)) are all batches
+//! executed here.
 
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -204,7 +207,7 @@ impl WalkBatch {
 
     /// Attach a wall-clock timeout.  The executor converts it into a single
     /// monotonic deadline on [`StopControl`] when the batch starts, so every
-    /// walk — on every back-end — self-cancels at the same instant.
+    /// walk — on any worker — self-cancels at the same instant.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -365,7 +368,7 @@ impl BatchExecution {
 /// solved.
 ///
 /// Iteration counts are a function of each walk's seed and configuration,
-/// so the choice is the same on every back-end.  Under first-finisher
+/// so the choice is the same on every worker count.  Under first-finisher
 /// semantics no walk is stopped before it has done the winner's count, so
 /// the winner is the one a run to completion picks.
 pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
@@ -376,20 +379,25 @@ pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
         .map(|r| r.walk_id)
 }
 
-/// An execution back-end for walk batches: how many workers run a batch.
+/// Runs walk batches: how many workers run a batch, and the multi-walk
+/// semantics layered on them.
 ///
-/// Every back-end runs the same worker loop: the calling thread plus
-/// `workers − 1` scoped threads, each taking the next walk index from one
-/// shared counter, and going round the walks it holds when it holds several
-/// walks of a first-finisher batch.  [`execute`](WalkExecutor::execute) /
-/// [`execute_with_telemetry`](WalkExecutor::execute_with_telemetry) layer
-/// the multi-walk semantics (seed derivation, shared stop bound, deadline,
-/// events, winner selection) on top, so every back-end produces
-/// bit-identical per-walk trajectories; only scheduling differs.
+/// A `p`-walk batch runs on `min(p, cores)` workers, or on one for
+/// [`SequentialExecutor`]: the calling thread plus scoped threads, each
+/// taking the next walk index from one shared counter, so no batch starts
+/// more threads than the host has cores.  A worker that holds several walks
+/// of a first-finisher batch goes round them one `stop_check_interval` at a
+/// time; a run-to-completion batch runs walk after walk on each worker, with
+/// one evaluator alive per worker.  [`execute`](Self::execute) /
+/// [`execute_with_telemetry`](Self::execute_with_telemetry) layer the
+/// multi-walk semantics (seed derivation, shared stop bound, deadline,
+/// events, winner selection) on top, so every worker count produces
+/// bit-identical per-walk trajectories and the same winner; only where a
+/// losing walk stops differs.
 ///
 /// ```
 /// use cbls_core::{Evaluator, SearchConfig};
-/// use cbls_parallel::{SequentialExecutor, ThreadsExecutor, WalkBatch, WalkExecutor};
+/// use cbls_parallel::{SequentialExecutor, ThreadsExecutor, WalkBatch};
 ///
 /// // Cost = number of misplaced values; solved when sorted.
 /// #[derive(Clone)]
@@ -409,40 +417,65 @@ pub fn select_winner(records: &[WalkRecord]) -> Option<usize> {
 /// let sequential = SequentialExecutor.execute(&|| Sort(16), &batch);
 /// let threaded = ThreadsExecutor.execute(&|| Sort(16), &batch);
 ///
-/// // back-ends agree walk for walk, bit for bit
+/// // one worker and one per core agree walk for walk, bit for bit
 /// for (s, t) in sequential.records.iter().zip(threaded.records.iter()) {
 ///     assert_eq!(s.seed, t.seed);
 ///     assert_eq!(s.outcome.stats.iterations, t.outcome.stats.iterations);
 ///     assert!(s.outcome.solved() && t.outcome.solved());
 /// }
 /// ```
-pub trait WalkExecutor: Sync {
-    /// How many workers run a batch of `walks` walks.  The calling thread
-    /// is always one of them, so a value below 1 counts as 1.
-    fn workers(&self, walks: usize) -> usize;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkExecutor {
+    /// The most workers a batch may take, before its walk count and the
+    /// host's cores cap it.
+    max_workers: usize,
+}
+
+/// One worker, the calling thread: the deterministic replay.
+///
+/// With [`WalkBatch::run_to_completion`] it runs the walks one after
+/// another, with one evaluator alive at a time: the replay behind the
+/// `speedup` binary's tables.  With first-finisher semantics it goes round
+/// the walks, advancing each by its `stop_check_interval` of iterations per
+/// turn, so every losing walk stops within one such slice of the winner's
+/// count: a `p`-walk batch returns the exact minimum `min` of the `p` walks'
+/// run lengths for at most `p · (min + slice)` iterations in all.
+// Named like a type: callers spell it as a value, `SequentialExecutor.execute(..)`.
+#[allow(non_upper_case_globals)]
+pub const SequentialExecutor: WalkExecutor = WalkExecutor { max_workers: 1 };
+
+/// One worker per walk, up to one per core: the paper's
+/// one-engine-per-core deployment.  A `p`-walk batch starts
+/// `min(p, cores) − 1` scoped threads beside the calling thread; a 1-walk
+/// batch starts none.  At `p ≤ cores` each walk runs to its end in one
+/// slice; beyond, each worker holds `⌈p / cores⌉` walks and goes round them
+/// as [`SequentialExecutor`] does.
+// Named like a type: callers spell it as a value, `ThreadsExecutor.execute(..)`.
+#[allow(non_upper_case_globals)]
+pub const ThreadsExecutor: WalkExecutor = WalkExecutor {
+    max_workers: usize::MAX,
+};
+
+impl WalkExecutor {
+    /// How many workers run a batch of `walks` walks.
+    fn workers(self, walks: usize) -> usize {
+        walks.min(self.max_workers).min(cores())
+    }
 
     /// Execute a batch without telemetry.
-    fn execute<F>(&self, factory: &F, batch: &WalkBatch) -> BatchExecution
-    where
-        F: EvaluatorFactory,
-        Self: Sized,
-    {
+    pub fn execute<F: EvaluatorFactory>(&self, factory: &F, batch: &WalkBatch) -> BatchExecution {
         execute_inner(self.workers(batch.walks()), factory, batch, None, None)
     }
 
     /// Execute a batch, emitting [`WalkEvent`]s to `sink` as walks start,
     /// restart, improve and finish.  Telemetry is passive: the records are
-    /// bit-identical to [`execute`](WalkExecutor::execute).
-    fn execute_with_telemetry<F>(
+    /// bit-identical to [`execute`](Self::execute).
+    pub fn execute_with_telemetry<F: EvaluatorFactory>(
         &self,
         factory: &F,
         batch: &WalkBatch,
         sink: &dyn EventSink,
-    ) -> BatchExecution
-    where
-        F: EvaluatorFactory,
-        Self: Sized,
-    {
+    ) -> BatchExecution {
         let workers = self.workers(batch.walks());
         execute_inner(workers, factory, batch, Some(sink), None)
     }
@@ -453,22 +486,18 @@ pub trait WalkExecutor: Sync {
     /// panicking walk recovers its published best into a
     /// [`WalkFault::Panicked`] record instead of aborting the batch.
     /// Supervision is passive on the fault-free path: records are
-    /// bit-identical to [`execute`](WalkExecutor::execute).
+    /// bit-identical to [`execute`](Self::execute).
     ///
     /// # Panics
     ///
     /// Panics if `supervision` is not sized for the batch's walk count.
-    fn execute_supervised<F>(
+    pub fn execute_supervised<F: EvaluatorFactory>(
         &self,
         factory: &F,
         batch: &WalkBatch,
         sink: Option<&dyn EventSink>,
         supervision: &Supervision,
-    ) -> BatchExecution
-    where
-        F: EvaluatorFactory,
-        Self: Sized,
-    {
+    ) -> BatchExecution {
         assert_eq!(
             supervision.walks(),
             batch.walks(),
@@ -479,39 +508,12 @@ pub trait WalkExecutor: Sync {
     }
 }
 
-/// One worker per walk — the closest analogue of the paper's
-/// one-MPI-process-per-core deployment.  A `p`-walk batch starts `p − 1`
-/// scoped threads beside the calling thread; a 1-walk batch starts none.
-/// Each walk runs to its end in one slice.
-///
-/// The worker count is not capped at the machine's cores: bounding what a
-/// request may start is left to admission limits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadsExecutor;
-
-impl WalkExecutor for ThreadsExecutor {
-    fn workers(&self, walks: usize) -> usize {
-        walks
-    }
-}
-
-/// One worker: the calling thread runs every walk — the deterministic
-/// replay.
-///
-/// With [`WalkBatch::run_to_completion`] it runs the walks one after
-/// another, with one evaluator alive at a time: the replay back-end of the
-/// `speedup` binary's tables.  With first-finisher semantics it goes round
-/// the walks, advancing each by its `stop_check_interval` of iterations per
-/// turn, so every losing walk stops within one such slice of the winner's
-/// count: a `p`-walk batch returns the exact minimum `min` of the `p` walks'
-/// run lengths for at most `p · (min + slice)` iterations in all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialExecutor;
-
-impl WalkExecutor for SequentialExecutor {
-    fn workers(&self, _walks: usize) -> usize {
-        1
-    }
+/// The host's cores as the standard library reports them, read once per
+/// process (a read costs microseconds, a tiny batch hundreds); 1 if the
+/// count cannot be read.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Run every walk index `i < walks` on `workers` workers — the calling
@@ -581,7 +583,7 @@ where
     results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// The shared execution path behind every back-end's `execute*` methods.
+/// The shared execution path behind [`WalkExecutor`]'s `execute*` methods.
 fn execute_inner<F>(
     workers: usize,
     factory: &F,

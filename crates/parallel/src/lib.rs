@@ -10,16 +10,18 @@
 //! All execution flows through one layer — the [`executor`] module: a
 //! [`WalkJob`] describes one walk, a [`WalkBatch`] bundles jobs with their
 //! [`WalkSeeds`] family, stop semantics and an optional deadline, and a
-//! [`WalkExecutor`] back-end decides how many workers run the walks.  One
+//! [`WalkExecutor`] runs the walks on at most one worker per core.  One
 //! worker loop runs every batch: the calling thread plus `workers − 1`
 //! scoped threads, each taking the next walk from a shared counter, with a
-//! shared atomic iteration bound between the walks.
+//! shared atomic iteration bound between the walks.  A worker that holds
+//! several walks of a first-finisher batch goes round them one slice at a
+//! time.  The executor has two values:
 //!
-//! * [`ThreadsExecutor`] — one worker per walk: the closest analogue of the
-//!   paper's one-MPI-process-per-core setup;
+//! * [`ThreadsExecutor`] — one worker per walk, up to one per core: the
+//!   paper's one-MPI-process-per-core setup, with walks beyond the cores
+//!   going round-robin on the workers;
 //! * [`SequentialExecutor`] — one worker, the calling thread: the
-//!   deterministic replay back-end, which goes round the walks of a
-//!   first-finisher batch one slice at a time.
+//!   deterministic replay.
 //!
 //! Executing a batch yields a [`BatchExecution`]: one [`WalkRecord`] per
 //! walk, the winner, the anytime incumbent and any degradation.  The paper's
@@ -36,7 +38,7 @@
 //!
 //! ```
 //! use cbls_core::{Evaluator, SearchConfig};
-//! use cbls_parallel::{SimulatedMultiWalk, ThreadsExecutor, WalkBatch, WalkExecutor};
+//! use cbls_parallel::{SimulatedMultiWalk, ThreadsExecutor, WalkBatch};
 //!
 //! // Cost = number of misplaced values; solved when sorted.
 //! #[derive(Clone)]

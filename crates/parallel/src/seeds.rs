@@ -56,7 +56,7 @@ impl WalkSeeds {
     /// sequence at the walk's own seed and draws child `a`, so every retry
     /// stream is (a) a pure function of `(master, walk_id, attempt)`,
     /// (b) distinct from all sibling walks and other attempts, and
-    /// (c) reproducible bit-for-bit on any back-end.
+    /// (c) reproducible bit-for-bit on any worker count.
     #[must_use]
     pub fn seed_of_attempt(&self, walk_id: usize, attempt: u32) -> u64 {
         if attempt == 0 {

@@ -33,17 +33,19 @@ impl SimulatedMultiWalk {
     /// Replay every walk of `batch` on `executor`.  The replay forces
     /// [run-to-completion](WalkBatch::run_to_completion) semantics and drops
     /// any timeout, so no walk is interrupted by a sibling's success or by
-    /// the clock: the records are the same on every back-end, and only the
-    /// wall-clock time of the replay itself differs.
+    /// the clock: the records are the same on every worker count, and only
+    /// the wall-clock time of the replay itself differs.  Each worker runs
+    /// its walks one after another, so at most one evaluator per worker is
+    /// alive at once.
     ///
     /// # Panics
     ///
     /// Panics if the batch has no walks.
-    pub fn replay<X, F>(factory: &F, batch: &WalkBatch, executor: &X) -> Self
-    where
-        X: WalkExecutor,
-        F: EvaluatorFactory,
-    {
+    pub fn replay<F: EvaluatorFactory>(
+        factory: &F,
+        batch: &WalkBatch,
+        executor: &WalkExecutor,
+    ) -> Self {
         assert!(batch.walks() > 0, "a replay needs at least one walk");
         let batch = batch.clone().run_to_completion().without_timeout();
         Self {
@@ -88,7 +90,7 @@ impl SimulatedMultiWalk {
 
     /// Index of the walk that wins a `p`-walk run, per [`select_winner`]:
     /// the first-finisher batch of the first `p` walks picks this walk, with
-    /// this record, on every back-end.
+    /// this record, on every worker count.
     #[must_use]
     pub fn winner(&self, p: usize) -> Option<usize> {
         select_winner(&self.records[..p.min(self.records.len())])

@@ -8,19 +8,19 @@
 //! out or faults still returns its best incumbent).  This crate supplies the
 //! policy half of that contract:
 //!
-//! * [`Supervisor`] — wraps any [`WalkExecutor`](cbls_parallel::WalkExecutor)
-//!   back-end, runs batches under a heartbeat watchdog ([`WatchdogConfig`])
-//!   that cancels walks whose heartbeat stops advancing, and reschedules
-//!   faulted walks under a [`RetryPolicy`] on deterministically rederived
-//!   seed streams (attempt `a` of walk `w` draws
+//! * [`Supervisor`] — wraps a [`WalkExecutor`](cbls_parallel::WalkExecutor),
+//!   runs batches under a heartbeat watchdog ([`WatchdogConfig`]) that
+//!   cancels walks whose heartbeat stops advancing, and reschedules faulted
+//!   walks under a [`RetryPolicy`] on deterministically rederived seed
+//!   streams (attempt `a` of walk `w` draws
 //!   [`WalkSeeds::seed_of_attempt(w, a)`](cbls_parallel::WalkSeeds::seed_of_attempt),
-//!   bit-reproducible on every back-end);
+//!   bit-reproducible on every worker count);
 //! * [`RetryPolicy`] — bounded attempts; a retry starts at once and runs
 //!   within the batch's remaining deadline;
 //! * [`FaultPlan`] / [`ChaosFactory`] — a seeded fault-injection harness
 //!   that makes a wrapped evaluator panic or stall at the `k`-th cost probe
-//!   of a chosen `(walk, attempt)`, deterministically across the
-//!   sequential and threads back-ends — the chaos suite's foundation.
+//!   of a chosen `(walk, attempt)`, deterministically on one worker and on
+//!   one per core — the chaos suite's foundation.
 //!
 //! The stall model is *cooperative*: a stalled walk is one whose evaluator
 //! transiently hangs (a long blocking call, a pathological neighbourhood),

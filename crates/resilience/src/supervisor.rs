@@ -1,7 +1,7 @@
 //! The supervisor: watchdog-guarded batch execution with deterministic
 //! retries.
 //!
-//! [`Supervisor::run`] executes a batch through any back-end's
+//! [`Supervisor::run`] executes a batch through its [`WalkExecutor`]'s
 //! `execute_supervised` path, with three layers of protection on top of the
 //! executor's built-in panic isolation:
 //!
@@ -109,18 +109,18 @@ impl SupervisedExecution {
     }
 }
 
-/// Fault-isolated supervised execution over any back-end; see the module
-/// docs.
+/// Fault-isolated supervised execution over a [`WalkExecutor`]; see the
+/// module docs.
 #[derive(Debug, Clone)]
-pub struct Supervisor<X> {
-    executor: X,
+pub struct Supervisor {
+    executor: WalkExecutor,
     policy: RetryPolicy,
     watchdog: WatchdogConfig,
 }
 
-impl<X: WalkExecutor> Supervisor<X> {
+impl Supervisor {
     /// Supervise `executor` with the default retry policy and watchdog.
-    pub fn new(executor: X) -> Self {
+    pub fn new(executor: WalkExecutor) -> Self {
         Self {
             executor,
             policy: RetryPolicy::default(),
@@ -566,7 +566,7 @@ mod tests {
 
     #[test]
     fn a_supervised_pass_does_not_wait_out_the_poll() {
-        fn run_on<X: WalkExecutor + Send + 'static>(executor: X) {
+        fn run_on(executor: WalkExecutor) {
             let run = within_ten_seconds(move || {
                 // The hold lets the watchdog fall asleep on its first poll
                 // before the walk ends, and the poll is far longer than it.

@@ -3,9 +3,7 @@
 //! Blackman & Vigna's xoshiro256++ is fast (a handful of ALU operations per
 //! output), has a 256-bit state with period 2^256 − 1, and passes BigCrush.
 //! Each independent search engine owns one instance seeded from a
-//! [`SeedSequence`](crate::SeedSequence), and `long_jump` provides an extra
-//! 2^192-step separation between streams when sub-streams must be carved out
-//! of a single generator.
+//! [`SeedSequence`](crate::SeedSequence).
 
 use crate::source::RandomSource;
 use crate::splitmix::SplitMix64;
@@ -36,33 +34,6 @@ impl Xoshiro256PlusPlus {
         let mut sm = SplitMix64::new(seed);
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         Self::from_seed(s)
-    }
-
-    /// Advance the state by 2^192 steps, yielding a stream that will not
-    /// overlap the original for 2^192 outputs.
-    pub fn long_jump(&mut self) {
-        const LONG_JUMP: [u64; 4] = [
-            0x76e1_5d3e_fefd_cbbf,
-            0xc5004e441c522fb3,
-            0x77710069854ee241,
-            0x39109bb02acbe635,
-        ];
-        let mut s0 = 0u64;
-        let mut s1 = 0u64;
-        let mut s2 = 0u64;
-        let mut s3 = 0u64;
-        for jump in LONG_JUMP {
-            for b in 0..64 {
-                if (jump & (1u64 << b)) != 0 {
-                    s0 ^= self.s[0];
-                    s1 ^= self.s[1];
-                    s2 ^= self.s[2];
-                    s3 ^= self.s[3];
-                }
-                let _ = self.next_u64();
-            }
-        }
-        self.s = [s0, s1, s2, s3];
     }
 
     /// Expose the internal state (used by checkpointing tests).
@@ -110,17 +81,6 @@ mod tests {
         let a = g.next_u64();
         let b = g.next_u64();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn long_jump_changes_state_and_stream() {
-        let mut a = Xoshiro256PlusPlus::from_u64_seed(99);
-        let mut b = a.clone();
-        b.long_jump();
-        assert_ne!(a.state(), b.state());
-        let xs: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
     }
 
     #[test]

@@ -164,7 +164,8 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Two-to-four workers (bounded by the machine) and a 64-deep queue.
+    /// One worker per core, at most four (two if the core count cannot be
+    /// read), and a 64-deep queue.
     fn default() -> Self {
         let workers = thread::available_parallelism().map_or(2, |n| n.get().min(4));
         Self {
@@ -586,7 +587,6 @@ mod tests {
     use crate::wire::WIRE_SCHEMA;
     use as_rng::{default_rng, exponential};
     use cbls_core::TerminationReason;
-    use cbls_parallel::WalkExecutor;
     use cbls_perfmodel::EmpiricalDistribution;
 
     fn quick_service(workers: usize) -> SolveService {

@@ -3,19 +3,21 @@
 //! (and the iteration count of the winning walk) drop as walks are added.
 //!
 //! ```text
-//! cargo run --release --example costas_parallel            # CAP 12
+//! cargo run --release --example costas_parallel            # CAP 12, up to 256 walks
 //! cargo run --release --example costas_parallel 13 8       # CAP 13, up to 8 walks
 //! ```
 //!
-//! Every threaded batch must return the deterministic replay's `p`-walk
-//! minimum, so a divergence between the back-ends fails the run.
+//! The threaded batches run on at most one thread per core: past the cores,
+//! each thread goes round several walks.  Every threaded batch must return
+//! the deterministic replay's `p`-walk minimum, so a divergence between one
+//! worker and one per core fails the run.
 
 use parallel_cbls::prelude::*;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let order: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(12);
-    let max_walks: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
+    let max_walks: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(256);
 
     // The deterministic simulated runner, the replay on `SequentialExecutor`
     // that the `speedup` binary's tables use: every walk runs to completion,

@@ -197,8 +197,8 @@ fn incumbent_follows_the_winner_on_every_backend() {
 
 /// Three strategy variants of a benchmark's tuned configuration, each a
 /// single restart of `budget` iterations, cycled over `walks` labelled jobs:
-/// a genuinely heterogeneous batch (greedy first-improvement and a halved
-/// plateau acceptance next to the tuned baseline).
+/// a genuinely heterogeneous batch (a one-iteration longer freeze and a
+/// halved plateau acceptance next to the tuned baseline).
 fn heterogeneous_batch(
     bench: &Benchmark,
     master_seed: u64,
@@ -208,11 +208,11 @@ fn heterogeneous_batch(
     let mut tuned = bench.tuned_config();
     tuned.max_iterations_per_restart = budget;
     tuned.max_restarts = 0;
-    let mut eager = tuned.clone();
-    eager.first_best = true;
+    let mut frozen = tuned.clone();
+    frozen.freeze_duration += 1;
     let mut sticky = tuned.clone();
     sticky.plateau_probability = (tuned.plateau_probability * 0.5).clamp(0.0, 1.0);
-    let protos = [("tuned", tuned), ("first-best", eager), ("sticky", sticky)];
+    let protos = [("tuned", tuned), ("frozen", frozen), ("sticky", sticky)];
     let jobs = (0..walks)
         .map(|w| {
             let (label, search) = &protos[w % protos.len()];

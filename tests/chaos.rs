@@ -36,8 +36,8 @@ fn endless_search(bench: &Benchmark) -> SearchConfig {
 }
 
 /// Run `batch` through a supervisor over `executor` with `plan` injected.
-fn run_chaos<X: WalkExecutor>(
-    executor: X,
+fn run_chaos(
+    executor: WalkExecutor,
     bench: &Benchmark,
     plan: FaultPlan,
     batch: &WalkBatch,

@@ -1,6 +1,6 @@
 //! The four model-layer benchmarks (magic sequence, Golomb ruler, graph
 //! coloring, quasigroup completion) must run unchanged through the whole
-//! stack: every `WalkExecutor` back-end solves them at small sizes with
+//! stack: both `WalkExecutor` back-ends solve them at small sizes with
 //! identical per-walk outcomes, and a heterogeneous batch of labelled
 //! strategies drives them like any hand-coded benchmark.
 
@@ -80,13 +80,13 @@ fn a_heterogeneous_labelled_batch_drives_model_benchmarks() {
         let mut tuned = bench.tuned_config();
         tuned.max_iterations_per_restart = 2_000_000;
         tuned.max_restarts = 0;
-        let mut eager = tuned.clone();
-        eager.first_best = true;
+        let mut frozen = tuned.clone();
+        frozen.freeze_duration += 1;
         let mut sticky = tuned.clone();
         sticky.plateau_probability = (tuned.plateau_probability * 0.5).clamp(0.0, 1.0);
         let jobs = vec![
             WalkJob::new(tuned).with_label("tuned"),
-            WalkJob::new(eager).with_label("first-best"),
+            WalkJob::new(frozen).with_label("frozen"),
             WalkJob::new(sticky).with_label("sticky"),
         ];
         let batch = WalkBatch::new(WalkSeeds::new(77), jobs);

@@ -1,8 +1,16 @@
 //! Integration tests of the walk-executor layer: deadline-aware
-//! cancellation on every back-end, and the telemetry event contract.
+//! cancellation on one worker and on one per core, the telemetry event
+//! contract, and the cap of one worker per core.
 
+use std::collections::HashSet;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
+use parallel_cbls::core::EvaluatorFactory;
+use parallel_cbls::parallel::EventSink;
 use parallel_cbls::prelude::*;
 
 /// A search configuration that can never finish on its own within a test's
@@ -123,7 +131,7 @@ fn deadline_is_shared_by_late_starting_walks() {
 
 /// One worker ends each walk's slice one heartbeat interval past its count,
 /// saturated at `u64::MAX`: at the largest intervals, with iteration budgets
-/// at and near `u64::MAX`, it returns the winner of one walk per thread.
+/// at and near `u64::MAX`, it returns the threaded batch's winner.
 /// Release builds wrap on overflow where debug builds panic, and CI runs
 /// this suite in both.
 #[test]
@@ -351,4 +359,138 @@ fn degenerate_batches_survive_supervised_execution() {
         Some(DegradationReason::DeadlineExpired)
     );
     assert!(execution.incumbent.is_some() || execution.records.is_empty());
+}
+
+/// The cores the standard library reports, as the executor reads them.
+fn cores() -> usize {
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Solves after exactly `length` iterations: the cost starts there and
+/// every swap offers one less, so a walk's length is fixed and only its
+/// solution follows its random stream.  Counts its drop on its gauge.
+struct Countdown {
+    length: i64,
+    gauge: Arc<Gauge>,
+}
+
+impl Evaluator for Countdown {
+    fn size(&self) -> usize {
+        6
+    }
+    fn init(&mut self, _perm: &[usize]) -> i64 {
+        self.length
+    }
+    fn cost(&self, _perm: &[usize]) -> i64 {
+        self.length
+    }
+    fn cost_on_variable(&self, _perm: &[usize], _i: usize) -> i64 {
+        1
+    }
+    fn cost_if_swap(&self, _perm: &[usize], cost: i64, _i: usize, _j: usize) -> i64 {
+        cost - 1
+    }
+}
+
+impl Drop for Countdown {
+    fn drop(&mut self) {
+        // Relaxed (every gauge count): each update is one read-modify-write
+        // of one counter, and the counts are read after the batch joined.
+        self.gauge.alive.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Evaluators built, alive, and the most alive at once.
+#[derive(Default)]
+struct Gauge {
+    built: AtomicUsize,
+    alive: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+/// Builds walk `w` a [`Countdown`] of 1 000 to 3 040 iterations, the
+/// shortest on walk 175 alone, and counts builds on its gauge.
+#[derive(Default)]
+struct Countdowns {
+    gauge: Arc<Gauge>,
+}
+
+impl EvaluatorFactory for Countdowns {
+    type Output = Countdown;
+    fn build(&self) -> Countdown {
+        self.build_walk(0, 0)
+    }
+    fn build_walk(&self, walk_id: usize, _attempt: u32) -> Countdown {
+        let gauge = &self.gauge;
+        // Relaxed: see `Countdown::drop`.
+        gauge.built.fetch_add(1, Ordering::Relaxed);
+        // Relaxed: see `Countdown::drop`.
+        let alive = gauge.alive.fetch_add(1, Ordering::Relaxed) + 1;
+        // Relaxed: see `Countdown::drop`.
+        gauge.peak.fetch_max(alive, Ordering::Relaxed);
+        let step = (walk_id * 89 + 41) % 256;
+        Countdown {
+            length: 1_000 + 8 * step as i64,
+            gauge: Arc::clone(gauge),
+        }
+    }
+}
+
+/// One restart, long enough for every countdown.
+fn countdown_search() -> SearchConfig {
+    SearchConfig::builder()
+        .max_iterations_per_restart(10_000)
+        .max_restarts(0)
+        .build()
+}
+
+/// Records the thread each walk starts on.
+#[derive(Default)]
+struct StartThreads(Mutex<HashSet<ThreadId>>);
+
+impl EventSink for StartThreads {
+    fn record(&self, event: &WalkEvent) {
+        if matches!(event, WalkEvent::Started { .. }) {
+            self.0.lock().unwrap().insert(thread::current().id());
+        }
+    }
+}
+
+/// A 256-walk first-finisher batch on threads starts its walks on at most
+/// one thread per core, and returns the winner, with its record, of the
+/// replay on one worker.
+#[test]
+fn a_threaded_batch_runs_on_at_most_one_thread_per_core() {
+    let batch = WalkBatch::uniform(29, &countdown_search(), 256);
+    let sink = StartThreads::default();
+    let run = ThreadsExecutor.execute_with_telemetry(&Countdowns::default(), &batch, &sink);
+    let (threads, cores) = (sink.0.into_inner().unwrap().len(), cores());
+    assert!(threads <= cores, "{threads} threads on {cores} cores");
+
+    let replay = SimulatedMultiWalk::replay(&Countdowns::default(), &batch, &SequentialExecutor);
+    let expect = &replay.records()[replay.winner(256).expect("every countdown solves")];
+    assert_eq!(expect.walk_id, 175);
+    assert_eq!(run.winner, Some(expect.walk_id));
+    let got = run.winning_record().unwrap();
+    assert_eq!(got.seed, expect.seed);
+    assert_eq!(got.outcome.stats, expect.outcome.stats);
+    assert_eq!(got.outcome.solution, expect.outcome.solution);
+}
+
+/// A 256-walk replay on threads runs walk after walk on each worker: no
+/// more evaluators are alive at once than the host has cores.
+#[test]
+fn a_threaded_replay_keeps_at_most_one_evaluator_per_core_alive() {
+    let factory = Countdowns::default();
+    let batch = WalkBatch::uniform(29, &countdown_search(), 256);
+    let replay = SimulatedMultiWalk::replay(&factory, &batch, &ThreadsExecutor);
+    assert!((replay.success_rate() - 1.0).abs() < 1e-12);
+    let gauge = &factory.gauge;
+    // Relaxed (the three loads): the replay joined every worker.
+    assert_eq!(gauge.built.load(Ordering::Relaxed), 256);
+    // Relaxed: see above.
+    assert_eq!(gauge.alive.load(Ordering::Relaxed), 0, "each was dropped");
+    // Relaxed: see above.
+    let (peak, cores) = (gauge.peak.load(Ordering::Relaxed), cores());
+    assert!(peak <= cores, "{peak} evaluators alive on {cores} cores");
 }
