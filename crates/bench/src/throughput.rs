@@ -340,8 +340,9 @@ pub fn measure_recorder_overhead(
 /// Measure the cost of the supervision layer on one benchmark: the plain run
 /// against `execute_supervised` with a fresh [`Supervision`] table
 /// (heartbeat publication at every stop-poll, best-so-far slots, kill-flag
-/// polling) — the fault-free steady state a long campaign pays for all the
-/// time.  `events` reports the heartbeats the supervised run published, and
+/// polling, and the walk advanced and timed one `stop_check_interval` slice
+/// at a time for the stall check) — the fault-free steady state a long
+/// campaign pays for all the time.  `events` reports the heartbeats the supervised run published, and
 /// repetitions continue until the estimate settles inside
 /// [`SUPERVISION_OVERHEAD_BUDGET`] (see `measure_overhead`).
 #[must_use]

@@ -147,10 +147,11 @@ pub trait SearchObserver {
     }
 
     /// Liveness heartbeat: fired every `stop_check_interval` iterations at
-    /// the engine's stop-poll site, with the iteration count so far.  A stall
-    /// watchdog can compare successive readings of a counter incremented
-    /// here; a search that stops calling this either finished or is stuck
-    /// inside its evaluator.
+    /// the engine's stop-poll site, with the iteration count so far.  The
+    /// supervision layer counts the beats, and a stall report carries the
+    /// count a walk reached; the stall rule itself times the walk's slices
+    /// of `stop_check_interval` iterations, each of which begins with a
+    /// beat.
     fn on_heartbeat(&mut self, iterations: u64) {
         let _ = iterations;
     }

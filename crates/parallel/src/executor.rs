@@ -55,7 +55,7 @@ use cbls_core::{
 use serde::{Deserialize, Serialize};
 
 use crate::seeds::WalkSeeds;
-use crate::supervision::{DegradationReason, FaultKind, Supervision, WalkFault};
+use crate::supervision::{DegradationReason, FaultKind, Supervision, WalkFault, STALL_WINDOW};
 use crate::telemetry::{EventSink, WalkEvent, WalkObserver};
 
 /// A restart-budget schedule shared across threads: maps the 0-based restart
@@ -484,9 +484,12 @@ impl WalkExecutor {
     /// anytime incumbents and liveness heartbeats into it, each walk's
     /// [`StopControl`] carries the table's per-walk kill flag, and a
     /// panicking walk recovers its published best into a
-    /// [`WalkFault::Panicked`] record instead of aborting the batch.
-    /// Supervision is passive on the fault-free path: records are
-    /// bit-identical to [`execute`](Self::execute).
+    /// [`WalkFault::Panicked`] record instead of aborting the batch.  Every
+    /// walk advances in slices of its `stop_check_interval`, and a slice
+    /// that runs longer than [`STALL_WINDOW`] raises its walk's kill flag:
+    /// the walk stops at its next iteration, and [`Supervision::killed`]
+    /// reports it.  Supervision is passive on the fault-free path: records
+    /// are bit-identical to [`execute`](Self::execute).
     ///
     /// # Panics
     ///
@@ -610,7 +613,7 @@ where
         .map(|job| AdaptiveSearch::new(job.search.clone()))
         .collect();
     // A supervised walk's stop control additionally carries its personal
-    // kill flag, so the watchdog can cancel it without touching siblings.
+    // kill flag, so a stall cancels it without touching siblings.
     let stops: Vec<StopControl> = (0..batch.walks())
         .map(|walk_id| match supervision {
             Some(supervision) => stop
@@ -622,7 +625,8 @@ where
     // A worker that holds several walks of a first-finisher batch advances
     // them in turn, one heartbeat interval of iterations each, so that they
     // reach the winner's count together.  A replay runs each walk to its end
-    // before the next, with one evaluator alive at a time.
+    // before the next, with one evaluator alive at a time.  A supervised
+    // walk is always sliced, so that its worker can time every slice.
     let workers = workers.max(1);
     let hold = if batch.stop_on_first_success {
         batch.walks().div_ceil(workers).max(1)
@@ -639,9 +643,9 @@ where
             // stop at their next iteration, and the worker loop hands the
             // panic to the caller instead of waiting out their budgets.
             let _stop_siblings = StopOnUnwind(stop);
-            if let Some(supervision) = supervision {
-                supervision.mark_running(walk_id);
-            }
+            // A supervised slice is timed from here, the walk's setup
+            // included.
+            let timed = supervision.map(|supervision| (supervision, monotonic_now()));
             // Walk-level fault isolation: a panicking evaluator (or engine)
             // becomes a structured `WalkFault::Panicked` record instead of
             // unwinding through the worker loop and killing the whole batch.
@@ -668,8 +672,13 @@ where
             .unwrap_or_else(|payload| {
                 Some(panicked_record(batch, walk_id, &payload, sink, supervision))
             });
-            if let Some(supervision) = supervision {
-                supervision.mark_parked(walk_id);
+            // The stall rule: a slice that overran the window raises the
+            // walk's kill flag, so the walk stops at its next iteration and
+            // the supervisor reports it stalled.
+            if let Some((supervision, started)) = timed {
+                if started.elapsed() > STALL_WINDOW {
+                    supervision.kill(walk_id);
+                }
             }
             record
         }
@@ -770,7 +779,7 @@ struct WalkSlot<'a, E> {
     seed: u64,
     attempt: u32,
     /// Iterations per slice: the walk's heartbeat interval when its worker
-    /// holds other walks, all of them otherwise.
+    /// holds other walks or the walk is supervised, all of them otherwise.
     slice: u64,
     stop: &'a StopControl,
     evaluator: E,
@@ -804,7 +813,7 @@ impl<'a, E: Evaluator> WalkSlot<'a, E> {
         Self {
             seed,
             attempt: stream.attempt,
-            slice: if hold > 1 {
+            slice: if hold > 1 || observer.supervision.is_some() {
                 job.search.stop_check_interval
             } else {
                 u64::MAX

@@ -82,5 +82,5 @@ pub use executor::{
 };
 pub use seeds::WalkSeeds;
 pub use simulate::SimulatedMultiWalk;
-pub use supervision::{DegradationReason, FaultKind, Supervision, WalkFault};
+pub use supervision::{DegradationReason, FaultKind, Supervision, WalkFault, STALL_WINDOW};
 pub use telemetry::{EventLog, EventSink, WalkEvent};

@@ -1,22 +1,22 @@
-//! Batch supervision state: fault taxonomy, anytime incumbents, heartbeats
-//! and per-walk kill switches.
+//! Batch supervision state: fault taxonomy, anytime incumbents, heartbeats,
+//! per-walk kill switches and the stall rule.
 //!
 //! A [`Supervision`] table is the executor-side half of the resilience
-//! contract (the policy half — retries, watchdog cadence — lives in
-//! `cbls-resilience`).  One table is sized for one batch and carries, per
-//! walk:
+//! contract (the policy half — retries — lives in `cbls-resilience`).  One
+//! table is sized for one batch and carries, per walk:
 //!
 //! * a [`BestSoFar`] slot the engine publishes strict improvements into
 //!   (anytime incumbents that survive panics and deadlines);
-//! * an atomic heartbeat counter ticked at every engine stop-poll, so a
-//!   watchdog can distinguish "still searching" from "stuck inside the
-//!   evaluator";
+//! * an atomic heartbeat counter ticked at every engine stop-poll, whose
+//!   reading a stalled walk's fault reports;
 //! * a kill flag wired into the walk's [`StopControl`](cbls_core::StopControl)
-//!   as its local flag, letting a supervisor cancel exactly one walk;
-//! * a running flag the executor raises while a slice of the walk runs and
-//!   lowers when the slice ends, so a watchdog never mistakes a walk that
-//!   has not begun, waits for its next slice or has returned for a stalled
-//!   one.
+//!   as its local flag, letting the executor cancel exactly one walk.
+//!
+//! The stall rule is the executor's: a supervised walk advances one
+//! `stop_check_interval` of iterations per slice, and the worker that runs a
+//! slice times it.  A slice that runs longer than [`STALL_WINDOW`] raises
+//! the walk's kill flag, and the walk stops at its next iteration.  A walk
+//! waiting for its next slice runs no slice, so it is never timed.
 //!
 //! Everything here is passive bookkeeping: attaching a table changes no
 //! trajectory, no RNG stream and no winner (the throughput harness prices
@@ -25,9 +25,16 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use cbls_core::BestSoFar;
 use serde::{Deserialize, Serialize};
+
+/// The longest a supervised walk's slice may run before the walk counts as
+/// stalled.  A slice is one `stop_check_interval` of iterations, so the
+/// window must comfortably exceed the slowest healthy interval; 200 ms is
+/// orders of magnitude above the microseconds a typical one takes.
+pub const STALL_WINDOW: Duration = Duration::from_millis(200);
 
 /// A structured fault attached to a [`WalkRecord`](crate::WalkRecord).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,7 +46,8 @@ pub enum WalkFault {
         /// the payload was not a `&str` / `String`).
         message: String,
     },
-    /// The walk's heartbeat stopped advancing and a supervisor cancelled it.
+    /// One slice of the walk ran longer than [`STALL_WINDOW`], and the
+    /// executor cancelled the walk.
     Stalled {
         /// The heartbeat reading at which the walk was declared stalled.
         heartbeats: u64,
@@ -84,7 +92,6 @@ pub struct Supervision {
     best: BestSoFar,
     heartbeats: Vec<AtomicU64>,
     kills: Vec<Arc<AtomicBool>>,
-    running: Vec<AtomicBool>,
 }
 
 impl Supervision {
@@ -97,7 +104,6 @@ impl Supervision {
             kills: (0..walks)
                 .map(|_| Arc::new(AtomicBool::new(false)))
                 .collect(),
-            running: (0..walks).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -117,8 +123,8 @@ impl Supervision {
     /// site; out-of-range ids are ignored).
     pub fn beat(&self, walk_id: usize) {
         if let Some(counter) = self.heartbeats.get(walk_id) {
-            // Relaxed: a monotonic liveness counter; the watchdog only
-            // compares successive readings, no other memory is published.
+            // Relaxed: a monotonic liveness count that publishes no other
+            // memory; a stall report reads it after the executor's joins.
             counter.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -128,7 +134,7 @@ impl Supervision {
     pub fn heartbeat_of(&self, walk_id: usize) -> u64 {
         self.heartbeats
             .get(walk_id)
-            // Relaxed: see `beat` — successive readings only.
+            // Relaxed: see `beat`.
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
@@ -143,12 +149,12 @@ impl Supervision {
         Arc::clone(&self.kills[walk_id])
     }
 
-    /// Cancel walk `walk_id` (no-op for out-of-range ids).
-    pub fn kill(&self, walk_id: usize) {
+    /// Cancel walk `walk_id` (no-op for out-of-range ids): the executor's
+    /// verdict on a slice that overran [`STALL_WINDOW`].
+    pub(crate) fn kill(&self, walk_id: usize) {
         if let Some(flag) = self.kills.get(walk_id) {
-            // Release: pairs with the Acquire poll in `StopControl`, so the
-            // killed walk observes whatever the supervisor wrote before
-            // deciding to cancel it.
+            // Release: pairs with the Acquire poll in `StopControl` and the
+            // Acquire load in `killed`.
             flag.store(true, Ordering::Release);
         }
     }
@@ -159,40 +165,6 @@ impl Supervision {
         self.kills
             .get(walk_id)
             // Acquire: pairs with the Release store in `kill`.
-            .is_some_and(|f| f.load(Ordering::Acquire))
-    }
-
-    /// Mark walk `walk_id` as running a slice (raised by the executor as a
-    /// slice of the walk begins; no-op for out-of-range ids).  A watchdog
-    /// monitors only running walks.
-    pub fn mark_running(&self, walk_id: usize) {
-        if let Some(flag) = self.running.get(walk_id) {
-            // Release: pairs with the Acquire load in `is_running`.
-            flag.store(true, Ordering::Release);
-        }
-    }
-
-    /// Mark walk `walk_id` as parked (lowered by the executor as a slice of
-    /// the walk ends, whether the walk waits for its next slice or has
-    /// returned; no-op for out-of-range ids).  A parked walk's heartbeat is
-    /// flat because the walk is not running, so a watchdog does not count it
-    /// as a stall.
-    pub fn mark_parked(&self, walk_id: usize) {
-        if let Some(flag) = self.running.get(walk_id) {
-            // Release: pairs with the Acquire load in `is_running`, so a
-            // watchdog that sees the walk parked also sees its final state.
-            flag.store(false, Ordering::Release);
-        }
-    }
-
-    /// Whether walk `walk_id` is running a slice: it has begun, has not
-    /// returned, and is not waiting for its worker to come back to it.
-    #[must_use]
-    pub fn is_running(&self, walk_id: usize) -> bool {
-        self.running
-            .get(walk_id)
-            // Acquire: pairs with the Release stores in `mark_running` and
-            // `mark_parked`.
             .is_some_and(|f| f.load(Ordering::Acquire))
     }
 }
@@ -247,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_and_running_flags_are_per_walk() {
+    fn kill_flags_are_per_walk() {
         let sup = Supervision::new(2);
         assert!(!sup.killed(0));
         sup.kill(0);
@@ -259,13 +231,6 @@ mod tests {
         // Release: pairs with the Acquire load in `killed`.
         flag.store(true, Ordering::Release);
         assert!(sup.killed(1));
-
-        assert!(!sup.is_running(0));
-        sup.mark_running(0);
-        assert!(sup.is_running(0));
-        assert!(!sup.is_running(1));
-        sup.mark_parked(0);
-        assert!(!sup.is_running(0));
     }
 
     #[test]

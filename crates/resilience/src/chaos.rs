@@ -28,8 +28,9 @@ pub enum FaultSpec {
         probe: u64,
     },
     /// Hold the evaluator — and with it the walk's thread — for `hold` at
-    /// the `probe`-th cost probe, simulating a transient hang the watchdog
-    /// must catch.
+    /// the `probe`-th cost probe, simulating a transient hang: a hold longer
+    /// than [`STALL_WINDOW`](cbls_parallel::STALL_WINDOW) overruns its
+    /// slice, and the walk is reported stalled.
     Stall {
         /// The 1-based `cost_if_swap` call count at which to stall.
         probe: u64,
@@ -179,9 +180,10 @@ impl<E> ChaosEvaluator<E> {
             }
             Some(FaultSpec::Stall { probe, hold }) if n == probe => {
                 // Bounded spin standing in for a transiently hung evaluator:
-                // the thread is busy, heartbeats stop, the watchdog kills the
+                // the thread is busy and the walk's slice overruns; once the
+                // spin releases, the worker sees the overrun and kills the
                 // walk, and the engine observes the kill at its next
-                // iteration once the spin releases.
+                // iteration.
                 let released = monotonic_now() + hold;
                 while monotonic_now() < released {
                     std::hint::spin_loop();

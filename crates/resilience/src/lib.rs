@@ -9,8 +9,8 @@
 //! policy half of that contract:
 //!
 //! * [`Supervisor`] — wraps a [`WalkExecutor`](cbls_parallel::WalkExecutor),
-//!   runs batches under a heartbeat watchdog ([`WatchdogConfig`]) that
-//!   cancels walks whose heartbeat stops advancing, and reschedules faulted
+//!   runs batches through its supervised path, reports a walk the executor
+//!   cancelled for a stalled slice as stalled, and reschedules faulted
 //!   walks under a [`RetryPolicy`] on deterministically rederived seed
 //!   streams (attempt `a` of walk `w` draws
 //!   [`WalkSeeds::seed_of_attempt(w, a)`](cbls_parallel::WalkSeeds::seed_of_attempt),
@@ -23,10 +23,13 @@
 //!   one per core — the chaos suite's foundation.
 //!
 //! The stall model is *cooperative*: a stalled walk is one whose evaluator
-//! transiently hangs (a long blocking call, a pathological neighbourhood),
-//! so the watchdog's per-walk kill flag takes effect at the walk's next
-//! iteration once the hang releases the thread.  A walk that never returns
-//! cannot be reclaimed without unsafe thread cancellation, which this
+//! transiently hangs (a long blocking call, a pathological neighbourhood).
+//! A supervised walk runs in slices of its `stop_check_interval`, and the
+//! worker that runs a slice times it: once a slice that overran
+//! [`STALL_WINDOW`](cbls_parallel::STALL_WINDOW) returns, the walk's kill
+//! flag is raised and the walk stops at its next iteration.  Nothing
+//! watches a walk from outside, so a walk that never returns is never
+//! reclaimed; that would take unsafe thread cancellation, which this
 //! workspace forbids.
 
 #![forbid(unsafe_code)]
@@ -38,4 +41,4 @@ mod supervisor;
 
 pub use chaos::{ChaosEvaluator, ChaosFactory, FaultPlan, FaultSpec, FaultWindow};
 pub use retry::RetryPolicy;
-pub use supervisor::{RetryOutcome, SupervisedExecution, Supervisor, WatchdogConfig};
+pub use supervisor::{RetryOutcome, SupervisedExecution, Supervisor};

@@ -1,16 +1,14 @@
-//! The supervisor: watchdog-guarded batch execution with deterministic
-//! retries.
+//! The supervisor: supervised batch execution with deterministic retries.
 //!
 //! [`Supervisor::run`] executes a batch through its [`WalkExecutor`]'s
 //! `execute_supervised` path, with three layers of protection on top of the
 //! executor's built-in panic isolation:
 //!
-//! 1. a **watchdog thread** polls every running walk's heartbeat counter and
-//!    kills (via the walk's personal kill flag) any walk whose heartbeat
-//!    stops advancing for more than the configured grace period — these
-//!    walks come back as [`WalkFault::Stalled`] records.  The watchdog ends
-//!    as soon as the pass returns or unwinds, mid-interval, so a pass costs
-//!    one thread spawn and join, not a poll interval;
+//! 1. **stall classification**: the executor times every slice a
+//!    supervised walk runs and kills a walk whose slice overruns
+//!    [`STALL_WINDOW`]; a killed walk that did not solve anyway comes back
+//!    as a [`WalkFault::Stalled`] record.  A pass starts no thread of its
+//!    own;
 //! 2. a **retry loop** reschedules faulted walks as single-walk batches
 //!    pinned to the deterministically rederived stream of `(walk, attempt)`
 //!    ([`WalkSeeds::seed_of_attempt`]), under the [`RetryPolicy`]'s attempt
@@ -25,10 +23,8 @@
 //! ([`WalkEvent::Faulted`]) are emitted to the run's sink under the walk's
 //! *original* id; retry passes themselves run without a sink so the
 //! lifecycle stream stays one `Started`/`Finished` pair per walk.
-
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::thread;
-use std::time::Duration;
+//!
+//! [`STALL_WINDOW`]: cbls_parallel::STALL_WINDOW
 
 use cbls_core::{monotonic_now, EvaluatorFactory, Incumbent, TerminationReason};
 use cbls_parallel::{
@@ -37,36 +33,6 @@ use cbls_parallel::{
 };
 
 use crate::retry::RetryPolicy;
-
-/// Stall-watchdog cadence: how often heartbeats are polled and how many
-/// consecutive no-progress polls a running walk survives before it is
-/// killed.
-///
-/// The grace window (`poll_interval * (grace_polls + 1)`) must comfortably
-/// exceed the engine's worst-case time between stop-polls
-/// (`stop_check_interval` iterations), or healthy slow walks get killed;
-/// the default window of ~200 ms is orders of magnitude above the
-/// microseconds a typical interval takes.
-///
-/// The interval paces only the polls: the watchdog ends as soon as its pass
-/// returns or unwinds, so a pass that finishes before its first poll costs
-/// one thread spawn and join, not a poll interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// How often the watchdog samples heartbeats.
-    pub poll_interval: Duration,
-    /// Consecutive unchanged polls tolerated before a walk is killed.
-    pub grace_polls: u32,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            poll_interval: Duration::from_millis(25),
-            grace_polls: 7,
-        }
-    }
-}
 
 /// The retry history of one faulted walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,16 +81,14 @@ impl SupervisedExecution {
 pub struct Supervisor {
     executor: WalkExecutor,
     policy: RetryPolicy,
-    watchdog: WatchdogConfig,
 }
 
 impl Supervisor {
-    /// Supervise `executor` with the default retry policy and watchdog.
+    /// Supervise `executor` with the default retry policy.
     pub fn new(executor: WalkExecutor) -> Self {
         Self {
             executor,
             policy: RetryPolicy::default(),
-            watchdog: WatchdogConfig::default(),
         }
     }
 
@@ -132,13 +96,6 @@ impl Supervisor {
     #[must_use]
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replace the watchdog cadence.
-    #[must_use]
-    pub fn with_watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.watchdog = watchdog;
         self
     }
 
@@ -261,8 +218,8 @@ impl Supervisor {
         }
     }
 
-    /// One supervised executor pass under the watchdog, with
-    /// killed-and-unsolved walks classified as stalled.
+    /// One supervised executor pass, with killed-and-unsolved walks
+    /// classified as stalled.
     fn guarded_pass<F>(
         &self,
         factory: &F,
@@ -273,61 +230,17 @@ impl Supervisor {
         F: EvaluatorFactory,
     {
         let supervision = Supervision::new(batch.walks());
-        let mut execution = thread::scope(|scope| {
-            let (pass_running, pass_over) = mpsc::channel::<()>();
-            let guard = scope.spawn(|| watch(&supervision, self.watchdog, pass_over));
-            let execution = self
-                .executor
-                .execute_supervised(factory, batch, sink, &supervision);
-            // Dropping the sender wakes the watchdog and ends it.  If the
-            // pass unwinds instead, the sender drops with this frame, so the
-            // scope's join cannot wait on a watchdog that polls on.
-            drop(pass_running);
-            match guard.join() {
-                Ok(()) => {}
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-            execution
-        });
+        let mut execution = self
+            .executor
+            .execute_supervised(factory, batch, sink, &supervision);
         classify_stalls(&mut execution, &supervision, sink);
         execution
     }
 }
 
-/// The watchdog loop: kill any running walk whose heartbeat stays flat for
-/// more than `config.grace_polls` consecutive polls, until the pass's sender
-/// disconnects `pass_over`.  A walk that has not begun, waits for its next
-/// slice or has returned is parked: its staleness count starts again.
-fn watch(supervision: &Supervision, config: WatchdogConfig, pass_over: Receiver<()>) {
-    let walks = supervision.walks();
-    let mut last = vec![0u64; walks];
-    let mut stale = vec![0u32; walks];
-    // Nothing is ever sent.  `Timeout` comes only once the whole interval
-    // has passed (a spurious wake-up waits again), so every poll is a full
-    // one and the grace window keeps its length.
-    while let Err(RecvTimeoutError::Timeout) = pass_over.recv_timeout(config.poll_interval) {
-        for walk in 0..walks {
-            if !supervision.is_running(walk) || supervision.killed(walk) {
-                stale[walk] = 0;
-                continue;
-            }
-            let beats = supervision.heartbeat_of(walk);
-            if beats != last[walk] {
-                last[walk] = beats;
-                stale[walk] = 0;
-            } else {
-                stale[walk] += 1;
-                if stale[walk] > config.grace_polls {
-                    supervision.kill(walk);
-                }
-            }
-        }
-    }
-}
-
-/// Attach [`WalkFault::Stalled`] to every record whose walk the watchdog
-/// killed and that did not solve anyway, emitting the classification to
-/// `sink`.
+/// Attach [`WalkFault::Stalled`] to every record whose walk the executor
+/// killed for a stalled slice and that did not solve anyway, emitting the
+/// classification to `sink`.
 fn classify_stalls(
     execution: &mut BatchExecution,
     supervision: &Supervision,
@@ -355,9 +268,14 @@ mod tests {
     use super::*;
     use crate::chaos::{ChaosFactory, FaultPlan};
     use cbls_core::{Evaluator, SearchConfig};
-    use cbls_parallel::{DegradationReason, SequentialExecutor, ThreadsExecutor, WalkSeeds};
+    use cbls_parallel::{
+        DegradationReason, SequentialExecutor, ThreadsExecutor, WalkSeeds, STALL_WINDOW,
+    };
     use cbls_problems::NQueens;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
 
     #[derive(Clone)]
     struct Sort(usize);
@@ -489,21 +407,16 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_kills_only_holds_past_the_grace_window() {
-        let poll_interval = Duration::from_millis(5);
-        // (hold, killed): the grace window is four full polls, 20 ms
+    fn only_holds_past_the_stall_window_are_killed() {
+        // (hold, killed): a slice of one iteration takes microseconds
+        // besides its hold, so the holds fall on both sides of the window.
         let cases = [
             (Duration::from_millis(400), true),
-            (poll_interval * 2, false),
+            (Duration::from_millis(10), false),
         ];
         for (hold, killed) in cases {
             let factory = ChaosFactory::new(|| Sort(16), FaultPlan::new().stall_once(0, 4, hold));
-            let supervisor = Supervisor::new(ThreadsExecutor)
-                .with_policy(RetryPolicy::retries(1))
-                .with_watchdog(WatchdogConfig {
-                    poll_interval,
-                    grace_polls: 3,
-                });
+            let supervisor = Supervisor::new(ThreadsExecutor).with_policy(RetryPolicy::retries(1));
             let run = supervisor.run(&factory, &batch(2));
             assert!(run.solved(), "hold {hold:?}");
             assert!(!run.is_partial(), "hold {hold:?}");
@@ -525,8 +438,8 @@ mod tests {
     #[test]
     fn a_stall_on_one_worker_kills_only_the_walk_that_holds_it() {
         // One worker goes round three first-finisher walks one iteration at
-        // a time.  Walk 2 holds its first slice for 400 ms, twenty times the
-        // grace window, while walks 0 and 1 wait parked.
+        // a time.  Walk 2 holds its first slice for 400 ms, twice the stall
+        // window, while walks 0 and 1 wait for their next slices.
         let factory = ChaosFactory::new(
             || Sort(16),
             FaultPlan::new().stall_once(2, 4, Duration::from_millis(400)),
@@ -535,10 +448,6 @@ mod tests {
         let log = cbls_parallel::EventLog::new();
         let run = Supervisor::new(SequentialExecutor)
             .with_policy(RetryPolicy::retries(1))
-            .with_watchdog(WatchdogConfig {
-                poll_interval: Duration::from_millis(5),
-                grace_polls: 3,
-            })
             .run_with_telemetry(&factory, &batch, &log);
         // Every walk had begun before any ended: the siblings were parked
         // in the middle of their runs while walk 2 stalled.
@@ -565,28 +474,37 @@ mod tests {
     }
 
     #[test]
-    fn a_supervised_pass_does_not_wait_out_the_poll() {
-        fn run_on(executor: WalkExecutor) {
-            let run = within_ten_seconds(move || {
-                // The hold lets the watchdog fall asleep on its first poll
-                // before the walk ends, and the poll is far longer than it.
-                let factory = ChaosFactory::new(
-                    || Sort(16),
-                    FaultPlan::new().stall_once(0, 4, Duration::from_millis(50)),
-                );
-                Supervisor::new(executor)
-                    .with_watchdog(WatchdogConfig {
-                        poll_interval: Duration::from_secs(60),
-                        grace_polls: 7,
-                    })
-                    .run(&factory, &batch(2))
-            })
-            .expect("the run returns");
-            assert!(run.solved());
-            assert!(run.retries.is_empty());
+    fn a_healthy_walk_alone_on_its_worker_outlives_the_stall_window() {
+        // One walk that cannot solve runs until its deadline, two and a half
+        // stall windows away, one short slice at a time: only a timer of
+        // whole walks, or of a walk left unsliced, would call it stalled.
+        let search = SearchConfig::builder()
+            .max_iterations_per_restart(u64::MAX / 8)
+            .max_restarts(0)
+            .target_cost(-1)
+            .stop_check_interval(1)
+            .build();
+        let deadline = STALL_WINDOW * 5 / 2;
+        let batch = WalkBatch::uniform(2012, &search, 1).with_timeout(deadline);
+        for executor in [SequentialExecutor, ThreadsExecutor] {
+            let run = Supervisor::new(executor)
+                .with_policy(RetryPolicy::none())
+                .run(&|| Sort(16), &batch);
+            assert!(run.execution.wall_time >= deadline, "{executor:?}");
+            assert!(run.retries.is_empty(), "{executor:?}");
+            let record = &run.execution.records[0];
+            assert_eq!(record.fault, None, "{executor:?}");
+            assert_eq!(
+                record.outcome.reason,
+                TerminationReason::TimedOut,
+                "{executor:?}"
+            );
+            assert_eq!(
+                run.execution.degradation,
+                Some(DegradationReason::DeadlineExpired),
+                "{executor:?}"
+            );
         }
-        run_on(SequentialExecutor);
-        run_on(ThreadsExecutor);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl Xoshiro256PlusPlus {
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         Self::from_seed(s)
     }
-
-    /// Expose the internal state (used by checkpointing tests).
-    #[must_use]
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
 }
 
 impl RandomSource for Xoshiro256PlusPlus {
@@ -76,8 +70,8 @@ mod tests {
     #[test]
     fn zero_seed_is_rejected_gracefully() {
         let mut g = Xoshiro256PlusPlus::from_seed([0; 4]);
-        assert_ne!(g.state(), [0; 4]);
-        // and it still produces varied output
+        // The all-zero state outputs 0 forever, so two different outputs
+        // show that it was replaced.
         let a = g.next_u64();
         let b = g.next_u64();
         assert_ne!(a, b);

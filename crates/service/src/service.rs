@@ -31,8 +31,9 @@
 //!    admission: back-pressure is the client's problem to see).
 //! 4. **Execute** — a worker dequeues the oldest job, builds its batch from
 //!    the benchmark's tuned configuration and the request's master seed, and
-//!    runs it under the default supervision (3 attempts per walk, stall
-//!    watchdog): panics and stalls degrade to anytime incumbents instead of
+//!    runs it under the default supervision (3 attempts per walk; a walk
+//!    whose slice overruns the executor's stall window is stopped and
+//!    retried): panics and stalls degrade to anytime incumbents instead of
 //!    failing the job.
 //! 5. **Stream** — every walk event is forwarded as a [`ProgressFrame`];
 //!    the terminal frame carries the [`JobResult`].

@@ -35,7 +35,7 @@
 //! * [`parallel`] (`cbls-parallel`) — walk batches, the threads and
 //!   sequential executors, and their deterministic replay;
 //! * [`resilience`] (`cbls-resilience`) — supervised execution: stall
-//!   watchdog, deterministic retries and the chaos fault-injection harness;
+//!   reports, deterministic retries and the chaos fault-injection harness;
 //! * [`service`] (`cbls-service`) — the concurrent solve-job service:
 //!   bounded FIFO admission, runtime quotes and the versioned progress wire
 //!   format;
@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use cbls_resilience::{
         ChaosFactory, FaultPlan, FaultSpec, FaultWindow, RetryOutcome, RetryPolicy,
-        SupervisedExecution, Supervisor, WatchdogConfig,
+        SupervisedExecution, Supervisor,
     };
     pub use cbls_service::{
         AdmissionError, JobEvent, ProgressFrame, ServiceConfig, SolveRequest, SolveService,

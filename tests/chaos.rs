@@ -5,21 +5,26 @@
 //! sequential and threads back-ends.
 //!
 //! Scenarios: panic-at-probe recovered by a retry, a stall caught by the
-//! watchdog, deadline expiry with and without faults, retry exhaustion,
-//! mixed panic+stall plans, and the telemetry integration (fault events and
-//! `faults.*` counters in a validated flight recording).
+//! executor's per-slice stall check, deadline expiry with and without
+//! faults, retry exhaustion, mixed panic+stall plans, and the telemetry
+//! integration (fault events and `faults.*` counters in a validated flight
+//! recording).  An ignored helper runs the scenarios again and again beside
+//! spinning threads, to show how host load bears on them.
 //!
 //! Every batch here runs to completion.  Under first-finisher semantics a
 //! losing walk stops wherever the winner's bound finds it, which depends on
 //! the back-end, and so does whether that walk reaches its injected fault.
 
+use std::panic::catch_unwind;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
 use std::time::Duration;
 
 use parallel_cbls::prelude::*;
 
-/// A solvable configuration polling stop every iteration, so watchdog kills
-/// are observed at the next iteration boundary and stall heartbeat counts
-/// are deterministic.
+/// A solvable configuration polling stop every iteration: a supervised walk
+/// runs one iteration per slice, so a stall kill is observed at the next
+/// iteration and stall heartbeat counts are deterministic.
 fn chaos_search(bench: &Benchmark) -> SearchConfig {
     let mut search = bench.tuned_config();
     search.stop_check_interval = 1;
@@ -46,10 +51,6 @@ fn run_chaos(
     let factory = ChaosFactory::new(|| bench.build(), plan);
     Supervisor::new(executor)
         .with_policy(policy)
-        .with_watchdog(WatchdogConfig {
-            poll_interval: Duration::from_millis(5),
-            grace_polls: 3,
-        })
         .run(&factory, batch)
 }
 
@@ -120,12 +121,13 @@ fn injected_panic_is_retried_and_recovered_on_every_backend() {
     assert_eq!(record.seed, WalkSeeds::new(7).seed_of_attempt(1, 1));
 }
 
-/// A stalled evaluator stops heartbeating; the watchdog kills the walk and
-/// the supervisor classifies it as `Stalled` with a deterministic heartbeat
-/// count (stop polls run every iteration).  Without retries the fault stays
-/// in the record and the batch degrades to `WalkFaults`.
+/// A stalled evaluator holds its walk's slice past the stall window; the
+/// executor kills the walk and the supervisor classifies it as `Stalled`
+/// with a deterministic heartbeat count (stop polls run every iteration).
+/// Without retries the fault stays in the record and the batch degrades to
+/// `WalkFaults`.
 #[test]
-fn watchdog_classifies_a_stall_identically_on_every_backend() {
+fn a_stall_is_classified_identically_on_every_backend() {
     let bench = Benchmark::CostasArray(10);
     let batch = WalkBatch::uniform(2012, &chaos_search(&bench), 2).run_to_completion();
     let plan = FaultPlan::new().stall_once(0, 4, Duration::from_millis(400));
@@ -371,4 +373,59 @@ fn fault_and_retry_events_land_in_the_flight_recorder() {
     assert_eq!(recording.metrics.counter("faults.panicked"), Some(1));
     assert_eq!(recording.metrics.counter("faults.stalled"), Some(0));
     assert_eq!(recording.metrics.counter("faults.retried"), Some(1));
+}
+
+/// Every scenario above, run 40 times beside `available_parallelism() + 1`
+/// spinning threads (never more than 8).  A stall verdict that host load
+/// can fake shows here as a failed round.  It takes minutes, so it runs
+/// only on request: `cargo test --release --test chaos -- --ignored`.
+#[test]
+#[ignore = "minutes of host load; run with --ignored"]
+fn chaos_scenarios_hold_beside_spinning_threads() {
+    const ROUNDS: usize = 40;
+    macro_rules! named {
+        ($($scenario:ident),* $(,)?) => {
+            [$((stringify!($scenario), $scenario as fn())),*]
+        };
+    }
+    let scenarios = named![
+        injected_panic_is_retried_and_recovered_on_every_backend,
+        a_stall_is_classified_identically_on_every_backend,
+        stalled_walk_recovers_through_a_retry_on_every_backend,
+        deadline_expiry_degrades_to_a_partial_result,
+        faults_under_deadline_pressure_report_both_degradations,
+        retry_exhaustion_is_reported_identically_on_every_backend,
+        mixed_faults_recover_identically_on_every_backend,
+        fault_and_retry_events_land_in_the_flight_recorder,
+    ];
+    let spinners = thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+    let spinners = spinners.min(8);
+    let done = AtomicBool::new(false);
+    let failed_rounds = thread::scope(|scope| {
+        for _ in 0..spinners {
+            // Relaxed: the flag only ends the spin; it publishes nothing.
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let mut failed_rounds = 0;
+        for round in 0..ROUNDS {
+            let failed: Vec<&str> = scenarios
+                .iter()
+                .filter(|(_, scenario)| catch_unwind(*scenario).is_err())
+                .map(|(name, _)| *name)
+                .collect();
+            if !failed.is_empty() {
+                failed_rounds += 1;
+                eprintln!("round {round}: failed {failed:?}");
+            }
+        }
+        // Relaxed: see the spinners.
+        done.store(true, Ordering::Relaxed);
+        failed_rounds
+    });
+    eprintln!("{failed_rounds} of {ROUNDS} rounds failed beside {spinners} spinning threads");
+    assert_eq!(failed_rounds, 0, "host load changed a scenario's outcome");
 }
