@@ -447,7 +447,7 @@ fn fxhash(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use as_rng::{default_rng, exponential, shifted_exponential};
+    use as_rng::{default_rng, exponential};
     use cbls_core::SearchConfig;
     use cbls_problems::NQueens;
 
@@ -507,7 +507,7 @@ mod tests {
         let mut rng = default_rng(3);
         let linear: Vec<f64> = (0..3000).map(|_| exponential(&mut rng, 1e6)).collect();
         let bent: Vec<f64> = (0..3000)
-            .map(|_| shifted_exponential(&mut rng, 5e5, 5e5))
+            .map(|_| 5e5 + exponential(&mut rng, 5e5))
             .collect();
         assert_eq!(
             linearity(Some(&EmpiricalDistribution::new(&linear))),

@@ -52,19 +52,15 @@
 //! * [`BestSoFar`] / [`Incumbent`] — per-walk anytime publication of the
 //!   best assignment found so far, feeding the supervision layer's partial
 //!   results for faulted or deadline-expired batches.
-//! * [`consistency`] — the evaluator consistency harness: randomized checks
-//!   of the incremental contract that every problem crate's tests call.
+//!
+//! The randomized checks of the incremental contract that every problem
+//! crate's tests call live in the dev-only `cbls-testkit` crate.
 
-// `deny` rather than `forbid` (the other workspace crates forbid): the
-// counting test allocator in [`consistency`] must `impl GlobalAlloc`, an
-// unsafe trait, and carries the workspace's single scoped
-// `#[allow(unsafe_code)]` with its justification.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod anytime;
 mod config;
-pub mod consistency;
 mod engine;
 mod evaluator;
 mod observer;

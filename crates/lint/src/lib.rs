@@ -7,21 +7,25 @@
 //! must never claim a hook its `impl Evaluator` does not override, and the
 //! executor supervision paths must never `.unwrap()` a join or
 //! channel-receive result (a faulted walk becomes a structured `WalkFault`,
-//! not batch death).  `cbls-lint` enforces all five with a hand-rolled token scanner
-//! (no `syn`/registry access — same approach as the vendored
-//! `serde_derive`): see [`rules`] for the rule set and the
-//! `lint: allow(<rule>) — <reason>` escape.
+//! not batch death).  A sixth rule, `pub-item-has-caller`, keeps test-only
+//! code out of the library crates: every `pub` item there needs a use
+//! outside tests.
+//! `cbls-lint` enforces all six with a hand-rolled token scanner (no
+//! `syn`/registry access — same approach as the vendored `serde_derive`):
+//! see [`rules`] for the rule set and the `lint: allow(<rule>) — <reason>`
+//! escape.
 //!
-//! Run over the whole tree (every `crates/*/src` file) with
-//! `cargo run -p cbls-lint`; the binary exits non-zero on any finding.  The
-//! static pass is paired with a runtime counterpart —
-//! `cbls_core::consistency::assert_alloc_free` drives the same hot paths
-//! under a counting global allocator and catches the indirect allocations no
-//! token scanner can see.
+//! Run over the whole tree (every `crates/*/src` file, plus the files whose
+//! uses `pub-item-has-caller` counts) with `cargo run -p cbls-lint`; the
+//! binary exits non-zero on any finding.  The static alloc rule is paired
+//! with a runtime counterpart: `tests/alloc_free.rs` drives the same hot
+//! paths under a counting global allocator and catches the indirect
+//! allocations no token scanner can see.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod callers;
 pub mod rules;
 pub mod scanner;
 pub mod structure;
@@ -67,7 +71,7 @@ pub fn collect_tree(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
@@ -79,8 +83,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lint every `crates/*/src` file under `root`; returns the findings plus
-/// the number of files scanned.
+/// Lint every `crates/*/src` file under `root` and run the tree-level rule
+/// `pub-item-has-caller` over the tree; returns the findings plus the number
+/// of `crates/*/src` files scanned.
 ///
 /// # Errors
 ///
@@ -97,6 +102,7 @@ pub fn lint_tree(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
             .replace('\\', "/");
         findings.extend(lint_file(&path, &rel)?);
     }
+    findings.extend(callers::check_tree(root)?);
     Ok((findings, count))
 }
 

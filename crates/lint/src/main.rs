@@ -7,6 +7,9 @@
 //! cargo run -p cbls-lint -- --rules       # list the rules and exit
 //! ```
 //!
+//! Given files, it runs the five per-file rules only: `pub-item-has-caller`
+//! needs the whole tree.
+//!
 //! Exit status is 0 when the tree is clean and 1 on any finding, so CI can
 //! fail the build directly.
 

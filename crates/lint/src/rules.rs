@@ -1,7 +1,9 @@
-//! The five repo-specific lint rules, plus the `lint: allow(...)` escape.
+//! The six repo-specific lint rules, plus the `lint: allow(...)` escape.
 //!
-//! Each rule reports [`Finding`]s over one scanned file.  A finding at line
-//! `L` is suppressed by a comment *starting* with the marker, of the form
+//! Five rules report [`Finding`]s over one scanned file; the sixth,
+//! [`PUB_ITEM_HAS_CALLER`], reads the whole tree and takes the same escape.
+//! A finding at line `L` is suppressed by a comment *starting* with the
+//! marker, of the form
 //! `lint: allow(<rule-name>) — <reason>`, placed on line `L` itself or on
 //! the line directly above; the reason is mandatory.  A comment that starts
 //! with `lint:` but does not parse, names an unknown rule or omits the
@@ -23,16 +25,19 @@ pub const INCREMENTAL_CONTRACT_COMPLETE: &str = "incremental-contract-complete";
 /// Rule: no `.unwrap()` / `.expect()` on `join` / channel-receive results
 /// inside the executor supervision paths.
 pub const NO_UNWRAP_IN_SUPERVISOR: &str = "no-unwrap-in-supervisor";
+/// Rule: every `pub` item of a library crate has a use outside tests.
+pub const PUB_ITEM_HAS_CALLER: &str = "pub-item-has-caller";
 /// Pseudo-rule reported for unparsable `lint:` escape comments.
 pub const MALFORMED_LINT_ALLOW: &str = "malformed-lint-allow";
 
 /// All suppressible rule names (the escape comment must name one of these).
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     NO_ALLOC_HOT_PATH,
     NO_WALLCLOCK_OUTSIDE_STOP,
     ATOMICS_ORDERING_JUSTIFIED,
     INCREMENTAL_CONTRACT_COMPLETE,
     NO_UNWRAP_IN_SUPERVISOR,
+    PUB_ITEM_HAS_CALLER,
 ];
 
 /// The engine hot-path methods rule `no-alloc-hot-path` guards.
@@ -84,10 +89,19 @@ impl std::fmt::Display for Finding {
 }
 
 /// A successfully parsed `lint: allow(rule) — reason` comment.
-struct Allow {
+pub(crate) struct Allow {
     rule: String,
     line: u32,
     end_line: u32,
+}
+
+impl Allow {
+    /// Whether this escape suppresses `finding`: it names the finding's rule
+    /// and sits on the finding's line or ends on the line above it.
+    pub(crate) fn covers(&self, finding: &Finding) -> bool {
+        self.rule == finding.rule
+            && (self.line == finding.line || self.end_line + 1 == finding.line)
+    }
 }
 
 /// Run every rule over one file's source and apply the escape comments.
@@ -103,11 +117,7 @@ pub fn lint_scanned(rel_path: &str, scanned: &Scanned) -> Vec<Finding> {
     check_no_unwrap_in_supervisor(rel_path, scanned, &mut findings);
 
     let (allows, mut malformed) = parse_allows(rel_path, &scanned.comments);
-    findings.retain(|f| {
-        !allows
-            .iter()
-            .any(|a| a.rule == f.rule && (a.line == f.line || a.end_line + 1 == f.line))
-    });
+    findings.retain(|f| !allows.iter().any(|a| a.covers(f)));
     findings.append(&mut malformed);
     findings.sort_by_key(|f| f.line);
     findings
@@ -448,7 +458,9 @@ fn check_no_unwrap_in_supervisor(rel_path: &str, scanned: &Scanned, findings: &m
 // Escape comments
 // ---------------------------------------------------------------------------
 
-fn parse_allows(rel_path: &str, comments: &[Comment]) -> (Vec<Allow>, Vec<Finding>) {
+/// The escapes of one file, and a [`MALFORMED_LINT_ALLOW`] finding for each
+/// `lint:` comment that does not parse.
+pub(crate) fn parse_allows(rel_path: &str, comments: &[Comment]) -> (Vec<Allow>, Vec<Finding>) {
     let mut allows = Vec::new();
     let mut malformed = Vec::new();
     for c in comments {

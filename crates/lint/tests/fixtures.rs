@@ -229,10 +229,37 @@ fn malformed_escapes_are_findings_not_silence() {
 }
 
 #[test]
+fn pub_item_has_caller_counts_only_uses_outside_tests() {
+    // A tree of its own: a library crate, the testkit and perfbench.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join("pub_item_has_caller");
+    let (findings, _) = cbls_lint::lint_tree(&root).expect("fixture tree readable");
+    let pinned: Vec<(&str, &str, u32)> = findings
+        .iter()
+        .map(|f| (f.rule, f.file.as_str(), f.line))
+        .collect();
+    // Flagged: a use only in test code (line 4), a use only inside the
+    // item's own definition (18), a `use` re-export alone (25) and a use
+    // only in the testkit (32).  Not flagged: the struct and the method
+    // that only perfbench uses (9, 13), the allowed item (36), the
+    // `pub(crate)` item and the test module's own item.
+    let demo = "crates/demo/src/lib.rs";
+    assert_eq!(
+        pinned,
+        [4, 18, 25, 32]
+            .map(|line| (rules::PUB_ITEM_HAS_CALLER, demo, line))
+            .to_vec(),
+        "findings: {findings:#?}"
+    );
+    assert!(findings[0].message.contains("`only_tested`"));
+}
+
+#[test]
 fn the_tree_itself_is_clean() {
     // The workspace must hold its own contracts: running the linter over
-    // `crates/*/src` from the test keeps `cargo test -q` equivalent to the
-    // CI lint job.
+    // `crates/*/src`, and `pub-item-has-caller` over the tree, from the test
+    // keeps `cargo test -q -p cbls-lint` equivalent to the CI lint job.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)

@@ -277,6 +277,7 @@ pub fn quasigroup_completion(order: usize, holes: usize, seed: u64) -> ModelEval
 ///
 /// Panics if `n < 1`.
 #[must_use]
+// lint: allow(pub-item-has-caller) — the modelled side of tests/model_differential.rs
 pub fn n_queens(n: usize) -> ModelEvaluator {
     assert!(n >= 1, "there must be at least one queen");
     Model::permutation("n-queens", n)
@@ -336,11 +337,11 @@ pub fn all_interval(n: usize) -> ModelEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbls_core::consistency::{
+    use cbls_core::{AdaptiveSearch, Evaluator};
+    use cbls_testkit::{
         assert_no_default_hot_paths, check_error_projection, check_incremental_consistency,
         check_projection_cache,
     };
-    use cbls_core::{AdaptiveSearch, Evaluator};
 
     fn solve_one(mut m: ModelEvaluator, seed: u64) {
         let engine = AdaptiveSearch::tuned_for(&m);

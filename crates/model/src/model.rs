@@ -237,12 +237,6 @@ impl std::fmt::Debug for ModelEvaluator {
 }
 
 impl ModelEvaluator {
-    /// Number of terms in the model.
-    #[must_use]
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
     /// The model's value table (slot `s` decodes to `values()[perm[s]]`).
     #[must_use]
     pub fn values(&self) -> &[i64] {
@@ -258,15 +252,6 @@ impl ModelEvaluator {
     pub fn decoded(&self, perm: &[usize]) -> Vec<i64> {
         assert_eq!(perm.len(), self.vals.len(), "wrong permutation arity");
         perm.iter().map(|&p| self.vals[p]).collect()
-    }
-
-    /// The indices of the terms constraining `slot`: ascending and
-    /// deduplicated — the invariant every merge walk over two per-slot
-    /// lists (`for_each_affected_term`, the term-side pair merges) relies
-    /// on.
-    #[must_use]
-    pub fn terms_of(&self, slot: usize) -> &[u32] {
-        &self.terms_of_var[slot]
     }
 
     /// The current decoded-value view (valid between `init` and the next
@@ -546,11 +531,11 @@ impl Evaluator for ModelEvaluator {
 mod tests {
     use super::*;
     use as_rng::{default_rng, RandomSource};
-    use cbls_core::consistency::{
+    use cbls_core::AdaptiveSearch;
+    use cbls_testkit::{
         assert_no_default_hot_paths, check_batched_probes, check_error_projection,
         check_incremental_consistency, check_projection_cache,
     };
-    use cbls_core::AdaptiveSearch;
 
     /// A small mixed model exercising every term family at once: a
     /// permutation of 0..n whose first half is all-different by construction,
@@ -592,14 +577,17 @@ mod tests {
         let m = mixed_model(12);
         let mut nonempty = 0;
         for slot in 0..m.size() {
-            let list = m.terms_of(slot);
+            // Every merge walk over two per-slot lists
+            // (`for_each_affected_term`, the term-side pair merges) relies
+            // on them being ascending and deduplicated.
+            let list = &m.terms_of_var[slot];
             assert!(
                 list.windows(2).all(|w| w[0] < w[1]),
-                "terms_of({slot}) is not strictly ascending: {list:?}"
+                "terms_of_var[{slot}] is not strictly ascending: {list:?}"
             );
             assert!(
-                list.iter().all(|&t| (t as usize) < m.term_count()),
-                "terms_of({slot}) references a term out of range"
+                list.iter().all(|&t| (t as usize) < m.terms.len()),
+                "terms_of_var[{slot}] references a term out of range"
             );
             nonempty += usize::from(!list.is_empty());
         }
@@ -736,7 +724,7 @@ mod tests {
             .build();
         assert_eq!(m.decoded(&[2, 0, 1]), vec![9, 5, 7]);
         assert_eq!(m.values(), &[5, 7, 9]);
-        assert_eq!(m.term_count(), 1);
+        assert_eq!(m.terms.len(), 1);
     }
 
     #[test]

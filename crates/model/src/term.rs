@@ -1441,13 +1441,6 @@ fn sorted_unique(mut vars: Vec<usize>, what: &str) -> Vec<usize> {
 }
 
 impl Term {
-    /// All decoded values of `vars` must be pairwise distinct (violation:
-    /// number of conflicting pairs).
-    #[must_use]
-    pub fn all_different(vars: impl IntoIterator<Item = usize>) -> Self {
-        Self::all_different_with_fixed(vars.into_iter().map(|v| (v, 1, 0)), Vec::new())
-    }
-
     /// All-different over affine images: member `(var, coeff, offset)`
     /// occupies bucket `offset + coeff * value(var)`.  Two N-Queens diagonal
     /// families are `(c, 1, c)` and `(c, -1, c + n - 1)` over the columns.
@@ -1765,6 +1758,15 @@ impl Term {
             Kind::Pairwise(t) => t.accumulate_errors(dv, st, weight, out),
             Kind::Count(t) => t.accumulate_errors(dv, st, weight, out),
         }
+    }
+}
+
+/// The plain all-different of the layer's own tests: the decoded values of
+/// `vars` pairwise distinct (violation: number of conflicting pairs).
+#[cfg(test)]
+impl Term {
+    pub(crate) fn all_different(vars: impl IntoIterator<Item = usize>) -> Self {
+        Self::all_different_with_fixed(vars.into_iter().map(|v| (v, 1, 0)), Vec::new())
     }
 }
 

@@ -22,7 +22,7 @@
 //!   tracks, phases as slices), [`render_summary`] / [`render_diff`] for
 //!   humans — all driven by the `cbls-trace` binary this crate ships.
 //!
-//! Phase profiling is opt-in per recorder ([`RecorderConfig::with_phases`]);
+//! Phase profiling is opt-in per recorder ([`RecorderConfig::phases`]);
 //! a disabled recorder costs the engine exactly one branch per potential
 //! span, because the executor reads
 //! [`observes_phases`](cbls_parallel::EventSink::observes_phases) once per

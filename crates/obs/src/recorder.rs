@@ -55,17 +55,6 @@ impl Default for RecorderConfig {
     }
 }
 
-impl RecorderConfig {
-    /// The default configuration with phase profiling enabled.
-    #[must_use]
-    pub fn with_phases() -> Self {
-        Self {
-            phases: true,
-            ..Self::default()
-        }
-    }
-}
-
 /// Counters and gauges the recorder maintains; names are the public metrics
 /// catalog documented in the README's Observability section.
 struct StandardMetrics {
@@ -166,7 +155,10 @@ impl RecorderState {
 ///         master_seed: 42,
 ///         walks: batch.walks(),
 ///     },
-///     RecorderConfig::with_phases(),
+///     RecorderConfig {
+///         phases: true,
+///         ..RecorderConfig::default()
+///     },
 /// );
 /// let execution = SequentialExecutor.execute_with_telemetry(&factory, &batch, &recorder);
 /// let recording = recorder.finish(&execution);

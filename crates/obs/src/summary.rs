@@ -193,10 +193,9 @@ mod tests {
         let bench = cbls_problems::Benchmark::NQueens(10);
         let factory = || bench.build();
         let batch = WalkBatch::uniform(seed, &bench.tuned_config(), 2).run_to_completion();
-        let config = if phases {
-            RecorderConfig::with_phases()
-        } else {
-            RecorderConfig::default()
+        let config = RecorderConfig {
+            phases,
+            ..RecorderConfig::default()
         };
         let recorder = FlightRecorder::new(
             TraceMeta {

@@ -126,12 +126,6 @@ impl WalkPhaseProfile {
     pub fn of(&self, phase: SearchPhase) -> Option<&PhaseTotals> {
         self.phases.iter().find(|p| p.phase == phase)
     }
-
-    /// Total attributed nanoseconds across all phases.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.phases.iter().map(|p| p.nanos).sum()
-    }
 }
 
 /// Deterministic per-walk summary line, derived from the batch's

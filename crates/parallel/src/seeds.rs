@@ -20,11 +20,6 @@ pub struct WalkSeeds {
 }
 
 impl WalkSeeds {
-    /// A master seed for runs that have no reason to pick their own: runs
-    /// that use it derive the same per-walk streams, so their results are
-    /// comparable across entry points.
-    pub const DEFAULT_MASTER_SEED: u64 = 0xC0DE_CAFE;
-
     /// Create a seed family rooted at `master`.
     #[must_use]
     pub fn new(master: u64) -> Self {

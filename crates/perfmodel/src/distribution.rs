@@ -252,7 +252,7 @@ pub struct RuntimeQuote {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use as_rng::{default_rng, exponential, shifted_exponential, RandomSource};
+    use as_rng::{default_rng, exponential, RandomSource};
 
     /// Monte Carlo estimate of the expected minimum of `p` draws from `d`
     /// over `rounds` rounds: an independent check of `expected_min_of`.
@@ -376,7 +376,7 @@ mod tests {
         // the speedup saturates at `(shift + scale) / shift`.
         let (shift, scale) = (30.0, 20.0);
         let samples: Vec<f64> = (0..4000)
-            .map(|_| shifted_exponential(&mut rng, shift, scale))
+            .map(|_| shift + exponential(&mut rng, scale))
             .collect();
         let d = EmpiricalDistribution::new(&samples);
         for p in [2usize, 16] {

@@ -141,16 +141,6 @@ impl AlphaCipher {
         Self::new(equations)
     }
 
-    /// The reference assignment that solves [`AlphaCipher::standard`],
-    /// encoded as a permutation (`perm[letter] = value − 1`).
-    #[must_use]
-    pub fn reference_solution() -> Vec<usize> {
-        REFERENCE_ASSIGNMENT
-            .iter()
-            .map(|&v| (v - 1) as usize)
-            .collect()
-    }
-
     /// The word equations of this instance.
     #[must_use]
     pub fn equations(&self) -> &[WordEquation] {
@@ -325,12 +315,12 @@ impl Evaluator for AlphaCipher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{
+    use as_rng::default_rng;
+    use cbls_core::AdaptiveSearch;
+    use cbls_testkit::{
         assert_no_default_hot_paths, check_error_projection, check_incremental_consistency,
         check_projection_cache,
     };
-    use as_rng::default_rng;
-    use cbls_core::AdaptiveSearch;
 
     #[test]
     fn projection_cache_stays_fresh_across_swaps() {
@@ -348,10 +338,19 @@ mod tests {
         }
     }
 
+    /// The reference assignment that solves [`AlphaCipher::standard`],
+    /// encoded as a permutation (`perm[letter] = value − 1`).
+    fn reference_solution() -> Vec<usize> {
+        REFERENCE_ASSIGNMENT
+            .iter()
+            .map(|&v| (v - 1) as usize)
+            .collect()
+    }
+
     #[test]
     fn reference_solution_solves_the_standard_instance() {
         let mut p = AlphaCipher::standard();
-        let perm = AlphaCipher::reference_solution();
+        let perm = reference_solution();
         assert_eq!(p.init(&perm), 0);
         assert!(p.verify(&perm));
     }

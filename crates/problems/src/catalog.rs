@@ -104,15 +104,22 @@ impl Benchmark {
     }
 
     /// Parse a [`Benchmark::id`] string back into a benchmark — the inverse
-    /// of `id()` for every representable variant, used by the CLI tools to
-    /// accept `--bench costas-14`-style selectors.
+    /// of `id()` for every variant that [`build`](Self::build) accepts, used
+    /// by the CLI tools to accept `--bench costas-14`-style selectors and by
+    /// the solve service to admit requests.
     ///
-    /// Returns `None` for unknown families or malformed size suffixes; the
-    /// parser performs no validation beyond the id shape, so a size the
-    /// builder rejects still panics in [`build`](Self::build), exactly as if
-    /// the variant had been constructed directly.
+    /// Returns `None` for unknown families, malformed size suffixes and sizes
+    /// outside the range that the family's constructor asserts, so a parsed
+    /// id never panics in `build` on its size.  A size inside that range can
+    /// still be too large to allocate.
     #[must_use]
     pub fn from_id(id: &str) -> Option<Self> {
+        Self::parse_id(id).filter(Self::accepts_size)
+    }
+
+    /// The shape half of [`from_id`](Self::from_id): the family and its size
+    /// suffix, unchecked against the constructors' ranges.
+    fn parse_id(id: &str) -> Option<Self> {
         let fixed = match id {
             "perfect-square-csplib21" => Some(Benchmark::PerfectSquareCsplib),
             "perfect-square-order9" => Some(Benchmark::PerfectSquareOrder9),
@@ -211,6 +218,35 @@ impl Benchmark {
         }
     }
 
+    /// Whether this benchmark's constructor accepts its size.  One arm per
+    /// family, each the range that the constructor's `assert!` (or
+    /// `expect`) checks, so that [`from_id`](Self::from_id) refuses an id
+    /// that [`build`](Self::build) would panic on.
+    fn accepts_size(&self) -> bool {
+        match *self {
+            // `MagicSquare::new`, `CostasArray::new`, `NQueens::new` and
+            // `Langford::new`.
+            Benchmark::MagicSquare(n)
+            | Benchmark::CostasArray(n)
+            | Benchmark::NQueens(n)
+            | Benchmark::Langford(n) => n >= 1,
+            // `AllInterval::new`.
+            Benchmark::AllInterval(n) => n >= 2,
+            // `cbls_model::benchmarks::magic_sequence`.
+            Benchmark::MagicSequence(n) => n >= 7,
+            // `golomb_ruler`: the optimal lengths it knows.
+            Benchmark::GolombRuler(marks) => (2..=8).contains(&marks),
+            // `planted_graph`: `colors >= 2` and `nodes >= 2 * colors`,
+            // written so that the product cannot overflow.
+            Benchmark::GraphColoring { nodes, colors } => colors >= 2 && nodes / 2 >= colors,
+            // `quasigroup_completion`.
+            Benchmark::QuasigroupCompletion(order) => order >= 3,
+            Benchmark::PerfectSquareCsplib | Benchmark::PerfectSquareOrder9 | Benchmark::Alpha => {
+                true
+            }
+        }
+    }
+
     /// The problem-tuned search configuration for this benchmark.
     #[must_use]
     pub fn tuned_config(&self) -> SearchConfig {
@@ -275,8 +311,43 @@ mod tests {
             "coloring-60x",
             "perfect-square-order10",
             "partition-8",
+            // Sizes outside the constructors' ranges.
+            "queens-0",
+            "magic-square-0",
+            "costas-0",
+            "all-interval-0",
+            "all-interval-1",
+            "golomb-1",
+            "golomb-9",
+            "coloring-3x2",
+            "coloring-4x1",
+            "qcp-0",
+            "qcp-1",
+            "qcp-2",
+            "magic-sequence-3",
+            "magic-sequence-6",
         ] {
             assert_eq!(Benchmark::from_id(bad), None, "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn the_smallest_accepted_size_of_each_family_parses_and_builds() {
+        for id in [
+            "magic-square-1",
+            "costas-1",
+            "queens-1",
+            "langford-1",
+            "all-interval-2",
+            "magic-sequence-7",
+            "golomb-2",
+            "golomb-8",
+            "coloring-4x2",
+            "qcp-3",
+        ] {
+            let bench = Benchmark::from_id(id).unwrap_or_else(|| panic!("{id} must parse"));
+            assert_eq!(bench.id(), id);
+            assert_eq!(bench.build().size(), bench.variables(), "{id}");
         }
     }
 
@@ -308,8 +379,8 @@ mod tests {
         // forwarding layer the registry hands out.
         for (idx, b) in all_small_benchmarks().into_iter().enumerate() {
             let evaluator = b.build();
-            crate::test_support::assert_no_default_hot_paths(evaluator.as_ref());
-            crate::test_support::check_projection_cache(evaluator, 3100 + idx as u64, 40);
+            cbls_testkit::assert_no_default_hot_paths(evaluator.as_ref());
+            cbls_testkit::check_projection_cache(evaluator, 3100 + idx as u64, 40);
         }
     }
 

@@ -410,12 +410,12 @@ impl Evaluator for CostasArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{
+    use as_rng::{default_rng, RandomSource};
+    use cbls_core::AdaptiveSearch;
+    use cbls_testkit::{
         assert_no_default_hot_paths, check_batched_probes, check_error_projection,
         check_incremental_consistency, check_projection_cache,
     };
-    use as_rng::{default_rng, RandomSource};
-    use cbls_core::AdaptiveSearch;
 
     /// The order-5 Costas array used as the example in the paper:
     /// `[3, 4, 2, 1, 5]` in 1-based notation.

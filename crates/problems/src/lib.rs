@@ -44,15 +44,3 @@ pub use langford::Langford;
 pub use magic_square::MagicSquare;
 pub use perfect_square::{PerfectSquare, SquarePackingInstance};
 pub use queens::NQueens;
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    //! The consistency harness now lives in `cbls_core::consistency` so the
-    //! declarative `cbls-model` layer (and downstream model crates) can run
-    //! the exact same checks; this alias keeps the problem tests' imports
-    //! stable.
-    pub use cbls_core::consistency::{
-        assert_no_default_hot_paths, check_batched_probes, check_error_projection,
-        check_incremental_consistency, check_projection_cache,
-    };
-}

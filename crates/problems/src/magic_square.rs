@@ -384,12 +384,12 @@ impl Evaluator for MagicSquare {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{
+    use as_rng::default_rng;
+    use cbls_core::AdaptiveSearch;
+    use cbls_testkit::{
         assert_no_default_hot_paths, check_error_projection, check_incremental_consistency,
         check_projection_cache,
     };
-    use as_rng::default_rng;
-    use cbls_core::AdaptiveSearch;
 
     #[test]
     fn projection_cache_stays_fresh_across_swaps() {

@@ -86,43 +86,6 @@ impl SquarePackingInstance {
             sizes: vec![18, 15, 14, 10, 9, 8, 7, 4, 1],
         }
     }
-
-    /// A trivially packable instance: `k×k` unit-ratio squares of side `s`
-    /// in a `(k·s)×(k·s)` master square.  Useful for fast tests.
-    #[must_use]
-    pub fn uniform_grid(k: u32, s: u32) -> Self {
-        Self {
-            width: k * s,
-            height: k * s,
-            sizes: vec![s; (k * k) as usize],
-        }
-    }
-
-    /// Total area of the squares.
-    #[must_use]
-    pub fn squares_area(&self) -> u64 {
-        self.sizes
-            .iter()
-            .map(|&s| u64::from(s) * u64::from(s))
-            .sum()
-    }
-
-    /// Area of the master rectangle.
-    #[must_use]
-    pub fn master_area(&self) -> u64 {
-        u64::from(self.width) * u64::from(self.height)
-    }
-
-    /// Whether the instance could be a perfect packing (areas match and every
-    /// square fits the master dimensions).
-    #[must_use]
-    pub fn is_area_consistent(&self) -> bool {
-        self.squares_area() == self.master_area()
-            && self
-                .sizes
-                .iter()
-                .all(|&s| s <= self.width && s <= self.height)
-    }
 }
 
 /// One placed square, as reported by [`PerfectSquare::decode`].
@@ -504,22 +467,43 @@ impl Evaluator for PerfectSquare {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{
+    use as_rng::{default_rng, RandomSource};
+    use cbls_core::AdaptiveSearch;
+    use cbls_testkit::{
         assert_no_default_hot_paths, check_error_projection, check_incremental_consistency,
         check_projection_cache,
     };
-    use as_rng::{default_rng, RandomSource};
-    use cbls_core::AdaptiveSearch;
+
+    /// A trivially packable instance: `k×k` squares of side `s` in a
+    /// `(k·s)×(k·s)` master square.
+    fn uniform_grid(k: u32, s: u32) -> SquarePackingInstance {
+        SquarePackingInstance {
+            width: k * s,
+            height: k * s,
+            sizes: vec![s; (k * k) as usize],
+        }
+    }
+
+    /// Whether the instance could be a perfect packing: the areas match and
+    /// every square fits the master dimensions.
+    fn is_area_consistent(inst: &SquarePackingInstance) -> bool {
+        let squares: u64 = inst
+            .sizes
+            .iter()
+            .map(|&s| u64::from(s) * u64::from(s))
+            .sum();
+        squares == u64::from(inst.width) * u64::from(inst.height)
+            && inst
+                .sizes
+                .iter()
+                .all(|&s| s <= inst.width && s <= inst.height)
+    }
 
     #[test]
     fn projection_cache_stays_fresh_across_swaps() {
         check_projection_cache(PerfectSquare::order9(), 950, 60);
         check_projection_cache(PerfectSquare::csplib_order21(), 951, 30);
-        check_projection_cache(
-            PerfectSquare::new(SquarePackingInstance::uniform_grid(3, 4)),
-            952,
-            40,
-        );
+        check_projection_cache(PerfectSquare::new(uniform_grid(3, 4)), 952, 40);
         assert_no_default_hot_paths(&PerfectSquare::order9());
     }
 
@@ -528,7 +512,7 @@ mod tests {
         let inst = SquarePackingInstance::csplib_order21();
         assert_eq!(inst.sizes.len(), 21);
         assert!(
-            inst.is_area_consistent(),
+            is_area_consistent(&inst),
             "areas must match for a perfect square"
         );
     }
@@ -537,12 +521,12 @@ mod tests {
     fn order9_instance_is_area_consistent() {
         let inst = SquarePackingInstance::squared_rectangle_order9();
         assert_eq!(inst.sizes.len(), 9);
-        assert!(inst.is_area_consistent());
+        assert!(is_area_consistent(&inst));
     }
 
     #[test]
     fn uniform_grid_decodes_to_zero_cost_for_any_order() {
-        let mut p = PerfectSquare::new(SquarePackingInstance::uniform_grid(3, 4));
+        let mut p = PerfectSquare::new(uniform_grid(3, 4));
         // equal squares: every order packs perfectly
         let mut rng = default_rng(1);
         for _ in 0..10 {
@@ -581,11 +565,7 @@ mod tests {
         // probing the committed permutation; the harness validates it against
         // a full recompute, together with init/cost/executed_swap agreement.
         check_incremental_consistency(PerfectSquare::order9(), 900, 10);
-        check_incremental_consistency(
-            PerfectSquare::new(SquarePackingInstance::uniform_grid(2, 3)),
-            901,
-            10,
-        );
+        check_incremental_consistency(PerfectSquare::new(uniform_grid(2, 3)), 901, 10);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl PermutationConstraint for LangfordConstraint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::BacktrackingSolver;
+    use crate::solver::{BacktrackingSolver, SolveStatus};
 
     #[test]
     fn queens_solution_counts_match_the_literature() {
@@ -223,7 +223,11 @@ mod tests {
         let solver = BacktrackingSolver::default();
         for (n, satisfiable) in [(3usize, true), (4, true), (5, false), (6, false), (7, true)] {
             let outcome = solver.solve(&LangfordConstraint::new(n));
-            assert_eq!(outcome.satisfiable(), satisfiable, "L(2,{n})");
+            assert_eq!(
+                outcome.status == SolveStatus::Satisfiable,
+                satisfiable,
+                "L(2,{n})"
+            );
         }
     }
 

@@ -16,11 +16,11 @@
 //!   [`WalkSeeds::seed_of_attempt(w, a)`](cbls_parallel::WalkSeeds::seed_of_attempt),
 //!   bit-reproducible on every worker count);
 //! * [`RetryPolicy`] — bounded attempts; a retry starts at once and runs
-//!   within the batch's remaining deadline;
-//! * [`FaultPlan`] / [`ChaosFactory`] — a seeded fault-injection harness
-//!   that makes a wrapped evaluator panic or stall at the `k`-th cost probe
-//!   of a chosen `(walk, attempt)`, deterministically on one worker and on
-//!   one per core — the chaos suite's foundation.
+//!   within the batch's remaining deadline.
+//!
+//! The seeded fault-injection harness that the supervisor's tests and the
+//! chaos matrix drive (`FaultPlan`, `ChaosFactory`) lives in the dev-only
+//! `cbls-testkit` crate.
 //!
 //! The stall model is *cooperative*: a stalled walk is one whose evaluator
 //! transiently hangs (a long blocking call, a pathological neighbourhood).
@@ -35,10 +35,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chaos;
 mod retry;
 mod supervisor;
 
-pub use chaos::{ChaosEvaluator, ChaosFactory, FaultPlan, FaultSpec, FaultWindow};
 pub use retry::RetryPolicy;
 pub use supervisor::{RetryOutcome, SupervisedExecution, Supervisor};

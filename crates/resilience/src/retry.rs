@@ -19,12 +19,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries: every fault is terminal.
-    #[must_use]
-    pub fn none() -> Self {
-        Self { max_attempts: 1 }
-    }
-
     /// Up to `retries` retries per walk (so `retries + 1` total attempts).
     #[must_use]
     pub fn retries(retries: u32) -> Self {
@@ -44,8 +38,7 @@ mod tests {
     }
 
     #[test]
-    fn none_disables_retries() {
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
+    fn zero_retries_disable_retrying() {
         assert_eq!(RetryPolicy::retries(0).max_attempts, 1);
         assert_eq!(RetryPolicy::retries(4).max_attempts, 5);
     }

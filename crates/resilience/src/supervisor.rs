@@ -94,6 +94,7 @@ impl Supervisor {
 
     /// Replace the retry policy.
     #[must_use]
+    // lint: allow(pub-item-has-caller) — tests/chaos.rs sets zero and one retry through it
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
         self
@@ -266,12 +267,12 @@ fn classify_stalls(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosFactory, FaultPlan};
     use cbls_core::{Evaluator, SearchConfig};
     use cbls_parallel::{
         DegradationReason, SequentialExecutor, ThreadsExecutor, WalkSeeds, STALL_WINDOW,
     };
     use cbls_problems::NQueens;
+    use cbls_testkit::{ChaosFactory, FaultPlan};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
     use std::thread;
@@ -488,7 +489,7 @@ mod tests {
         let batch = WalkBatch::uniform(2012, &search, 1).with_timeout(deadline);
         for executor in [SequentialExecutor, ThreadsExecutor] {
             let run = Supervisor::new(executor)
-                .with_policy(RetryPolicy::none())
+                .with_policy(RetryPolicy::retries(0))
                 .run(&|| Sort(16), &batch);
             assert!(run.execution.wall_time >= deadline, "{executor:?}");
             assert!(run.retries.is_empty(), "{executor:?}");

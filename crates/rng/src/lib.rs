@@ -23,9 +23,8 @@
 //! ```
 //! use as_rng::{RandomSource, SeedSequence, Xoshiro256PlusPlus};
 //!
-//! let mut seq = SeedSequence::new(0xC057A5);
-//! let mut walk0 = Xoshiro256PlusPlus::from_seed(seq.next_seed());
-//! let mut walk1 = Xoshiro256PlusPlus::from_seed(seq.next_seed());
+//! let mut walk0 = Xoshiro256PlusPlus::from_seed(SeedSequence::seed_for(0xC057A5, 0));
+//! let mut walk1 = Xoshiro256PlusPlus::from_seed(SeedSequence::seed_for(0xC057A5, 1));
 //! let p0 = walk0.permutation(8);
 //! let p1 = walk1.permutation(8);
 //! assert_ne!(p0, p1); // independent streams
@@ -40,7 +39,7 @@ mod source;
 mod splitmix;
 mod xoshiro;
 
-pub use sample::{exponential, shifted_exponential};
+pub use sample::exponential;
 pub use seed::SeedSequence;
 pub use source::RandomSource;
 pub use splitmix::SplitMix64;

@@ -2,8 +2,9 @@
 //!
 //! Tests of the speedup analysis draw run lengths from the two reference
 //! cases of the paper, exponential and shifted exponential, whose expected
-//! minimum of `p` draws has a closed form to compare against.  The inverse
-//! transforms live here, next to the generators.
+//! minimum of `p` draws has a closed form to compare against.  The
+//! exponential's inverse transform lives here, next to the generators; a
+//! shifted exponential draw is a constant plus an exponential one.
 
 use crate::source::RandomSource;
 
@@ -13,21 +14,12 @@ use crate::source::RandomSource;
 /// analysis: if the sequential run time of a Las Vegas search is exponential,
 /// the expected speedup of `p` independent walks is exactly `p` (linear
 /// speedup), which is what the Costas Array Problem exhibits.
+// lint: allow(pub-item-has-caller) — the run-length draw of the perfmodel, bench and service tests
 pub fn exponential<R: RandomSource + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     assert!(mean > 0.0, "exponential mean must be positive");
     // Inverse CDF; 1 - u in (0, 1] avoids ln(0).
     let u = rng.f64();
     -mean * (1.0 - u).ln()
-}
-
-/// Sample a shifted exponential: `shift + Exp(mean)`.
-///
-/// A deterministic offset (initialisation, a minimum number of iterations
-/// every run must perform) is what bends the speedup curve away from linear —
-/// the behaviour of the CSPLib benchmarks in Figures 1 and 2.
-pub fn shifted_exponential<R: RandomSource + ?Sized>(rng: &mut R, shift: f64, mean: f64) -> f64 {
-    assert!(shift >= 0.0, "shift must be non-negative");
-    shift + exponential(rng, mean)
 }
 
 #[cfg(test)]
@@ -62,13 +54,5 @@ mod tests {
     fn exponential_rejects_non_positive_mean() {
         let mut g = rng();
         let _ = exponential(&mut g, 0.0);
-    }
-
-    #[test]
-    fn shifted_exponential_respects_shift() {
-        let mut g = rng();
-        for _ in 0..5_000 {
-            assert!(shifted_exponential(&mut g, 2.5, 1.0) >= 2.5);
-        }
     }
 }

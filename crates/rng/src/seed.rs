@@ -5,7 +5,7 @@
 //! manner".  Reproducibility of the whole experiment therefore reduces to
 //! reproducibility of the per-walk seeds.  [`SeedSequence`] derives an
 //! unbounded family of 256-bit seeds from a single master seed using the
-//! SplitMix64 finalizer over `(master, counter, lane)` tuples, so that:
+//! SplitMix64 finalizer over `(master, index, lane)` tuples, so that:
 //!
 //! * walk `i` always receives the same seed for a given master seed,
 //! * seeds do not depend on how many walks are launched,
@@ -13,33 +13,13 @@
 
 use crate::splitmix::SplitMix64;
 
-/// Derives independent per-walk seeds from a master seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedSequence {
-    master: u64,
-    counter: u64,
-}
+/// Derives independent per-walk seeds from a master seed: walk `index` of
+/// master `master` gets [`seed_for(master, index)`](Self::seed_for).
+#[derive(Debug)]
+pub struct SeedSequence;
 
 impl SeedSequence {
-    /// Create a sequence rooted at `master`.
-    #[must_use]
-    pub fn new(master: u64) -> Self {
-        Self { master, counter: 0 }
-    }
-
-    /// The master seed this sequence was rooted at.
-    #[must_use]
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
-    /// Number of seeds handed out so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.counter
-    }
-
-    /// The 256-bit seed of walk `index`, independent of the sequence cursor.
+    /// The 256-bit seed of walk `index` under `master`.
     #[must_use]
     pub fn seed_for(master: u64, index: u64) -> [u64; 4] {
         let base = SplitMix64::mix(master ^ SplitMix64::mix(index));
@@ -56,28 +36,12 @@ impl SeedSequence {
     pub fn u64_seed_for(master: u64, index: u64) -> u64 {
         Self::seed_for(master, index)[0]
     }
-
-    /// Hand out the next 256-bit seed and advance the cursor.
-    pub fn next_seed(&mut self) -> [u64; 4] {
-        let s = Self::seed_for(self.master, self.counter);
-        self.counter += 1;
-        s
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-
-    #[test]
-    fn sequential_and_random_access_agree() {
-        let mut seq = SeedSequence::new(42);
-        for i in 0..32 {
-            assert_eq!(seq.next_seed(), SeedSequence::seed_for(42, i));
-        }
-        assert_eq!(seq.issued(), 32);
-    }
 
     #[test]
     fn seeds_are_distinct_across_indices() {
@@ -103,13 +67,6 @@ mod tests {
                 SeedSequence::seed_for(99, i)[0]
             );
         }
-    }
-
-    #[test]
-    fn master_is_preserved() {
-        let mut seq = SeedSequence::new(123);
-        let _ = seq.next_seed();
-        assert_eq!(seq.master(), 123);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!
 //! ## Lifecycle of a request
 //!
-//! 1. **Validate** — an unknown benchmark id is rejected without queueing.
+//! 1. **Validate** — an unknown benchmark id, or a size outside the range
+//!    its constructor accepts, is rejected without queueing.  The queued
+//!    job carries the parsed benchmark to its worker.
 //! 2. **Quote** — each completed job adds one draw of the `p`-walk minimum
 //!    to a fixed-size summary of its shape `(benchmark, walks)`, keyed by
 //!    the parsed benchmark's canonical id: a count, a running mean and
@@ -199,6 +201,8 @@ impl ServiceConfig {
 pub(crate) struct QueuedJob {
     pub(crate) job_id: u64,
     pub(crate) request: SolveRequest,
+    /// The benchmark that admission parsed from `request.benchmark`.
+    pub(crate) bench: Benchmark,
     pub(crate) enqueued: Instant,
     pub(crate) events: mpsc::Sender<JobEvent>,
     pub(crate) done: mpsc::SyncSender<CompletedJob>,
@@ -353,7 +357,8 @@ impl SolveService {
     /// # Errors
     ///
     /// [`AdmissionError::UnknownBenchmark`] when the catalog cannot parse
-    /// the request's benchmark id; [`AdmissionError::QueueFull`] when the
+    /// the request's benchmark id, or its size is outside the range the
+    /// benchmark's constructor accepts; [`AdmissionError::QueueFull`] when the
     /// admission queue is at capacity; [`AdmissionError::ServiceClosed`]
     /// after [`shutdown`](Self::shutdown) began.
     pub fn submit(&self, request: SolveRequest) -> Result<JobHandle, AdmissionError> {
@@ -397,6 +402,7 @@ impl SolveService {
             state.jobs.push_back(QueuedJob {
                 job_id,
                 request,
+                bench,
                 enqueued: monotonic_now(),
                 events: events_tx,
                 done: done_tx,
@@ -526,15 +532,14 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     let QueuedJob {
         job_id,
         request,
+        bench,
         enqueued,
         events,
         done,
-        ..
     } = job;
     let queued_ms = millis(monotonic_now().saturating_duration_since(enqueued));
     let _ = events.send(JobEvent::Started { queued_ms });
 
-    let bench = Benchmark::from_id(&request.benchmark).expect("benchmark validated at admission");
     let batch = job_batch(&request, &bench);
     let supervisor = Supervisor::new(SequentialExecutor);
     let sink = JobSink {
@@ -664,6 +669,46 @@ mod tests {
         let snapshot = service.metrics();
         assert_eq!(snapshot.counter("service.jobs_rejected"), Some(1));
         assert_eq!(snapshot.counter("service.jobs_admitted"), Some(0));
+        service.shutdown();
+    }
+
+    #[test]
+    fn out_of_range_sizes_are_refused_and_the_worker_keeps_serving() {
+        // Each id parses by shape, but its builder asserts on the size; a
+        // worker that ran one would panic outside the supervisor and serve
+        // no later job.
+        let service = quick_service(1);
+        for id in [
+            "queens-0",
+            "magic-square-0",
+            "costas-0",
+            "all-interval-0",
+            "all-interval-1",
+            "golomb-1",
+            "golomb-9",
+            "coloring-3x2",
+            "coloring-4x1",
+            "qcp-0",
+            "qcp-1",
+            "qcp-2",
+            "magic-sequence-3",
+            "magic-sequence-6",
+        ] {
+            let err = service
+                .submit(SolveRequest::new(id, 2, 1_000))
+                .expect_err("must reject");
+            assert_eq!(
+                err,
+                AdmissionError::UnknownBenchmark { id: id.to_string() },
+                "{id}"
+            );
+        }
+        let completed = service
+            .submit(SolveRequest::new("queens-8", 2, 100_000))
+            .expect("admitted")
+            .wait()
+            .expect("the worker is alive");
+        assert!(completed.result.solved);
         service.shutdown();
     }
 

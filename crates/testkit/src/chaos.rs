@@ -28,9 +28,10 @@ pub enum FaultSpec {
         probe: u64,
     },
     /// Hold the evaluator — and with it the walk's thread — for `hold` at
-    /// the `probe`-th cost probe, simulating a transient hang: a hold longer
-    /// than [`STALL_WINDOW`](cbls_parallel::STALL_WINDOW) overruns its
-    /// slice, and the walk is reported stalled.
+    /// the `probe`-th cost probe, simulating a transient hang: under a
+    /// supervisor, a hold longer than the executor's stall window
+    /// (`cbls_parallel::STALL_WINDOW`) overruns its slice, and the walk is
+    /// reported stalled.
     Stall {
         /// The 1-based `cost_if_swap` call count at which to stall.
         probe: u64,
@@ -240,23 +241,7 @@ impl<E: Evaluator> Evaluator for ChaosEvaluator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Clone)]
-    struct Sort(usize);
-    impl Evaluator for Sort {
-        fn size(&self) -> usize {
-            self.0
-        }
-        fn init(&mut self, perm: &[usize]) -> i64 {
-            self.cost(perm)
-        }
-        fn cost(&self, perm: &[usize]) -> i64 {
-            perm.iter().enumerate().filter(|&(i, &v)| i != v).count() as i64
-        }
-        fn cost_on_variable(&self, perm: &[usize], i: usize) -> i64 {
-            i64::from(perm[i] != i)
-        }
-    }
+    use crate::sort::Sort;
 
     #[test]
     fn plan_targets_walk_and_attempt() {

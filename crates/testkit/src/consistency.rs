@@ -10,186 +10,14 @@
 //! [`project_errors`](Evaluator::project_errors)) the engine relies on for
 //! its cached error vector.  This module checks those promises with
 //! randomized swap sequences on fixed seeds, so every problem crate (the
-//! hand-coded `cbls-problems` models, the declarative `cbls-model` layer,
-//! downstream user models) can assert them with one call instead of
-//! re-implementing the drive loop.
+//! hand-coded `cbls-problems` models, the declarative `cbls-model` layer)
+//! can assert them with one call instead of re-implementing the drive loop.
 //!
 //! The functions panic with a descriptive message on the first violation;
 //! they are meant to be called from `#[test]` functions.
-//!
-//! Beyond the protocol checks, the module carries the runtime half of the
-//! workspace's alloc-free contract: a [`CountingAllocator`] that a test
-//! binary installs as its `#[global_allocator]`, and
-//! [`assert_alloc_free`] / [`measure_allocations`] to prove that a hot-path
-//! probe sequence performs zero heap allocations.  The static half —
-//! `cbls-lint`'s `no-alloc-hot-path` token scan — catches the obvious
-//! `clone`/`collect`/`to_vec` shapes; this runtime harness catches the
-//! indirect allocations (growing a `Vec` field, formatting, boxing inside a
-//! callee) that no token scanner can see.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 use as_rng::{default_rng, RandomSource};
-
-use crate::evaluator::Evaluator;
-
-/// Per-thread allocation tally: counting is armed only inside
-/// [`measure_allocations`], so parallel test threads never observe each
-/// other's allocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AllocTally {
-    /// Number of heap allocations (`alloc`, `alloc_zeroed`, and growing
-    /// `realloc` calls).
-    pub allocations: u64,
-    /// Total bytes requested by those allocations.
-    pub bytes: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ProbeState {
-    armed: bool,
-    tally: AllocTally,
-}
-
-thread_local! {
-    static ALLOC_PROBE: Cell<ProbeState> = const {
-        Cell::new(ProbeState {
-            armed: false,
-            tally: AllocTally {
-                allocations: 0,
-                bytes: 0,
-            },
-        })
-    };
-}
-
-fn note_allocation(bytes: usize) {
-    ALLOC_PROBE.with(|probe| {
-        let mut state = probe.get();
-        if state.armed {
-            state.tally.allocations += 1;
-            state.tally.bytes += bytes as u64;
-            probe.set(state);
-        }
-    });
-}
-
-/// A counting wrapper around the [`System`] allocator.
-///
-/// Install it in a test binary with
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: cbls_core::consistency::CountingAllocator =
-///     cbls_core::consistency::CountingAllocator::new();
-/// ```
-///
-/// and drive the code under test through [`measure_allocations`] or
-/// [`assert_alloc_free`].  Outside an armed measurement window the wrapper
-/// is a plain pass-through (one thread-local flag read per allocation), so
-/// installing it does not perturb what the tests measure.
-#[derive(Debug, Default)]
-pub struct CountingAllocator;
-
-impl CountingAllocator {
-    /// A fresh allocator (const, so it can initialize a `static`).
-    #[must_use]
-    pub const fn new() -> Self {
-        Self
-    }
-}
-
-// The one unsafe block of the workspace's own crates (everything else is
-// `forbid(unsafe_code)`; `cbls-core` downgrades to `deny` exactly for this
-// impl): `GlobalAlloc` is an unsafe trait, and the impl upholds its contract
-// trivially by delegating every call to `System` unchanged — the only added
-// behavior is the thread-local tally, which allocates nothing.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// Run `f` with allocation counting armed on this thread and return its
-/// result together with the [`AllocTally`] of every heap allocation it
-/// performed.
-///
-/// # Panics
-///
-/// Panics when the process's global allocator is not a
-/// [`CountingAllocator`]: a canary allocation is made first and must be
-/// observed, so a mis-wired test binary fails loudly instead of vacuously
-/// reporting zero allocations.
-pub fn measure_allocations<R>(f: impl FnOnce() -> R) -> (R, AllocTally) {
-    // Canary: prove the counting allocator is actually installed.
-    ALLOC_PROBE.with(|probe| {
-        probe.set(ProbeState {
-            armed: true,
-            tally: AllocTally::default(),
-        });
-    });
-    let canary = std::hint::black_box(Box::new(0xA110_CF3Eu64));
-    let canary_seen = ALLOC_PROBE.with(|probe| probe.get().tally.allocations > 0);
-    drop(std::hint::black_box(canary));
-    assert!(
-        canary_seen,
-        "measure_allocations: the canary allocation was not counted — install \
-         `#[global_allocator] static A: CountingAllocator = CountingAllocator::new();` \
-         in the test binary"
-    );
-
-    ALLOC_PROBE.with(|probe| {
-        probe.set(ProbeState {
-            armed: true,
-            tally: AllocTally::default(),
-        });
-    });
-    let result = f();
-    let tally = ALLOC_PROBE.with(|probe| {
-        let state = probe.get();
-        probe.set(ProbeState {
-            armed: false,
-            tally: AllocTally::default(),
-        });
-        state.tally
-    });
-    (result, tally)
-}
-
-/// Assert that `f` performs **zero** heap allocations on this thread and
-/// return its result.
-///
-/// # Panics
-///
-/// Panics with `label` and the observed tally when `f` allocates, or when
-/// the [`CountingAllocator`] is not installed (see [`measure_allocations`]).
-pub fn assert_alloc_free<R>(label: &str, f: impl FnOnce() -> R) -> R {
-    let (result, tally) = measure_allocations(f);
-    assert!(
-        tally.allocations == 0,
-        "{label}: {} heap allocation(s) ({} bytes) on an alloc-free hot path",
-        tally.allocations,
-        tally.bytes
-    );
-    result
-}
+use cbls_core::Evaluator;
 
 /// Exhaustively check, over `samples` random permutations, that
 /// `cost_if_swap` agrees with a from-scratch recomputation and that
@@ -374,10 +202,10 @@ pub fn check_batched_probes<E: Evaluator>(mut problem: E, seed: u64, rounds: usi
     }
 }
 
-/// Assert that a problem's [`crate::IncrementalProfile`] rules out every
-/// default probe path on the engine's hot loop: scratch-buffer `cost`,
-/// incremental `cost_if_swap` and `executed_swap`, and either a tracked
-/// dirty set or a batched full projection.
+/// Assert that a problem's [`IncrementalProfile`](cbls_core::IncrementalProfile)
+/// rules out every default probe path on the engine's hot loop:
+/// scratch-buffer `cost`, incremental `cost_if_swap` and `executed_swap`,
+/// and either a tracked dirty set or a batched full projection.
 ///
 /// # Panics
 ///
@@ -436,13 +264,13 @@ pub fn check_error_projection<E: Evaluator>(mut problem: E, seed: u64, samples: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::test_problems::SortPermutation;
+    use crate::sort::Sort;
 
     #[test]
     fn sort_permutation_passes_the_harness() {
-        check_incremental_consistency(SortPermutation::new(12), 17, 10);
-        check_projection_cache(SortPermutation::new(12), 18, 30);
-        check_error_projection(SortPermutation::new(12), 19, 10);
+        check_incremental_consistency(Sort(12), 17, 10);
+        check_projection_cache(Sort(12), 18, 30);
+        check_error_projection(Sort(12), 19, 10);
     }
 
     #[test]
@@ -471,14 +299,14 @@ mod tests {
 
     #[test]
     fn default_batched_probes_pass_the_harness() {
-        check_batched_probes(SortPermutation::new(12), 29, 10);
+        check_batched_probes(Sort(12), 29, 10);
     }
 
     #[test]
     #[should_panic(expected = "cost_if_swaps disagrees")]
     fn a_lying_batched_kernel_is_caught() {
         #[derive(Clone)]
-        struct LyingBatch(SortPermutation);
+        struct LyingBatch(Sort);
         impl Evaluator for LyingBatch {
             fn size(&self) -> usize {
                 self.0.size()
@@ -508,7 +336,7 @@ mod tests {
                 }
             }
         }
-        check_batched_probes(LyingBatch(SortPermutation::new(8)), 31, 3);
+        check_batched_probes(LyingBatch(Sort(8)), 31, 3);
     }
 
     #[test]
@@ -528,8 +356,8 @@ mod tests {
             fn cost_on_variable(&self, _perm: &[usize], _i: usize) -> i64 {
                 0
             }
-            fn incremental_profile(&self) -> crate::IncrementalProfile {
-                crate::IncrementalProfile {
+            fn incremental_profile(&self) -> cbls_core::IncrementalProfile {
+                cbls_core::IncrementalProfile {
                     scratch_cost: true,
                     ..Default::default()
                 }

@@ -19,7 +19,7 @@
 //!
 //! // Run 4 independent walks on the Costas Array Problem and keep the winner.
 //! let search = Benchmark::CostasArray(9).tuned_config();
-//! let batch = WalkBatch::uniform(WalkSeeds::DEFAULT_MASTER_SEED, &search, 4);
+//! let batch = WalkBatch::uniform(0xC0DE_CAFE, &search, 4);
 //! let result = ThreadsExecutor.execute(&|| CostasArray::new(9), &batch);
 //! assert!(result.winning_record().is_some());
 //! ```
@@ -35,7 +35,7 @@
 //! * [`parallel`] (`cbls-parallel`) — walk batches, the threads and
 //!   sequential executors, and their deterministic replay;
 //! * [`resilience`] (`cbls-resilience`) — supervised execution: stall
-//!   reports, deterministic retries and the chaos fault-injection harness;
+//!   reports, deterministic retries and anytime partial results;
 //! * [`service`] (`cbls-service`) — the concurrent solve-job service:
 //!   bounded FIFO admission, runtime quotes and the versioned progress wire
 //!   format;
@@ -78,10 +78,7 @@ pub mod prelude {
         AllIntervalConstraint, BacktrackingSolver, CostasConstraint, LangfordConstraint,
         QueensConstraint,
     };
-    pub use cbls_resilience::{
-        ChaosFactory, FaultPlan, FaultSpec, FaultWindow, RetryOutcome, RetryPolicy,
-        SupervisedExecution, Supervisor,
-    };
+    pub use cbls_resilience::{RetryOutcome, RetryPolicy, SupervisedExecution, Supervisor};
     pub use cbls_service::{
         AdmissionError, JobEvent, ProgressFrame, ServiceConfig, SolveRequest, SolveService,
         WIRE_SCHEMA,

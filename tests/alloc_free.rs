@@ -4,23 +4,167 @@
 //! from `cost_if_swap` / `executed_swap` / projection bodies, but a token
 //! scanner cannot see *indirect* allocations — a `Vec` field growing inside
 //! a callee, a format, a box.  This suite closes that gap: the binary
-//! installs [`CountingAllocator`] as its global allocator and, for every
-//! catalog [`Benchmark`] (hand-coded and modeled), drives a randomized
-//! probe/swap/projection sequence through the engine-facing trait-object
-//! layer under [`assert_alloc_free`] — any heap allocation fails the test
-//! with the benchmark's id and the allocation count.
+//! installs a counting [`GlobalAlloc`] wrapper of [`System`] as its global
+//! allocator and, for every catalog [`Benchmark`] (hand-coded and modeled),
+//! drives a randomized probe/swap/projection sequence through the
+//! engine-facing trait-object layer under [`assert_alloc_free`] — any heap
+//! allocation fails the test with the benchmark's id and the allocation
+//! count.
 //!
 //! A warm-up sequence runs first, uncounted: the contract is *steady-state*
 //! alloc-freedom, so scratch state sized lazily on the first few moves
 //! (dirty-set capacity, reservoir buffers) is allowed to settle before
 //! counting starts.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use as_rng::{default_rng, RandomSource};
-use cbls_core::consistency::{assert_alloc_free, measure_allocations, CountingAllocator};
 use cbls_problems::Benchmark;
 
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator::new();
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Per-thread allocation tally: counting is armed only inside
+/// [`measure_allocations`], so parallel test threads never observe each
+/// other's allocations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct AllocTally {
+    /// Number of heap allocations (`alloc`, `alloc_zeroed`, and growing
+    /// `realloc` calls).
+    allocations: u64,
+    /// Total bytes requested by those allocations.
+    bytes: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ProbeState {
+    armed: bool,
+    tally: AllocTally,
+}
+
+thread_local! {
+    static ALLOC_PROBE: Cell<ProbeState> = const {
+        Cell::new(ProbeState {
+            armed: false,
+            tally: AllocTally {
+                allocations: 0,
+                bytes: 0,
+            },
+        })
+    };
+}
+
+fn note_allocation(bytes: usize) {
+    ALLOC_PROBE.with(|probe| {
+        let mut state = probe.get();
+        if state.armed {
+            state.tally.allocations += 1;
+            state.tally.bytes += bytes as u64;
+            probe.set(state);
+        }
+    });
+}
+
+/// A counting wrapper around the [`System`] allocator.  Outside an armed
+/// measurement window it is a plain pass-through (one thread-local flag
+/// read per allocation), so installing it does not perturb what the tests
+/// measure.
+struct CountingAllocator;
+
+// The workspace's one unsafe impl: `GlobalAlloc` is an unsafe trait, and the
+// impl upholds its contract by delegating every call to `System` unchanged.
+// The only added behavior is the thread-local tally, which allocates
+// nothing.  Every crate under `crates/` forbids unsafe code; this test
+// binary is not one of them.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`, which
+        // is passed to `System` unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: every block this allocator hands out comes from `System`
+        // with the same layout, so `ptr` and `layout` satisfy `System`'s
+        // `dealloc` contract as they satisfy ours.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        // SAFETY: as in `dealloc` for `ptr` and `layout`; the caller upholds
+        // `realloc`'s contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Run `f` with allocation counting armed on this thread and return its
+/// result together with the [`AllocTally`] of every heap allocation it
+/// performed.
+///
+/// # Panics
+///
+/// Panics when the canary allocation made first is not counted, so a
+/// binary without the counting allocator fails loudly instead of vacuously
+/// reporting zero allocations.
+fn measure_allocations<R>(f: impl FnOnce() -> R) -> (R, AllocTally) {
+    // Canary: prove the counting allocator is actually installed.
+    ALLOC_PROBE.with(|probe| {
+        probe.set(ProbeState {
+            armed: true,
+            tally: AllocTally::default(),
+        });
+    });
+    let canary = std::hint::black_box(Box::new(0xA110_CF3Eu64));
+    let canary_seen = ALLOC_PROBE.with(|probe| probe.get().tally.allocations > 0);
+    drop(std::hint::black_box(canary));
+    assert!(
+        canary_seen,
+        "measure_allocations: the canary allocation was not counted"
+    );
+
+    ALLOC_PROBE.with(|probe| {
+        probe.set(ProbeState {
+            armed: true,
+            tally: AllocTally::default(),
+        });
+    });
+    let result = f();
+    let tally = ALLOC_PROBE.with(|probe| {
+        let state = probe.get();
+        probe.set(ProbeState {
+            armed: false,
+            tally: AllocTally::default(),
+        });
+        state.tally
+    });
+    (result, tally)
+}
+
+/// Assert that `f` performs **zero** heap allocations on this thread and
+/// return its result.
+///
+/// # Panics
+///
+/// Panics with `label` and the observed tally when `f` allocates.
+fn assert_alloc_free<R>(label: &str, f: impl FnOnce() -> R) -> R {
+    let (result, tally) = measure_allocations(f);
+    assert!(
+        tally.allocations == 0,
+        "{label}: {} heap allocation(s) ({} bytes) on an alloc-free hot path",
+        tally.allocations,
+        tally.bytes
+    );
+    result
+}
 
 /// Swaps driven while counting (and, separately, while warming up).
 const SWAPS: usize = 120;

@@ -11,8 +11,8 @@
 //! still on the default row-of-scalar-probes fallback pass trivially, so the
 //! suite also stays correct as more kernels go batched.
 
-use cbls_core::consistency::check_batched_probes;
 use cbls_problems::Benchmark;
+use cbls_testkit::check_batched_probes;
 
 fn checked(benchmark: &Benchmark, seed: u64) {
     check_batched_probes(benchmark.build(), seed, 12);

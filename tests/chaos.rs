@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::Duration;
 
+use cbls_testkit::{ChaosFactory, FaultPlan, FaultSpec, FaultWindow};
 use parallel_cbls::prelude::*;
 
 /// A solvable configuration polling stop every iteration: a supervised walk
@@ -131,7 +132,7 @@ fn a_stall_is_classified_identically_on_every_backend() {
     let bench = Benchmark::CostasArray(10);
     let batch = WalkBatch::uniform(2012, &chaos_search(&bench), 2).run_to_completion();
     let plan = FaultPlan::new().stall_once(0, 4, Duration::from_millis(400));
-    let run = matrix(&bench, &plan, &batch, RetryPolicy::none());
+    let run = matrix(&bench, &plan, &batch, RetryPolicy::retries(0));
 
     // one history entry per faulted walk, but the policy allowed no attempts
     assert_eq!(

@@ -4,6 +4,7 @@
 //! which instances are satisfiable.
 
 use parallel_cbls::prelude::*;
+use parallel_cbls::propagation::SolveStatus;
 
 #[test]
 fn backtracking_solutions_have_zero_local_search_cost() {
@@ -89,7 +90,7 @@ fn local_search_solutions_satisfy_the_propagation_constraints() {
 fn both_solvers_agree_on_langford_satisfiability() {
     let solver = BacktrackingSolver::default();
     for n in 3usize..=8 {
-        let exact = solver.solve(&LangfordConstraint::new(n)).satisfiable();
+        let exact = solver.solve(&LangfordConstraint::new(n)).status == SolveStatus::Satisfiable;
         let rule = Langford::new(n).is_satisfiable();
         assert_eq!(exact, rule, "L(2,{n})");
 

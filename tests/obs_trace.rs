@@ -136,14 +136,17 @@ fn chrome_export_has_walk_tracks_and_phase_slices() {
             master_seed: 3,
             walks,
         },
-        RecorderConfig::with_phases(),
+        RecorderConfig {
+            phases: true,
+            ..RecorderConfig::default()
+        },
     );
     let execution = SequentialExecutor.execute_with_telemetry(&factory, &batch, &recorder);
     let recording = recorder.finish(&execution);
     assert_eq!(recording.phase_profiles.len(), walks);
     for profile in &recording.phase_profiles {
         assert!(
-            profile.total_nanos() > 0,
+            profile.phases.iter().map(|p| p.nanos).sum::<u64>() > 0,
             "walk {} has no attributed phase time",
             profile.walk_id
         );

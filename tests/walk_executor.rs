@@ -87,7 +87,7 @@ fn timed_out_multiwalk_returns_partial_results_on_every_backend() {
 /// first-finisher batch, so they reach the deadline together.
 #[test]
 fn deadline_is_shared_by_late_starting_walks() {
-    let batch = WalkBatch::uniform(WalkSeeds::DEFAULT_MASTER_SEED, &endless_search(), 4)
+    let batch = WalkBatch::uniform(0xC0DE_CAFE, &endless_search(), 4)
         .with_timeout(Duration::from_millis(25));
     let result =
         SequentialExecutor.execute(&|| CostasArray::new(10), &batch.clone().run_to_completion());
